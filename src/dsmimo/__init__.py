@@ -55,54 +55,3 @@ from .outer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArrayGeometry",
-    "ConfigError",
-    "CovariancePair",
-    "EffectiveChannelSet",
-    "EvaluationError",
-    "ExperimentConfig",
-    "InfeasibleError",
-    "InnerFilters",
-    "LinkFilters",
-    "MacroState",
-    "OuterFilters",
-    "PRESETS",
-    "RAYS_PER_CLUSTER",
-    "RankDeficiencyError",
-    "RateRecord",
-    "Ray",
-    "SCENARIOS",
-    "SolverError",
-    "TrialOutcome",
-    "TruncatedSvd",
-    "bd_mer",
-    "cme",
-    "draw_macroscopic",
-    "effective_channels",
-    "emit_csv",
-    "estimate_covariances",
-    "extract_partial_csi",
-    "load_config",
-    "met_bd",
-    "met_mer",
-    "met_mmse",
-    "normalize_gamma",
-    "path_outer_filters",
-    "pps",
-    "pps_indices",
-    "preset_configs",
-    "realize_channel",
-    "run_point",
-    "run_single_layer",
-    "run_sweep",
-    "run_trial",
-    "snr_to_power",
-    "sps",
-    "sps_indices",
-    "sum_rate",
-    "truncated_svd",
-    "ula_manifold",
-    "ula_response",
-]

@@ -102,15 +102,26 @@ class MacroState:
 
 @dataclass(frozen=True)
 class CovariancePair:
-    """Estimated downlink/uplink channel covariances.
+    """Estimated downlink/uplink channel covariances in factored form.
 
-    ``c_dl`` averages H H^H over slots (N_r x N_r), ``c_ul`` averages
-    H^H H (N_t x N_t). Both are Hermitian PSD by construction.
+    Each side is a manifold B (N x L) and a Hermitian PSD weight K (L x L)
+    with covariance C = B K B^H: ``c_dl`` averages H H^H over slots
+    (N_r x N_r), ``c_ul`` averages H^H H (N_t x N_t). The dense matrices
+    are derived on demand and never needed to design filters.
     """
 
-    c_dl: np.ndarray
-    c_ul: np.ndarray
-    n_slots: int
+    b_dl: np.ndarray
+    k_dl: np.ndarray
+    b_ul: np.ndarray
+    k_ul: np.ndarray
+
+    @property
+    def c_dl(self) -> np.ndarray:
+        return self.b_dl @ self.k_dl @ self.b_dl.conj().T
+
+    @property
+    def c_ul(self) -> np.ndarray:
+        return self.b_ul @ self.k_ul @ self.b_ul.conj().T
 
 
 def ula_response(geometry: ArrayGeometry, azimuth: float) -> np.ndarray:
@@ -226,10 +237,11 @@ def estimate_covariances(
     (n_slots, L)) while the ray angles stay fixed, so the estimate carries
     the drop's angular structure but only the ensemble path power. This
     keeps statistical CSI coarser than partial CSI, which knows the drop's
-    realized per-path powers. The slot average of H H^H and H^H H is
-    evaluated in factored form on the L x L gain correlation, algebraically
-    identical to accumulating per-slot Gram matrices but independent of the
-    antenna counts in the slot loop.
+    realized per-path powers. The slot average of H H^H and H^H H is kept
+    in factored form on the L x L gain correlation: uplink B = conj(A_t),
+    K = gram(A_r) o corr; downlink B = A_r, K = conj(gram(A_t) o corr).
+    This is algebraically identical to accumulating per-slot Gram matrices
+    but independent of the antenna counts.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
@@ -245,11 +257,12 @@ def estimate_covariances(
     gram_t = a_t.conj().T @ a_t
     corr = gains.conj().T @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
 
-    c_ul = a_t.conj() @ (gram_r * corr) @ a_t.T
-    c_dl = a_r @ (gram_t.conj() * corr.conj()) @ a_r.conj().T
-    c_ul = 0.5 * (c_ul + c_ul.conj().T)
-    c_dl = 0.5 * (c_dl + c_dl.conj().T)
-    return CovariancePair(c_dl=c_dl, c_ul=c_ul, n_slots=n_slots)
+    k_ul = gram_r * corr
+    k_dl = (gram_t * corr).conj()
+    return CovariancePair(
+        b_dl=a_r, k_dl=0.5 * (k_dl + k_dl.conj().T),
+        b_ul=a_t.conj(), k_ul=0.5 * (k_ul + k_ul.conj().T),
+    )
 
 
 def extract_partial_csi(

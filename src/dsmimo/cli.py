@@ -51,6 +51,8 @@ def _resolve_configs(args) -> list:
         configs = [load_config(args.config)]
     else:
         configs = preset_configs(args.preset)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     if args.trials is not None:
         if args.trials < 1:
             raise ConfigError("--trials must be >= 1")

@@ -11,6 +11,7 @@ draws (paired comparisons) and results do not depend on scheduling.
 from __future__ import annotations
 
 import io
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
@@ -97,8 +98,18 @@ class ExperimentConfig:
         snrs = _as_tuple(self.snr_db)
         if not scenarios or not users or not snrs:
             raise ConfigError("sweep axes must be nonempty")
+        counts = [(n, getattr(self, n)) for n in ("n_t", "n_r", "n_s", "n_trials", "n_slots")]
+        counts += [("n_users", u) for u in users]
+        integers = counts + [(n, getattr(self, n)) for n in ("m_t", "m_r", "layers", "seed")]
+        reals = [("sigma_n2", self.sigma_n2), ("sigma_c_deg", self.sigma_c_deg)]
+        for name, value in integers:
+            if not _is_a(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, value in reals + [("snr_db", x) for x in snrs]:
+            if not _is_a(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         for s in scenarios:
-            if s not in SCENARIOS:
+            if s not in tuple(SCENARIOS):  # a tuple, so unhashable YAML values compare unequal
                 raise ConfigError(f"unknown scenario {s!r}")
         if self.outer not in OUTER_METHODS:
             raise ConfigError(f"outer must be one of {OUTER_METHODS}, got {self.outer!r}")
@@ -110,12 +121,9 @@ class ExperimentConfig:
             raise ConfigError("layers=1 requires outer='none'")
         if self.layers == 2 and self.outer == "none":
             raise ConfigError("layers=2 requires an outer method")
-        for name in ("n_t", "n_r", "n_s", "n_trials", "n_slots"):
-            if int(getattr(self, name)) < 1:
+        for name, value in counts:
+            if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for u in users:
-            if int(u) < 1:
-                raise ConfigError("n_users must be >= 1")
         for x in snrs:
             if not np.isfinite(x):
                 raise ConfigError("snr_db must be finite")
@@ -123,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError("sigma_n2 must be positive")
         if self.sigma_c_deg < 0:
             raise ConfigError("sigma_c_deg must be nonnegative")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         m_t, m_r = self.effective_dims()
         if self.layers == 2:
@@ -188,6 +196,11 @@ def _as_tuple(value) -> tuple:
     if isinstance(value, (list, tuple, np.ndarray)):
         return tuple(value)
     return (value,)
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance() that refuses bools, which Python and YAML count as integers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
@@ -376,7 +389,7 @@ def load_config(path: str) -> ExperimentConfig:
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(map(str, unknown))}")
     cfg = ExperimentConfig(**data)
     cfg.validate()
     return cfg

@@ -36,14 +36,25 @@ class OuterFilters:
     method: str
 
 
-def _top_eigenvectors(cov: np.ndarray, m: int) -> np.ndarray:
-    if m > cov.shape[0]:
-        raise ValueError(f"cannot extract {m} eigenvectors from a {cov.shape[0]}-dim covariance")
-    hermitian_gap = np.linalg.norm(cov - cov.conj().T)
-    if hermitian_gap > _HERMITIAN_RTOL * max(np.linalg.norm(cov), 1e-300):
-        raise ValueError("covariance matrix is not Hermitian")
-    _, vecs = np.linalg.eigh(cov)  # eigenvalues ascending
-    return vecs[:, ::-1][:, :m]
+def _top_eigenvectors(manifold: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray:
+    """Leading m eigenvectors of B K B^H without forming the N x N matrix.
+
+    With B = QR, B K B^H = Q (R K R^H) Q^H, so the eigenvectors are Q times
+    those of the p x p matrix R K R^H, p = min(N, L). Beyond p the
+    covariance is null; those columns come from the complete QR, which
+    spans the orthogonal complement of range(B).
+    """
+    n, n_paths = manifold.shape
+    if m > n:
+        raise ValueError(f"cannot extract {m} eigenvectors from a {n}-dim covariance")
+    hermitian_gap = np.linalg.norm(weight - weight.conj().T)
+    if hermitian_gap > _HERMITIAN_RTOL * max(np.linalg.norm(weight), 1e-300):
+        raise ValueError("covariance weight matrix is not Hermitian")
+    p = min(n, n_paths)
+    q, r = np.linalg.qr(manifold, mode="complete" if m > p else "reduced")
+    r = r[:p]
+    _, vecs = np.linalg.eigh(r @ weight @ r.conj().T)  # eigenvalues ascending
+    return np.hstack([q[:, :p] @ vecs[:, ::-1][:, :m], q[:, p:m]])
 
 
 def cme(cov: CovariancePair, m_t: int, m_r: int) -> OuterFilters:
@@ -54,8 +65,8 @@ def cme(cov: CovariancePair, m_t: int, m_r: int) -> OuterFilters:
     eigenvalue order. Columns are orthonormal.
     """
     return OuterFilters(
-        f_o=_top_eigenvectors(cov.c_ul, m_t),
-        w_o=_top_eigenvectors(cov.c_dl, m_r),
+        f_o=_top_eigenvectors(cov.b_ul, cov.k_ul, m_t),
+        w_o=_top_eigenvectors(cov.b_dl, cov.k_dl, m_r),
         method="cme",
     )
 

@@ -198,6 +198,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("1: 2\nbandwidth: 100\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- poor\n- fair\n")
@@ -259,6 +265,9 @@ class TestCli:
     def test_run_unknown_preset_is_config_error(self):
         assert main(["run", "--preset", "outer_swamp"]) == 2
 
+    def test_run_negative_seed_is_config_error(self):
+        assert main(["run", "--preset", "outer_poor", "--seed", "-1"]) == 2
+
     def test_run_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.yaml")]) == 2
 
@@ -273,6 +282,18 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: urban\n")
         assert main(["validate", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("entry", ["snr_db: abc", "n_t: '64'", "seed: true", "n_users: 2.5"])
+    def test_mistyped_value_is_config_error(self, tmp_path, command, entry):
+        cfg = self._write_config(tmp_path)
+        key = entry.split(":")[0]
+        lines = [l for l in cfg.read_text().splitlines() if not l.startswith(f"{key}:")]
+        cfg.write_text("\n".join([*lines, entry]) + "\n")
+        out = tmp_path / "out.csv"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        assert not out.exists()
 
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dsmimo import (
+    SCENARIOS,
     ArrayGeometry,
     CovariancePair,
     RankDeficiencyError,
@@ -43,10 +44,12 @@ def _sps_reference(manifold, powers, m):
 
 class TestCme:
     def _pair(self, c_ul, c_dl=None):
+        # Identity manifold, so the weight is the dense covariance itself.
         if c_dl is None:
             c_dl = c_ul
-        return CovariancePair(c_dl=np.asarray(c_dl, dtype=complex),
-                              c_ul=np.asarray(c_ul, dtype=complex), n_slots=1)
+        c_ul, c_dl = np.asarray(c_ul, dtype=complex), np.asarray(c_dl, dtype=complex)
+        return CovariancePair(b_dl=np.eye(len(c_dl), dtype=complex), k_dl=c_dl,
+                              b_ul=np.eye(len(c_ul), dtype=complex), k_ul=c_ul)
 
     def test_identity_covariance_gives_semi_unitary_filters(self):
         # Fully degenerate spectrum: any orthonormal basis is acceptable.
@@ -89,6 +92,59 @@ class TestCme:
     def test_rejects_oversized_request(self):
         with pytest.raises(ValueError):
             cme(self._pair(np.eye(4)), m_t=5, m_r=1)
+
+
+def _dense_top_eigenvectors(cov, m):
+    """The slow, obvious CME: dense eigh of the expanded N x N covariance."""
+    _, vecs = np.linalg.eigh(cov)  # eigenvalues ascending
+    return vecs[:, ::-1][:, :m]
+
+
+def _captured_energy(basis, cov):
+    return np.einsum("ik,ij,jk->k", basis.conj(), cov, basis).real
+
+
+class TestCmeMatchesDenseEigh:
+    @staticmethod
+    def _drops(scenario):
+        tx = rx = ArrayGeometry(64)
+        for seed in range(3):
+            macro = draw_macroscopic(scenario, 1, np.random.default_rng(seed))[0]
+            yield estimate_covariances(macro, 100, np.random.default_rng(100 + seed), tx, rx)
+
+    @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+    @pytest.mark.parametrize("m", [1, 4, "L"])
+    def test_same_subspace_and_energies(self, scenario, m):
+        m = SCENARIOS[scenario][1] if m == "L" else m
+        for pair in self._drops(scenario):
+            filters = cme(pair, m_t=m, m_r=m)
+            for fast, cov in ((filters.f_o, pair.c_ul), (filters.w_o, pair.c_dl)):
+                dense = _dense_top_eigenvectors(cov, m)
+                eigs = np.append(np.linalg.eigvalsh(cov)[::-1], 0.0)
+                # Either solver fixes the span only to within about
+                # eps * lambda_1 / gap (Davis-Kahan), so 1e-10 holds where the
+                # m-th eigengap is resolvable and the bound widens where the
+                # trailing eigenvalues sink to rounding level.
+                gap = max(eigs[m - 1] - eigs[m], 1e-300)
+                tol = max(1e-10, 1e-14 * eigs[0] / gap)
+                projector_gap = fast @ fast.conj().T - dense @ dense.conj().T
+                assert np.linalg.norm(projector_gap) <= tol
+                np.testing.assert_allclose(
+                    _captured_energy(fast, cov), _captured_energy(dense, cov),
+                    rtol=0, atol=1e-12 * eigs[0],
+                )
+                if m == SCENARIOS[scenario][1]:
+                    residual = cov - fast @ (fast.conj().T @ cov)
+                    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(cov)
+
+    def test_request_beyond_path_count_completes_basis(self):
+        for pair in self._drops("poor"):
+            filters = cme(pair, m_t=16, m_r=16)
+            for basis, cov in ((filters.f_o, pair.c_ul), (filters.w_o, pair.c_dl)):
+                assert basis.shape == (64, 16)
+                assert np.allclose(basis.conj().T @ basis, np.eye(16), atol=1e-12)
+                residual = cov - basis @ (basis.conj().T @ cov)
+                assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(cov)
 
 
 class TestPps:
