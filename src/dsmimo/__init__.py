@@ -6,7 +6,6 @@ from .channel import (
     ArrayGeometry,
     CovariancePair,
     MacroState,
-    Ray,
     draw_macroscopic,
     estimate_covariances,
     extract_partial_csi,
@@ -24,7 +23,6 @@ from .harness import (
     load_config,
     preset_configs,
     run_point,
-    run_single_layer,
     run_sweep,
     run_trial,
 )

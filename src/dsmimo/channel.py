@@ -41,24 +41,6 @@ class ArrayGeometry:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """One propagation path: departure/arrival azimuths, gain magnitude, phase.
-
-    The phase is the fast-fading (microscopic) component; everything else is
-    macroscopic and held fixed over many fading realizations.
-    """
-
-    azimuth_departure: float
-    azimuth_arrival: float
-    magnitude: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("ray magnitude must be nonnegative")
-
-
-@dataclass(frozen=True)
 class MacroState:
     """Macroscopic channel state of one link: ray angles and magnitudes.
 
@@ -91,13 +73,6 @@ class MacroState:
     @property
     def n_rays(self) -> int:
         return self.aod.shape[0]
-
-    def rays(self) -> list[Ray]:
-        """View the state as a list of zero-phase :class:`Ray` values."""
-        return [
-            Ray(azimuth_departure=d, azimuth_arrival=a, magnitude=m)
-            for d, a, m in zip(self.aod, self.aoa, self.magnitudes)
-        ]
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,9 @@ class RateRecord:
 
     ``m_t``/``m_r`` are the effective inner-layer dimensions (the array
     sizes themselves for 1-layer runs). ``mean_rate``/``stderr`` are None
-    unless the status is ``ok``; ``n_trials`` counts executed trials.
+    unless the status is ``ok``, and ``stderr`` is also None for a single
+    trial, whose standard error is undefined; ``n_trials`` counts executed
+    trials.
     """
 
     outer: str
@@ -311,19 +313,12 @@ def run_point(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:
         )
 
     rates = np.array([run_trial(cfg, seed, t).rate for t in range(cfg.n_trials)])
-    stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else 0.0
+    stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
     return RateRecord(
         outer=cfg.outer, inner=cfg.inner, layers=cfg.layers, scenario=cfg.scenario,
         snr_db=cfg.snr_db, n_users=cfg.n_users, n_streams=cfg.n_s, m_t=m_t, m_r=m_r,
         n_trials=cfg.n_trials, mean_rate=float(rates.mean()), stderr=stderr, status="ok",
     )
-
-
-def run_single_layer(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:
-    """Benchmark path: inner methods applied directly to the full channel."""
-    if cfg.layers != 1:
-        raise ConfigError("run_single_layer requires layers=1")
-    return run_point(cfg, seed)
 
 
 def run_sweep(

@@ -90,9 +90,14 @@ def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
 
     At step i every remaining power-weighted steering vector is projected
     onto the orthogonal complement of the directions picked so far, and the
-    path with the largest residual norm wins. The previously selected
-    residuals are mutually orthogonal, so subtracting their projections in a
-    single pass implements the complement projection exactly.
+    path with the largest residual norm wins. The picked residuals are
+    mutually orthogonal, so the complement projection is a sum of rank-1
+    terms: one residual matrix is kept across steps, and each pick g
+    subtracts g (g^H W) / ||g||^2 once, for O(m N L) work in total
+    (Yoo & Goldsmith, JSAC 2006). Every term projects the original weighted
+    manifold W (classical Gram-Schmidt), never the running residual: the
+    two differ at rounding level, and on clustered manifolds the late picks
+    are decided at that level.
     """
     powers = np.asarray(powers, dtype=float)
     n_paths = manifold.shape[1]
@@ -103,12 +108,15 @@ def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
     init_norms2 = np.sum(np.abs(weighted) ** 2, axis=0)
 
     selected: list[int] = []
-    basis: list[np.ndarray] = []  # residuals g_(1..i-1) at their selection step
+    residual = weighted
     remaining = np.ones(n_paths, dtype=bool)
     for _ in range(m):
-        residual = weighted.copy()
-        for g in basis:
-            residual -= np.outer(g, (g.conj() @ weighted) / np.vdot(g, g).real)
+        if selected:
+            # Fold in the newest pick. g stays a view; residual is rebound,
+            # never written in place: a copy of g rounds np.vdot differently
+            # and flips late picks.
+            g = residual[:, selected[-1]]
+            residual = residual - np.outer(g, (g.conj() @ weighted) / np.vdot(g, g).real)
         norms2 = np.sum(np.abs(residual) ** 2, axis=0)
         usable = remaining & (norms2 > _SPS_DEGENERATE_RTOL * init_norms2)
         if not np.any(usable):
@@ -118,7 +126,6 @@ def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
         norms2[~usable] = -1.0
         pick = int(np.argmax(norms2))
         selected.append(pick)
-        basis.append(residual[:, pick])
         remaining[pick] = False
     return np.asarray(selected, dtype=int)
 

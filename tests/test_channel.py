@@ -102,13 +102,6 @@ class TestDrawMacroscopic:
         with pytest.raises(ValueError):
             draw_macroscopic("urban", 1, np.random.default_rng(0))
 
-    def test_ray_views(self):
-        state = draw_macroscopic("poor", 1, np.random.default_rng(4))[0]
-        rays = state.rays()
-        assert len(rays) == state.n_rays
-        assert rays[3].azimuth_departure == state.aod[3]
-        assert rays[3].magnitude == state.magnitudes[3]
-
 
 class TestRealizeChannel:
     def test_single_path_closed_form(self):

@@ -13,7 +13,6 @@ from dsmimo import (
     load_config,
     preset_configs,
     run_point,
-    run_single_layer,
     run_sweep,
     run_trial,
 )
@@ -91,7 +90,7 @@ class TestDeterminismAndPairing:
         two = replace(SMALL, m_t=8, m_r=8, n_s=2, n_users=2, n_trials=4)
         one = replace(SMALL, layers=1, outer="none", n_s=2, n_users=2, n_trials=4)
         r_two = run_point(two, seed=9)
-        r_one = run_single_layer(one, seed=9)
+        r_one = run_point(one, seed=9)
         assert abs(r_two.mean_rate - r_one.mean_rate) <= 1e-9 * r_one.mean_rate
 
     def test_snr_points_share_channel_draws(self):
@@ -144,10 +143,6 @@ class TestFeasibilityHandling:
         cfg = replace(SMALL, layers=1, outer="none", inner="met_bd", n_users=8, n_trials=1)
         assert run_point(cfg, seed=0).status == "ok"  # 8 * 1 <= n_r = 8
 
-    def test_run_single_layer_requires_one_layer(self):
-        with pytest.raises(ConfigError):
-            run_single_layer(SMALL, seed=0)
-
 
 class TestCsvEmission:
     def test_single_record_two_lines(self):
@@ -162,6 +157,15 @@ class TestCsvEmission:
         fields = row.split(",")
         assert fields[-1] == "infeasible"
         assert fields[-2] == "" and fields[-3] == ""
+
+    def test_single_trial_row_has_empty_stderr(self):
+        # One sample has no standard error; the field is left empty, not 0.
+        record = run_point(replace(SMALL, n_trials=1), seed=1)
+        assert record.stderr is None
+        row = next(csv.DictReader(io.StringIO(emit_csv([record]))))
+        assert row["status"] == "ok" and row["n_trials"] == "1"
+        assert float(row["mean_rate"]) > 0.0
+        assert row["stderr"] == ""
 
     def test_round_trip_parse(self):
         records = run_sweep(replace(SMALL, snr_db=[0.0, 10.0]), seed=2)

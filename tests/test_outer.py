@@ -9,12 +9,14 @@ from dsmimo import (
     cme,
     draw_macroscopic,
     estimate_covariances,
+    extract_partial_csi,
     path_outer_filters,
     pps,
     pps_indices,
     sps,
     sps_indices,
 )
+from dsmimo.outer import _SPS_DEGENERATE_RTOL
 
 
 def _random_manifold(rng, n, n_paths):
@@ -40,6 +42,36 @@ def _sps_reference(manifold, powers, m):
         selected.append(pick)
         remaining.remove(pick)
     return selected
+
+
+def _sps_reprojection_reference(manifold, powers, m):
+    """The per-step re-projection SPS that the incremental update replaced:
+    each step rebuilds the residual from the weighted manifold by
+    subtracting the projections on every basis vector picked so far."""
+    powers = np.asarray(powers, dtype=float)
+    n_paths = manifold.shape[1]
+    weighted = manifold * powers[None, :]
+    init_norms2 = np.sum(np.abs(weighted) ** 2, axis=0)
+
+    selected = []
+    basis = []  # residuals g_(1..i-1) at their selection step
+    remaining = np.ones(n_paths, dtype=bool)
+    for _ in range(m):
+        residual = weighted.copy()
+        for g in basis:
+            residual -= np.outer(g, (g.conj() @ weighted) / np.vdot(g, g).real)
+        norms2 = np.sum(np.abs(residual) ** 2, axis=0)
+        usable = remaining & (norms2 > _SPS_DEGENERATE_RTOL * init_norms2)
+        if not np.any(usable):
+            raise RankDeficiencyError(
+                f"only {len(selected)} of {m} requested paths are linearly independent"
+            )
+        norms2[~usable] = -1.0
+        pick = int(np.argmax(norms2))
+        selected.append(pick)
+        basis.append(residual[:, pick])
+        remaining[pick] = False
+    return np.asarray(selected, dtype=int)
 
 
 class TestCme:
@@ -243,6 +275,46 @@ class TestSps:
         manifold = _random_manifold(np.random.default_rng(12), 6, 3)
         with pytest.raises(ValueError):
             sps_indices(manifold, [1.0, 1.0, 1.0], 4)
+
+
+class TestSpsMatchesReprojection:
+    """The incremental residual update against the re-projection it replaced,
+    on the clustered manifolds the simulator draws, where late picks are
+    decided at rounding level."""
+
+    @staticmethod
+    def _compare(scenario, sigma_c_deg):
+        n_paths = SCENARIOS[scenario][1]
+        array = ArrayGeometry(64)
+        outcomes = {"picks": 0, "rank_deficient": 0}
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            macro = draw_macroscopic(scenario, 1, rng, sigma_c_deg=sigma_c_deg)[0]
+            a_t, a_r, powers = extract_partial_csi(macro, array, array)
+            for manifold in (a_t, a_r):
+                for m in (n_paths // 8, n_paths // 2, n_paths):
+                    try:
+                        expected = _sps_reprojection_reference(manifold, powers, m)
+                    except RankDeficiencyError:
+                        outcomes["rank_deficient"] += 1
+                        with pytest.raises(RankDeficiencyError):
+                            sps_indices(manifold, powers, m)
+                        continue
+                    outcomes["picks"] += 1
+                    assert np.array_equal(sps_indices(manifold, powers, m), expected)
+        return outcomes
+
+    @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+    def test_same_picks_on_drawn_manifolds(self, scenario):
+        assert self._compare(scenario, sigma_c_deg=5.0)["picks"] == 30 * 2 * 3
+
+    @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+    def test_same_failures_on_collapsed_clusters(self, scenario):
+        # Zero angle spread repeats each cluster's steering vector, so most
+        # requests beyond the cluster count fail; both versions must fail on
+        # the same ones.
+        outcomes = self._compare(scenario, sigma_c_deg=0.0)
+        assert outcomes["picks"] > 0 and outcomes["rank_deficient"] > 0
 
 
 class TestPathOuterFilters:
