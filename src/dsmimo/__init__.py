@@ -18,7 +18,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     RateRecord,
-    TrialOutcome,
     emit_csv,
     load_config,
     preset_configs,

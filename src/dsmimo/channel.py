@@ -24,20 +24,13 @@ RAYS_PER_CLUSTER = 4
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform linear array with omnidirectional elements.
-
-    ``spacing_wavelengths`` is the inter-element spacing in carrier
-    wavelengths (half-wavelength by default).
-    """
+    """Uniform linear array of omnidirectional elements at half-wavelength spacing."""
 
     n_elements: int
-    spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        if self.spacing_wavelengths <= 0:
-            raise ValueError("spacing_wavelengths must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,6 @@ class MacroState:
     magnitudes: np.ndarray
     n_clusters: int
     rays_per_cluster: int = RAYS_PER_CLUSTER
-    cluster_std_deg: float = 5.0
 
     def __post_init__(self):
         for name in ("aod", "aoa", "magnitudes"):
@@ -102,13 +94,12 @@ class CovariancePair:
 def ula_response(geometry: ArrayGeometry, azimuth: float) -> np.ndarray:
     """Unit-norm ULA steering vector at the given azimuth.
 
-    Entry k equals exp(-j * 2*pi*spacing * k * cos(azimuth)) / sqrt(N),
-    which reduces to exp(-j*pi*k*cos(azimuth)) / sqrt(N) at half-wavelength
+    Entry k equals exp(-j*pi*k*cos(azimuth)) / sqrt(N) at half-wavelength
     spacing.
     """
     n = geometry.n_elements
     k = np.arange(n)
-    phase = 2.0 * np.pi * geometry.spacing_wavelengths * np.cos(azimuth)
+    phase = np.pi * np.cos(azimuth)
     return np.exp(-1j * phase * k) / np.sqrt(n)
 
 
@@ -116,7 +107,7 @@ def ula_manifold(geometry: ArrayGeometry, azimuths: np.ndarray) -> np.ndarray:
     """Stack steering vectors column-wise: shape (n_elements, len(azimuths))."""
     azimuths = np.asarray(azimuths, dtype=float)
     k = np.arange(geometry.n_elements)[:, None]
-    phase = 2.0 * np.pi * geometry.spacing_wavelengths * np.cos(azimuths)[None, :]
+    phase = np.pi * np.cos(azimuths)[None, :]
     return np.exp(-1j * k * phase) / np.sqrt(geometry.n_elements)
 
 
@@ -136,15 +127,14 @@ def draw_macroscopic(
     n_users: int,
     rng: np.random.Generator,
     sigma_c_deg: float = 5.0,
-    sigma_alpha2: float = 1.0,
 ) -> list[MacroState]:
     """Draw the slow-timescale state of every user for one experiment drop.
 
     Per user and cluster, a mean azimuth is drawn uniformly in (0, 180) deg,
     independently for departure and arrival; each of the cluster's rays gets
     a Gaussian offset with standard deviation ``sigma_c_deg``. Magnitudes are
-    |CN(0, sigma_alpha2)| draws, i.e. Rayleigh with scale
-    sqrt(sigma_alpha2 / 2), held fixed for the whole drop.
+    |CN(0, 1)| draws, i.e. Rayleigh with scale sqrt(1/2), held fixed for the
+    whole drop.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {sorted(SCENARIOS)}")
@@ -158,23 +148,16 @@ def draw_macroscopic(
         mean_arr = rng.uniform(0.0, 180.0, size=n_clusters)
         dep = rng.normal(np.repeat(mean_dep, RAYS_PER_CLUSTER), sigma_c_deg)
         arr = rng.normal(np.repeat(mean_arr, RAYS_PER_CLUSTER), sigma_c_deg)
-        magnitudes = rng.rayleigh(scale=np.sqrt(sigma_alpha2 / 2.0), size=n_rays)
+        magnitudes = rng.rayleigh(scale=np.sqrt(0.5), size=n_rays)
         states.append(
             MacroState(
                 aod=np.deg2rad(_fold_azimuth_deg(dep)),
                 aoa=np.deg2rad(_fold_azimuth_deg(arr)),
                 magnitudes=magnitudes,
                 n_clusters=n_clusters,
-                cluster_std_deg=sigma_c_deg,
             )
         )
     return states
-
-
-def _scaled_gains(macro: MacroState, phases: np.ndarray, n_t: int, n_r: int) -> np.ndarray:
-    phases = np.asarray(phases, dtype=float)
-    scale = np.sqrt(n_t * n_r / macro.n_rays)
-    return scale * macro.magnitudes * np.exp(1j * phases)
 
 
 def realize_channel(
@@ -193,7 +176,8 @@ def realize_channel(
         raise ValueError(f"expected {macro.n_rays} phases, got shape {phases.shape}")
     a_t = ula_manifold(tx, macro.aod)
     a_r = ula_manifold(rx, macro.aoa)
-    gains = _scaled_gains(macro, phases, tx.n_elements, rx.n_elements)
+    scale = np.sqrt(tx.n_elements * rx.n_elements / macro.n_rays)
+    gains = scale * macro.magnitudes * np.exp(1j * phases)
     return (a_r * gains) @ a_t.T
 
 
@@ -203,11 +187,10 @@ def estimate_covariances(
     rng: np.random.Generator,
     tx: ArrayGeometry,
     rx: ArrayGeometry,
-    sigma_alpha2: float = 1.0,
 ) -> CovariancePair:
     """Estimate downlink/uplink covariances by averaging over fading slots.
 
-    Each slot redraws the L complex path gains as CN(0, sigma_alpha2)
+    Each slot redraws the L complex path gains as CN(0, 1)
     (consumed from ``rng`` as two standard-normal blocks of shape
     (n_slots, L)) while the ray angles stay fixed, so the estimate carries
     the drop's angular structure but only the ensemble path power. This
@@ -221,7 +204,7 @@ def estimate_covariances(
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     n_rays = macro.n_rays
-    scale = np.sqrt(tx.n_elements * rx.n_elements / n_rays * sigma_alpha2 / 2.0)
+    scale = np.sqrt(tx.n_elements * rx.n_elements / n_rays / 2.0)
     gains = scale * (
         rng.standard_normal((n_slots, n_rays)) + 1j * rng.standard_normal((n_slots, n_rays))
     )

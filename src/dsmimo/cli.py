@@ -53,6 +53,8 @@ def _resolve_configs(args) -> list:
         configs = preset_configs(args.preset)
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be >= 0")
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     if args.trials is not None:
         if args.trials < 1:
             raise ConfigError("--trials must be >= 1")

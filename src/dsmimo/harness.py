@@ -108,6 +108,8 @@ class ExperimentConfig:
         for name, value in reals + [("snr_db", x) for x in snrs]:
             if not _is_a(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for s in scenarios:
             if s not in tuple(SCENARIOS):  # a tuple, so unhashable YAML values compare unequal
                 raise ConfigError(f"unknown scenario {s!r}")
@@ -124,9 +126,6 @@ class ExperimentConfig:
         for name, value in counts:
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for x in snrs:
-            if not np.isfinite(x):
-                raise ConfigError("snr_db must be finite")
         if self.sigma_n2 <= 0:
             raise ConfigError("sigma_n2 must be positive")
         if self.sigma_c_deg < 0:
@@ -185,15 +184,6 @@ class RateRecord:
     status: str
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of a single Monte Carlo trial."""
-
-    rate: float
-    feasible: bool = True
-    reason: str = ""
-
-
 def _as_tuple(value) -> tuple:
     if isinstance(value, (list, tuple, np.ndarray)):
         return tuple(value)
@@ -210,24 +200,22 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _bd_infeasibility(cfg: ExperimentConfig) -> str | None:
+def _record(cfg: ExperimentConfig, status: str, rates: np.ndarray | None = None) -> RateRecord:
+    """The CSV row of a single-point config; ``rates`` only for ``ok`` rows."""
     m_t, m_r = cfg.effective_dims()
-    if cfg.inner == "met_bd" and cfg.n_users * cfg.n_s > m_r:
-        return f"U*N_s={cfg.n_users * cfg.n_s} > M_r={m_r}"
-    if cfg.inner == "bd_mer" and cfg.n_users * cfg.n_s > m_t:
-        return f"U*N_s={cfg.n_users * cfg.n_s} > M_t={m_t}"
-    return None
-
-
-def _identity_outer(n_t: int, n_r: int) -> OuterFilters:
-    return OuterFilters(
-        f_o=np.eye(n_t, dtype=complex),
-        w_o=np.eye(n_r, dtype=complex),
-        method="none",
+    mean_rate = stderr = None
+    if rates is not None:
+        mean_rate = float(rates.mean())
+        stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
+    return RateRecord(
+        outer=cfg.outer, inner=cfg.inner, layers=cfg.layers, scenario=cfg.scenario,
+        snr_db=cfg.snr_db, n_users=cfg.n_users, n_streams=cfg.n_s, m_t=m_t, m_r=m_r,
+        n_trials=0 if rates is None else rates.size, mean_rate=mean_rate, stderr=stderr,
+        status=status,
     )
 
 
-def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> TrialOutcome:
+def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     """Execute one trial: CSI acquisition, both filter layers, rate evaluation.
 
     The outer filters see only the drop's macroscopic state (via estimated
@@ -245,7 +233,10 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> TrialOutcome:
     macros = draw_macroscopic(cfg.scenario, n_users, macro_rng, cfg.sigma_c_deg)
 
     if cfg.layers == 1:
-        shared = _identity_outer(cfg.n_t, cfg.n_r)
+        # Identity outer filters run 1-layer trials through the 2-layer path.
+        shared = OuterFilters(
+            f_o=np.eye(cfg.n_t, dtype=complex), w_o=np.eye(cfg.n_r, dtype=complex), method="none"
+        )
         outers = [shared] * n_users
     elif cfg.outer == "cme":
         slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
@@ -284,41 +275,23 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> TrialOutcome:
         gamma = normalize_gamma(outers[u].f_o, inners[u].f_i, p_t, n_users)
         full_f.append(gamma * (outers[u].f_o @ inners[u].f_i))
         full_w.append(outers[u].w_o @ inners[u].w_i)
-    rate = sum_rate(channels, LinkFilters(f=full_f, w=full_w), cfg.sigma_n2, cfg.n_s)
-    return TrialOutcome(rate=rate)
+    return sum_rate(channels, LinkFilters(f=full_f, w=full_w), cfg.sigma_n2, cfg.n_s)
 
 
 def run_point(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:
     """Run all trials of a single grid point and aggregate mean and stderr."""
     cfg.validate()
-    for name in ("scenario", "snr_db", "n_users"):
-        if len(_as_tuple(getattr(cfg, name))) != 1:
-            raise ConfigError(f"run_point needs a scalar {name}; use run_sweep for lists")
-    cfg = replace(
-        cfg,
-        scenario=_as_tuple(cfg.scenario)[0],
-        snr_db=float(_as_tuple(cfg.snr_db)[0]),
-        n_users=int(_as_tuple(cfg.n_users)[0]),
-    )
+    points = cfg.grid()
+    if len(points) != 1:
+        raise ConfigError("run_point needs a single grid point; use run_sweep for lists")
+    cfg = points[0]
     if seed is None:
         seed = cfg.seed
     m_t, m_r = cfg.effective_dims()
-
-    reason = _bd_infeasibility(cfg)
-    if reason is not None:
-        return RateRecord(
-            outer=cfg.outer, inner=cfg.inner, layers=cfg.layers, scenario=cfg.scenario,
-            snr_db=cfg.snr_db, n_users=cfg.n_users, n_streams=cfg.n_s, m_t=m_t, m_r=m_r,
-            n_trials=0, mean_rate=None, stderr=None, status="infeasible",
-        )
-
-    rates = np.array([run_trial(cfg, seed, t).rate for t in range(cfg.n_trials)])
-    stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
-    return RateRecord(
-        outer=cfg.outer, inner=cfg.inner, layers=cfg.layers, scenario=cfg.scenario,
-        snr_db=cfg.snr_db, n_users=cfg.n_users, n_streams=cfg.n_s, m_t=m_t, m_r=m_r,
-        n_trials=cfg.n_trials, mean_rate=float(rates.mean()), stderr=stderr, status="ok",
-    )
+    streams = cfg.n_users * cfg.n_s
+    if (cfg.inner == "met_bd" and streams > m_r) or (cfg.inner == "bd_mer" and streams > m_t):
+        return _record(cfg, "infeasible")
+    return _record(cfg, "ok", np.array([run_trial(cfg, seed, t) for t in range(cfg.n_trials)]))
 
 
 def run_sweep(
@@ -338,14 +311,7 @@ def run_sweep(
         try:
             return run_point(point, seed)
         except Exception as exc:  # per-row capture is part of the sweep contract
-            m_t, m_r = point.effective_dims()
-            return RateRecord(
-                outer=point.outer, inner=point.inner, layers=point.layers,
-                scenario=point.scenario, snr_db=float(point.snr_db),
-                n_users=int(point.n_users), n_streams=point.n_s, m_t=m_t, m_r=m_r,
-                n_trials=0, mean_rate=None, stderr=None,
-                status=f"error:{type(exc).__name__.lower()}",
-            )
+            return _record(point, f"error:{type(exc).__name__.lower()}")
 
     if workers <= 1:
         return [one(p) for p in points]

@@ -58,15 +58,10 @@ class EffectiveChannelSet:
 
 @dataclass(frozen=True)
 class InnerFilters:
-    """Per-user inner pair: f_i is (M_t, N_s), w_i is (M_r, N_s).
-
-    ``gamma`` is the transmit normalization scalar; schemes that do not fix
-    it themselves leave the default 1.0 for the caller to replace.
-    """
+    """Per-user inner pair: f_i is (M_t, N_s), w_i is (M_r, N_s)."""
 
     f_i: np.ndarray
     w_i: np.ndarray
-    gamma: float = 1.0
 
 
 def truncated_svd(h: np.ndarray, n_s: int) -> TruncatedSvd:
@@ -201,7 +196,7 @@ def met_mmse(
         if np.linalg.cond(r_yy) > _MMSE_MAX_CONDITION:
             raise SolverError("received-signal covariance is numerically singular")
         w_i = (gammas[u] / n_s) * np.linalg.solve(r_yy, steered[u])
-        filters.append(InnerFilters(f_i=svds[u].v_s, w_i=w_i, gamma=float(gammas[u])))
+        filters.append(InnerFilters(f_i=svds[u].v_s, w_i=w_i))
     return filters
 
 

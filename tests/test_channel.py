@@ -66,8 +66,6 @@ class TestUlaResponse:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             ArrayGeometry(0)
-        with pytest.raises(ValueError):
-            ArrayGeometry(4, spacing_wavelengths=0.0)
 
 
 class TestDrawMacroscopic:

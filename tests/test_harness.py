@@ -16,6 +16,7 @@ from dsmimo import (
     run_sweep,
     run_trial,
 )
+from dsmimo import harness
 from dsmimo.cli import main
 
 SMALL = ExperimentConfig(
@@ -45,6 +46,8 @@ class TestConfigValidation:
             {"seed": -1},
             {"n_trials": 0},
             {"sigma_n2": 0.0},
+            {"sigma_n2": float("inf")},
+            {"sigma_c_deg": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -82,7 +85,7 @@ class TestDeterminismAndPairing:
     def test_trials_are_indexed_substreams(self):
         first = run_trial(replace(SMALL, n_trials=1), seed=5, trial=2)
         again = run_trial(replace(SMALL, n_trials=10), seed=5, trial=2)
-        assert first.rate == again.rate
+        assert first == again
 
     def test_one_and_two_layer_share_draws(self):
         # With a full-width outer stage the two-layer filters span the same
@@ -99,15 +102,15 @@ class TestDeterminismAndPairing:
         # exact scalar relation r = log2(1 + rho * P_t).
         low = run_trial(replace(SMALL, snr_db=0.0), seed=4, trial=0)
         high = run_trial(replace(SMALL, snr_db=10.0), seed=4, trial=0)
-        rho = 2.0**low.rate - 1.0
-        assert high.rate == pytest.approx(np.log2(1.0 + 10.0 * rho), rel=1e-9)
+        rho = 2.0**low - 1.0
+        assert high == pytest.approx(np.log2(1.0 + 10.0 * rho), rel=1e-9)
 
     def test_outer_methods_share_channel_draws(self):
         # pps/sps never touch the covariance substream and select the same
         # single strongest path at m_t = m_r = 1, giving identical rates.
         cfg = replace(SMALL, m_t=1, m_r=1)
-        sps_rate = run_trial(replace(cfg, outer="sps"), seed=4, trial=1).rate
-        pps_rate = run_trial(replace(cfg, outer="pps"), seed=4, trial=1).rate
+        sps_rate = run_trial(replace(cfg, outer="sps"), seed=4, trial=1)
+        pps_rate = run_trial(replace(cfg, outer="pps"), seed=4, trial=1)
         assert sps_rate == pps_rate
 
     def test_stderr_scales_like_inverse_root_trials(self):
@@ -142,6 +145,31 @@ class TestFeasibilityHandling:
     def test_single_layer_uses_array_dimensions_for_feasibility(self):
         cfg = replace(SMALL, layers=1, outer="none", inner="met_bd", n_users=8, n_trials=1)
         assert run_point(cfg, seed=0).status == "ok"  # 8 * 1 <= n_r = 8
+
+
+class TestErrorRows:
+    def test_failed_point_becomes_error_row(self, monkeypatch):
+        class FlakySolve(RuntimeError):
+            pass
+
+        real_trial = harness.run_trial
+
+        def flaky_trial(cfg, seed, trial):
+            if cfg.snr_db == 10.0:
+                raise FlakySolve("singular system")
+            return real_trial(cfg, seed, trial)
+
+        monkeypatch.setattr(harness, "run_trial", flaky_trial)
+        records = run_sweep(replace(SMALL, snr_db=[0.0, 10.0, 20.0]), seed=2)
+        rows = list(csv.DictReader(io.StringIO(emit_csv(records))))
+        assert [row["status"] for row in rows] == ["ok", "error:flakysolve", "ok"]
+        assert rows[1] == {
+            "outer": "cme", "inner": "met_mer", "layers": "2", "scenario": "poor",
+            "snr_db": "10", "n_users": "1", "n_streams": "1", "m_t": "2", "m_r": "2",
+            "n_trials": "0", "mean_rate": "", "stderr": "", "status": "error:flakysolve",
+        }
+        for row in (rows[0], rows[2]):
+            assert row["n_trials"] == "3" and float(row["mean_rate"]) > 0.0
 
 
 class TestCsvEmission:
@@ -288,7 +316,13 @@ class TestCli:
         assert main(["validate", "--config", str(bad)]) == 2
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("entry", ["snr_db: abc", "n_t: '64'", "seed: true", "n_users: 2.5"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "snr_db: abc", "n_t: '64'", "seed: true", "n_users: 2.5",
+            "sigma_n2: .inf", "sigma_n2: .nan", "sigma_c_deg: .inf", "sigma_c_deg: .nan",
+        ],
+    )
     def test_mistyped_value_is_config_error(self, tmp_path, command, entry):
         cfg = self._write_config(tmp_path)
         key = entry.split(":")[0]
@@ -297,6 +331,13 @@ class TestCli:
         out = tmp_path / "out.csv"
         extra = ["--out", str(out)] if command == "run" else []
         assert main([command, "--config", str(cfg), *extra]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_workers_below_one_is_config_error(self, tmp_path, workers):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(cfg), "--workers", workers, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_list_presets(self, capsys):
