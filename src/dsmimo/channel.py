@@ -35,11 +35,12 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class MacroState:
-    """Macroscopic channel state of one link: ray angles and magnitudes.
+    """Macroscopic channel state of one link or of every user: ray angles and magnitudes.
 
     Phases are deliberately absent; they are redrawn per realization.
-    Shapes: ``aod``, ``aoa`` and ``magnitudes`` are all (L,) with
-    L = n_clusters * rays_per_cluster.
+    Shapes: ``aod``, ``aoa`` and ``magnitudes`` are all (..., L) with
+    L = n_clusters * rays_per_cluster; a drop of U users stacks them as
+    (U, L), and ``state[u]`` is user u's own state.
     """
 
     aod: np.ndarray
@@ -54,7 +55,10 @@ class MacroState:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         expected = self.n_clusters * self.rays_per_cluster
-        if not (self.aod.shape == self.aoa.shape == self.magnitudes.shape == (expected,)):
+        if not (
+            self.aod.shape == self.aoa.shape == self.magnitudes.shape
+            and self.aod.shape[-1:] == (expected,)
+        ):
             raise ValueError(
                 f"expected {expected} rays, got shapes "
                 f"{self.aod.shape}/{self.aoa.shape}/{self.magnitudes.shape}"
@@ -64,17 +68,24 @@ class MacroState:
 
     @property
     def n_rays(self) -> int:
-        return self.aod.shape[0]
+        return self.aod.shape[-1]
+
+    def __getitem__(self, user) -> "MacroState":
+        return MacroState(
+            aod=self.aod[user], aoa=self.aoa[user], magnitudes=self.magnitudes[user],
+            n_clusters=self.n_clusters, rays_per_cluster=self.rays_per_cluster,
+        )
 
 
 @dataclass(frozen=True)
 class CovariancePair:
     """Estimated downlink/uplink channel covariances in factored form.
 
-    Each side is a manifold B (N x L) and a Hermitian PSD weight K (L x L)
-    with covariance C = B K B^H: ``c_dl`` averages H H^H over slots
-    (N_r x N_r), ``c_ul`` averages H^H H (N_t x N_t). The dense matrices
-    are derived on demand and never needed to design filters.
+    Each side is a manifold B (..., N, L) and a Hermitian PSD weight K
+    (..., L, L) with covariance C = B K B^H: ``c_dl`` averages H H^H over
+    slots (N_r x N_r), ``c_ul`` averages H^H H (N_t x N_t). Leading axes
+    index users. The dense matrices are derived on demand and never needed
+    to design filters.
     """
 
     b_dl: np.ndarray
@@ -84,11 +95,16 @@ class CovariancePair:
 
     @property
     def c_dl(self) -> np.ndarray:
-        return self.b_dl @ self.k_dl @ self.b_dl.conj().T
+        return self.b_dl @ self.k_dl @ _hermitian(self.b_dl)
 
     @property
     def c_ul(self) -> np.ndarray:
-        return self.b_ul @ self.k_ul @ self.b_ul.conj().T
+        return self.b_ul @ self.k_ul @ _hermitian(self.b_ul)
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def ula_response(geometry: ArrayGeometry, azimuth: float) -> np.ndarray:
@@ -104,10 +120,10 @@ def ula_response(geometry: ArrayGeometry, azimuth: float) -> np.ndarray:
 
 
 def ula_manifold(geometry: ArrayGeometry, azimuths: np.ndarray) -> np.ndarray:
-    """Stack steering vectors column-wise: shape (n_elements, len(azimuths))."""
+    """Steering vectors as columns: azimuths (..., L) give shape (..., n_elements, L)."""
     azimuths = np.asarray(azimuths, dtype=float)
     k = np.arange(geometry.n_elements)[:, None]
-    phase = np.pi * np.cos(azimuths)[None, :]
+    phase = np.pi * np.cos(azimuths)[..., None, :]
     return np.exp(-1j * k * phase) / np.sqrt(geometry.n_elements)
 
 
@@ -127,14 +143,15 @@ def draw_macroscopic(
     n_users: int,
     rng: np.random.Generator,
     sigma_c_deg: float = 5.0,
-) -> list[MacroState]:
+) -> MacroState:
     """Draw the slow-timescale state of every user for one experiment drop.
 
     Per user and cluster, a mean azimuth is drawn uniformly in (0, 180) deg,
     independently for departure and arrival; each of the cluster's rays gets
     a Gaussian offset with standard deviation ``sigma_c_deg``. Magnitudes are
     |CN(0, 1)| draws, i.e. Rayleigh with scale sqrt(1/2), held fixed for the
-    whole drop.
+    whole drop. Users are drawn one after another and stacked: the arrays of
+    the returned state are (n_users, L).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {sorted(SCENARIOS)}")
@@ -142,22 +159,21 @@ def draw_macroscopic(
         raise ValueError("n_users must be >= 1")
     n_clusters, n_rays = SCENARIOS[scenario]
 
-    states = []
-    for _ in range(n_users):
+    dep = np.empty((n_users, n_rays))
+    arr = np.empty((n_users, n_rays))
+    magnitudes = np.empty((n_users, n_rays))
+    for u in range(n_users):
         mean_dep = rng.uniform(0.0, 180.0, size=n_clusters)
         mean_arr = rng.uniform(0.0, 180.0, size=n_clusters)
-        dep = rng.normal(np.repeat(mean_dep, RAYS_PER_CLUSTER), sigma_c_deg)
-        arr = rng.normal(np.repeat(mean_arr, RAYS_PER_CLUSTER), sigma_c_deg)
-        magnitudes = rng.rayleigh(scale=np.sqrt(0.5), size=n_rays)
-        states.append(
-            MacroState(
-                aod=np.deg2rad(_fold_azimuth_deg(dep)),
-                aoa=np.deg2rad(_fold_azimuth_deg(arr)),
-                magnitudes=magnitudes,
-                n_clusters=n_clusters,
-            )
-        )
-    return states
+        dep[u] = rng.normal(np.repeat(mean_dep, RAYS_PER_CLUSTER), sigma_c_deg)
+        arr[u] = rng.normal(np.repeat(mean_arr, RAYS_PER_CLUSTER), sigma_c_deg)
+        magnitudes[u] = rng.rayleigh(scale=np.sqrt(0.5), size=n_rays)
+    return MacroState(
+        aod=np.deg2rad(_fold_azimuth_deg(dep)),
+        aoa=np.deg2rad(_fold_azimuth_deg(arr)),
+        magnitudes=magnitudes,
+        n_clusters=n_clusters,
+    )
 
 
 def realize_channel(
@@ -166,19 +182,22 @@ def realize_channel(
     tx: ArrayGeometry,
     rx: ArrayGeometry,
 ) -> np.ndarray:
-    """One fading realization of the (N_r, N_t) downlink channel matrix.
+    """One fading realization of the (..., N_r, N_t) downlink channel matrices.
 
-    H = sqrt(N_t N_r / L) * sum_l m_l e^{j theta_l} a_r(aoa_l) a_t(aod_l)^T.
-    Note the plain transpose on the departure steering vector.
+    H = sqrt(N_t N_r / L) * sum_l m_l e^{j theta_l} a_r(aoa_l) a_t(aod_l)^T
+    for a state of shape (..., L) and phases of the same shape. Note the
+    plain transpose on the departure steering vector.
     """
     phases = np.asarray(phases, dtype=float)
-    if phases.shape != (macro.n_rays,):
-        raise ValueError(f"expected {macro.n_rays} phases, got shape {phases.shape}")
+    if phases.shape != macro.aod.shape:
+        raise ValueError(f"expected phases of shape {macro.aod.shape}, got {phases.shape}")
     a_t = ula_manifold(tx, macro.aod)
-    a_r = ula_manifold(rx, macro.aoa)
+    scaled = ula_manifold(rx, macro.aoa)
     scale = np.sqrt(tx.n_elements * rx.n_elements / macro.n_rays)
-    gains = scale * macro.magnitudes * np.exp(1j * phases)
-    return (a_r * gains) @ a_t.T
+    # Scaled in place: a second (..., N_r, L) array would raise a trial's
+    # heap peak, which this function sets by allocating the channel stack.
+    scaled *= (scale * macro.magnitudes * np.exp(1j * phases))[..., None, :]
+    return scaled @ a_t.swapaxes(-1, -2)
 
 
 def estimate_covariances(
@@ -190,36 +209,33 @@ def estimate_covariances(
 ) -> CovariancePair:
     """Estimate downlink/uplink covariances by averaging over fading slots.
 
-    Each slot redraws the L complex path gains as CN(0, 1)
-    (consumed from ``rng`` as two standard-normal blocks of shape
-    (n_slots, L)) while the ray angles stay fixed, so the estimate carries
-    the drop's angular structure but only the ensemble path power. This
-    keeps statistical CSI coarser than partial CSI, which knows the drop's
-    realized per-path powers. The slot average of H H^H and H^H H is kept
-    in factored form on the L x L gain correlation: uplink B = conj(A_t),
-    K = gram(A_r) o corr; downlink B = A_r, K = conj(gram(A_t) o corr).
-    This is algebraically identical to accumulating per-slot Gram matrices
-    but independent of the antenna counts.
+    Each slot redraws the L complex path gains as CN(0, 1) while the ray
+    angles stay fixed. Gains are consumed from ``rng`` as standard normals
+    of shape (..., 2, n_slots, L) for a state of shape (..., L): per user a
+    real and an imaginary block. So the estimate carries the drop's angular
+    structure but only the ensemble path power. This keeps statistical CSI
+    coarser than partial CSI, which knows the drop's realized per-path
+    powers. The slot average of H H^H and H^H H is kept in factored form on
+    the L x L gain correlation: uplink B = conj(A_t), K = gram(A_r) o corr;
+    downlink B = A_r, K = conj(gram(A_t) o corr). This is algebraically
+    identical to accumulating per-slot Gram matrices but independent of the
+    antenna counts.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     n_rays = macro.n_rays
     scale = np.sqrt(tx.n_elements * rx.n_elements / n_rays / 2.0)
-    gains = scale * (
-        rng.standard_normal((n_slots, n_rays)) + 1j * rng.standard_normal((n_slots, n_rays))
-    )
+    draws = rng.standard_normal((*macro.aod.shape[:-1], 2, n_slots, n_rays))
+    gains = scale * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    corr = _hermitian(gains) @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
 
     a_t = ula_manifold(tx, macro.aod)
     a_r = ula_manifold(rx, macro.aoa)
-    gram_r = a_r.conj().T @ a_r
-    gram_t = a_t.conj().T @ a_t
-    corr = gains.conj().T @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
-
-    k_ul = gram_r * corr
-    k_dl = (gram_t * corr).conj()
+    k_ul = (_hermitian(a_r) @ a_r) * corr
+    k_dl = ((_hermitian(a_t) @ a_t) * corr).conj()
     return CovariancePair(
-        b_dl=a_r, k_dl=0.5 * (k_dl + k_dl.conj().T),
-        b_ul=a_t.conj(), k_ul=0.5 * (k_ul + k_ul.conj().T),
+        b_dl=a_r, k_dl=0.5 * (k_dl + _hermitian(k_dl)),
+        b_ul=a_t.conj(), k_ul=0.5 * (k_ul + _hermitian(k_ul)),
     )
 
 
@@ -230,8 +246,9 @@ def extract_partial_csi(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact macroscopic CSI: manifold matrices and per-path powers.
 
-    Returns (A_t, A_r, powers) with shapes (N_t, L), (N_r, L), (L,);
-    powers are squared gain magnitudes.
+    Returns (A_t, A_r, powers) with shapes (..., N_t, L), (..., N_r, L),
+    (..., L) for a state of shape (..., L); powers are squared gain
+    magnitudes.
     """
     a_t = ula_manifold(tx, macro.aod)
     a_r = ula_manifold(rx, macro.aoa)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
-import yaml
 
 from .channel import (
     SCENARIOS,
@@ -221,7 +220,8 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     The outer filters see only the drop's macroscopic state (via estimated
     covariances or exact path parameters); the rate is then evaluated on a
     fresh phase realization of the same drop, which the inner filters know
-    perfectly through the effective channels.
+    perfectly through the effective channels. Every stage works on all
+    users at once, stacked on a leading (U, ...) axis.
     """
     tx = ArrayGeometry(cfg.n_t)
     rx = ArrayGeometry(cfg.n_r)
@@ -230,52 +230,38 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     point_key = (_SCENARIO_CODE[cfg.scenario], n_users, trial)
 
     macro_rng = _substream(seed, *point_key, _SUBSTREAM_MACRO)
-    macros = draw_macroscopic(cfg.scenario, n_users, macro_rng, cfg.sigma_c_deg)
+    macro = draw_macroscopic(cfg.scenario, n_users, macro_rng, cfg.sigma_c_deg)
 
     if cfg.layers == 1:
         # Identity outer filters run 1-layer trials through the 2-layer path.
-        shared = OuterFilters(
-            f_o=np.eye(cfg.n_t, dtype=complex), w_o=np.eye(cfg.n_r, dtype=complex), method="none"
+        outers = OuterFilters(
+            f_o=np.broadcast_to(np.eye(cfg.n_t, dtype=complex), (n_users, cfg.n_t, cfg.n_t)),
+            w_o=np.broadcast_to(np.eye(cfg.n_r, dtype=complex), (n_users, cfg.n_r, cfg.n_r)),
+            method="none",
         )
-        outers = [shared] * n_users
     elif cfg.outer == "cme":
         slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
-        outers = [
-            cme(estimate_covariances(m, cfg.n_slots, slots_rng, tx, rx), cfg.m_t, cfg.m_r)
-            for m in macros
-        ]
+        outers = cme(estimate_covariances(macro, cfg.n_slots, slots_rng, tx, rx), cfg.m_t, cfg.m_r)
     else:
-        outers = []
-        for m in macros:
-            a_t, a_r, powers = extract_partial_csi(m, tx, rx)
-            outers.append(path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer))
+        outers = path_outer_filters(*extract_partial_csi(macro, tx, rx), cfg.m_t, cfg.m_r, cfg.outer)
 
     eval_rng = _substream(seed, *point_key, _SUBSTREAM_EVAL)
-    channels = [
-        realize_channel(m, eval_rng.uniform(-np.pi, np.pi, size=m.n_rays), tx, rx)
-        for m in macros
-    ]
+    phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
+    channels = realize_channel(macro, phases, tx, rx)
     effset = effective_channels(channels, outers)
 
-    if cfg.inner == "met_mer":
-        inners = [met_mer(effset.h_eff[u, u], cfg.n_s) for u in range(n_users)]
-    elif cfg.inner == "met_bd":
+    if cfg.inner == "met_bd":
         inners = met_bd(effset, cfg.n_s)
     elif cfg.inner == "bd_mer":
         inners = bd_mer(effset, cfg.n_s)
     else:
-        met_precoders = [met_mer(effset.h_eff[u, u], cfg.n_s) for u in range(n_users)]
-        gammas = np.array(
-            [normalize_gamma(outers[u].f_o, met_precoders[u].f_i, p_t, n_users) for u in range(n_users)]
-        )
-        inners = met_mmse(effset, gammas, cfg.sigma_n2, cfg.n_s)
+        inners = met_mer(effset.serving, cfg.n_s)
+    gammas = normalize_gamma(outers.f_o, inners.f_i, p_t, n_users)
+    if cfg.inner == "met_mmse":
+        inners = met_mmse(effset, gammas, cfg.sigma_n2, cfg.n_s, f_i=inners.f_i)
 
-    full_f, full_w = [], []
-    for u in range(n_users):
-        gamma = normalize_gamma(outers[u].f_o, inners[u].f_i, p_t, n_users)
-        full_f.append(gamma * (outers[u].f_o @ inners[u].f_i))
-        full_w.append(outers[u].w_o @ inners[u].w_i)
-    return sum_rate(channels, LinkFilters(f=full_f, w=full_w), cfg.sigma_n2, cfg.n_s)
+    full_f = gammas[:, None, None] * (outers.f_o @ inners.f_i)
+    return sum_rate(channels, LinkFilters(f=full_f, w=outers.w_o @ inners.w_i), cfg.sigma_n2, cfg.n_s)
 
 
 def run_point(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:
@@ -341,6 +327,8 @@ def emit_csv(records: Sequence[RateRecord]) -> str:
 
 def load_config(path: str) -> ExperimentConfig:
     """Load a flat YAML mapping into an :class:`ExperimentConfig`."""
+    import yaml  # only config files need it, and it is a tenth of `import dsmimo`
+
     with open(path, "r", encoding="utf-8") as handle:
         data = yaml.safe_load(handle)
     if data is None:

@@ -9,9 +9,11 @@ the MMSE combiner whitens interference plus noise instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .channel import _hermitian
 from .outer import OuterFilters
 
 # Singular values below this fraction of the largest are treated as zero
@@ -32,7 +34,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncatedSvd:
-    """Leading n_s singular triplets: h ~ u_s @ diag(sigma_s) @ v_s^H."""
+    """Leading n_s singular triplets: h ~ u_s @ diag(sigma_s) @ v_s^H, per matrix of a stack."""
 
     u_s: np.ndarray
     sigma_s: np.ndarray
@@ -55,44 +57,61 @@ class EffectiveChannelSet:
     def n_users(self) -> int:
         return self.h_eff.shape[0]
 
+    @property
+    def serving(self) -> np.ndarray:
+        """Each user's own effective channel, h_eff[u, u]: (U, M_r, M_t)."""
+        users = np.arange(self.n_users)
+        return self.h_eff[users, users]
+
 
 @dataclass(frozen=True)
 class InnerFilters:
-    """Per-user inner pair: f_i is (M_t, N_s), w_i is (M_r, N_s)."""
+    """Inner pairs: f_i is (..., M_t, N_s), w_i is (..., M_r, N_s).
+
+    The schemes stack users on the leading axis; ``filters[u]`` is user u's
+    pair.
+    """
 
     f_i: np.ndarray
     w_i: np.ndarray
 
+    def __getitem__(self, user) -> "InnerFilters":
+        return InnerFilters(f_i=self.f_i[user], w_i=self.w_i[user])
+
 
 def truncated_svd(h: np.ndarray, n_s: int) -> TruncatedSvd:
-    """Top-n_s singular triplets of a matrix, singular values descending."""
-    if n_s > min(h.shape):
-        raise ValueError(f"n_s={n_s} exceeds min dimension of {h.shape} matrix")
+    """Top-n_s singular triplets of each matrix in h (..., m, n), singular values descending."""
+    if n_s > min(h.shape[-2:]):
+        raise ValueError(f"n_s={n_s} exceeds min dimension of {h.shape[-2:]} matrix")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    return TruncatedSvd(u_s=u[:, :n_s], sigma_s=s[:n_s], v_s=vh[:n_s].conj().T)
+    return TruncatedSvd(u_s=u[..., :n_s], sigma_s=s[..., :n_s], v_s=_hermitian(vh[..., :n_s, :]))
 
 
 def effective_channels(
-    channels: list[np.ndarray],
-    outers: list[OuterFilters],
+    channels: np.ndarray | Sequence[np.ndarray],
+    outers: OuterFilters | Sequence[OuterFilters],
 ) -> EffectiveChannelSet:
     """Compress every (combiner owner, precoder owner) pair through the outer filters.
 
-    h_eff[u, j] = W_o,u^H H_u F_o,j.
+    h_eff[u, j] = W_o,u^H H_u F_o,j, from channels (U, N_r, N_t) and stacked
+    outer filters (or one pair per user) in a single product of the stacked
+    compressed channels (U M_r, N_t) with the stacked precoders (N_t, U M_t).
     """
-    n_users = len(channels)
-    if len(outers) != n_users:
+    channels = np.asarray(channels)
+    if not isinstance(outers, OuterFilters):  # one pair per user
+        outers = OuterFilters(
+            f_o=np.array([o.f_o for o in outers]), w_o=np.array([o.w_o for o in outers]),
+            method="per-user",
+        )
+    n_users = channels.shape[0]
+    if outers.f_o.shape[0] != n_users or outers.w_o.shape[0] != n_users:
         raise ValueError("one outer filter pair per channel is required")
-    m_r = outers[0].w_o.shape[1]
-    m_t = outers[0].f_o.shape[1]
-    f_stack = np.concatenate([o.f_o for o in outers], axis=1)
-
-    h_eff = np.empty((n_users, n_users, m_r, m_t), dtype=complex)
-    w_o_gram = np.empty((n_users, m_r, m_r), dtype=complex)
-    for u in range(n_users):
-        compressed = outers[u].w_o.conj().T @ channels[u]
-        h_eff[u] = (compressed @ f_stack).reshape(m_r, n_users, m_t).transpose(1, 0, 2)
-        w_o_gram[u] = outers[u].w_o.conj().T @ outers[u].w_o
+    m_r = outers.w_o.shape[-1]
+    n_t, m_t = outers.f_o.shape[-2:]
+    w_o_gram = _hermitian(outers.w_o) @ outers.w_o
+    compressed = (_hermitian(outers.w_o) @ channels).reshape(n_users * m_r, n_t)
+    f_stack = outers.f_o.transpose(1, 0, 2).reshape(n_t, n_users * m_t)
+    h_eff = (compressed @ f_stack).reshape(n_users, m_r, n_users, m_t).transpose(0, 2, 1, 3)
     return EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram)
 
 
@@ -105,12 +124,12 @@ def _null_projector(matrix: np.ndarray, side: str) -> np.ndarray:
 
 
 def met_mer(h_eff_u: np.ndarray, n_s: int) -> InnerFilters:
-    """Maximum eigenmode transmission and reception on one serving channel."""
+    """Maximum eigenmode transmission and reception on serving channels (..., M_r, M_t)."""
     svd = truncated_svd(h_eff_u, n_s)
     return InnerFilters(f_i=svd.v_s, w_i=svd.u_s)
 
 
-def met_bd(effset: EffectiveChannelSet, n_s: int) -> list[InnerFilters]:
+def met_bd(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
     """MET precoding with block-diagonalizing reception.
 
     Each combiner is the MER filter projected onto the null space of the
@@ -124,22 +143,18 @@ def met_bd(effset: EffectiveChannelSet, n_s: int) -> list[InnerFilters]:
         raise InfeasibleError(
             f"BD reception needs U*N_s <= M_r, got {n_users}*{n_s} > {m_r}"
         )
-    svds = [truncated_svd(effset.h_eff[u, u], n_s) for u in range(n_users)]
-    filters = []
+    svd = truncated_svd(effset.serving, n_s)
+    if n_users == 1:
+        return InnerFilters(f_i=svd.v_s, w_i=svd.u_s)
+    steered = effset.h_eff @ svd.v_s  # [u, j] = h_eff[u, j] @ v_j
+    w_i = np.empty(svd.u_s.shape, dtype=complex)
     for u in range(n_users):
-        if n_users == 1:
-            w_i = svds[u].u_s
-        else:
-            interference = np.concatenate(
-                [effset.h_eff[u, j] @ svds[j].v_s for j in range(n_users) if j != u],
-                axis=1,
-            )
-            w_i = _null_projector(interference, side="left") @ svds[u].u_s
-        filters.append(InnerFilters(f_i=svds[u].v_s, w_i=w_i))
-    return filters
+        interference = np.concatenate([steered[u, j] for j in range(n_users) if j != u], axis=1)
+        w_i[u] = _null_projector(interference, side="left") @ svd.u_s[u]
+    return InnerFilters(f_i=svd.v_s, w_i=w_i)
 
 
-def bd_mer(effset: EffectiveChannelSet, n_s: int) -> list[InnerFilters]:
+def bd_mer(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
     """Block-diagonalizing transmission with MER combining.
 
     The transmit-side dual of :func:`met_bd`: each MET precoder is projected
@@ -152,19 +167,15 @@ def bd_mer(effset: EffectiveChannelSet, n_s: int) -> list[InnerFilters]:
         raise InfeasibleError(
             f"BD transmission needs U*N_s <= M_t, got {n_users}*{n_s} > {m_t}"
         )
-    svds = [truncated_svd(effset.h_eff[u, u], n_s) for u in range(n_users)]
-    filters = []
+    svd = truncated_svd(effset.serving, n_s)
+    if n_users == 1:
+        return InnerFilters(f_i=svd.v_s, w_i=svd.u_s)
+    received = _hermitian(svd.u_s)[:, None] @ effset.h_eff  # [j, u] = u_j^H h_eff[j, u]
+    f_i = np.empty(svd.v_s.shape, dtype=complex)
     for u in range(n_users):
-        if n_users == 1:
-            f_i = svds[u].v_s
-        else:
-            interference = np.concatenate(
-                [svds[j].u_s.conj().T @ effset.h_eff[j, u] for j in range(n_users) if j != u],
-                axis=0,
-            )
-            f_i = _null_projector(interference, side="right") @ svds[u].v_s
-        filters.append(InnerFilters(f_i=f_i, w_i=svds[u].u_s))
-    return filters
+        interference = np.concatenate([received[j, u] for j in range(n_users) if j != u], axis=0)
+        f_i[u] = _null_projector(interference, side="right") @ svd.v_s[u]
+    return InnerFilters(f_i=f_i, w_i=svd.u_s)
 
 
 def met_mmse(
@@ -172,37 +183,44 @@ def met_mmse(
     gammas: np.ndarray,
     sigma_n2: float,
     n_s: int,
-) -> list[InnerFilters]:
+    f_i: np.ndarray | None = None,
+) -> InnerFilters:
     """MET precoding with interference-aware MMSE combining.
 
-    ``gammas`` are the per-user transmit normalizations of the MET precoders;
-    they weight each user's contribution to the received covariance
+    ``f_i`` (U, M_t, N_s) are the MET precoders, the right singular vectors
+    of the serving channels; a caller that already holds them passes them,
+    otherwise they are computed here. ``gammas`` are the per-user transmit
+    normalizations of these precoders; they weight each user's contribution
+    to the received covariance
     R_yy = sigma_n2 * W_o^H W_o + sum_j (gamma_j^2 / N_s) * (H_eff,u,j f_j)(...)^H,
     and the combiner is w_i = (gamma_u / N_s) * R_yy^{-1} H_eff,u f_u.
-    Unlike BD this does not constrain U * N_s.
+    Unlike BD this does not constrain U * N_s. All users' covariances are
+    formed, checked and solved as one stack.
     """
     n_users = effset.n_users
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape != (n_users,):
         raise ValueError(f"expected {n_users} gammas, got shape {gammas.shape}")
-    svds = [truncated_svd(effset.h_eff[u, u], n_s) for u in range(n_users)]
-    filters = []
-    for u in range(n_users):
-        steered = np.stack([effset.h_eff[u, j] @ svds[j].v_s for j in range(n_users)])
-        r_yy = sigma_n2 * effset.w_o_gram[u] + np.einsum(
-            "j,jik,jlk->il", gammas**2 / n_s, steered, steered.conj()
-        )
-        r_yy = 0.5 * (r_yy + r_yy.conj().T)
-        if np.linalg.cond(r_yy) > _MMSE_MAX_CONDITION:
-            raise SolverError("received-signal covariance is numerically singular")
-        w_i = (gammas[u] / n_s) * np.linalg.solve(r_yy, steered[u])
-        filters.append(InnerFilters(f_i=svds[u].v_s, w_i=w_i))
-    return filters
+    if f_i is None:
+        f_i = truncated_svd(effset.serving, n_s).v_s
+    steered = effset.h_eff @ f_i  # [u, j] = h_eff[u, j] @ f_j
+    r_yy = sigma_n2 * effset.w_o_gram + np.einsum(
+        "j,ujik,ujlk->uil", gammas**2 / n_s, steered, steered.conj()
+    )
+    r_yy = 0.5 * (r_yy + _hermitian(r_yy))
+    if np.any(np.linalg.cond(r_yy) > _MMSE_MAX_CONDITION):
+        raise SolverError("received-signal covariance is numerically singular")
+    users = np.arange(n_users)
+    w_i = (gammas / n_s)[:, None, None] * np.linalg.solve(r_yy, steered[users, users])
+    return InnerFilters(f_i=f_i, w_i=w_i)
 
 
-def normalize_gamma(f_o: np.ndarray, f_i: np.ndarray, p_t: float, n_users: int) -> float:
-    """Scaling that gives the composite precoder its power budget P_t / U."""
-    norm = np.linalg.norm(f_o @ f_i)
-    if norm <= 0.0:
+def normalize_gamma(f_o: np.ndarray, f_i: np.ndarray, p_t: float, n_users: int) -> np.ndarray:
+    """Scaling that gives each composite precoder F_o @ F_i its power budget P_t / U.
+
+    Stacked (..., N_t, M_t) and (..., M_t, N_s) filters give one gamma per user.
+    """
+    norm = np.linalg.norm(f_o @ f_i, axis=(-2, -1))
+    if np.any(norm <= 0.0):
         raise ValueError("composite precoder F_o @ F_i has zero Frobenius norm")
-    return float(np.sqrt(p_t / n_users) / norm)
+    return np.sqrt(p_t / n_users) / norm

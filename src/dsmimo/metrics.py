@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+
+from .channel import _hermitian
 
 _LN2 = np.log(2.0)
 
@@ -16,10 +19,10 @@ class EvaluationError(RuntimeError):
 @dataclass(frozen=True)
 class LinkFilters:
     """Full per-user filters: f[u] is (N_t, N_s) with ||f[u]||_F^2 = P_t / U,
-    w[u] is (N_r, N_s)."""
+    w[u] is (N_r, N_s). Either a stacked (U, ...) array or one matrix per user."""
 
-    f: list[np.ndarray]
-    w: list[np.ndarray]
+    f: np.ndarray | Sequence[np.ndarray]
+    w: np.ndarray | Sequence[np.ndarray]
 
 
 def snr_to_power(snr_db: float, sigma_n2: float) -> float:
@@ -28,7 +31,7 @@ def snr_to_power(snr_db: float, sigma_n2: float) -> float:
 
 
 def _combiner_basis(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the combiner's numerically resolvable column space.
+    """Orthonormal basis of each combiner's numerically resolvable column space.
 
     The per-user rate is invariant under right-multiplication of W_u by any
     invertible matrix, so it can be evaluated in an orthonormal basis, where
@@ -36,26 +39,28 @@ def _combiner_basis(w: np.ndarray) -> np.ndarray:
     conditioned the combiner is. Directions whose singular values sit at
     roundoff level relative to the largest carry no usable combining gain
     (they arise when nearly parallel steering vectors are selected) and are
-    dropped; a combiner with no resolvable direction at all is rejected.
+    zeroed, which keeps every user's basis the same shape: a zero column
+    adds the same factor to both determinants of the rate. A combiner with
+    no resolvable direction at all is rejected.
     """
     u, s, _ = np.linalg.svd(w, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+    if s.size == 0 or np.any(s[..., 0] <= 0.0):
         raise EvaluationError("combiner is zero")
-    keep = s > max(w.shape) * np.finfo(float).eps * s[0]
-    return u[:, keep]
+    keep = s > max(w.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    return u * keep[..., None, :]
 
 
-def _logdet_hermitian(a: np.ndarray) -> float:
-    """log det of a Hermitian positive definite matrix via Cholesky."""
+def _logdet_hermitian(a: np.ndarray) -> np.ndarray:
+    """log det of each Hermitian positive definite matrix via Cholesky."""
     try:
-        chol = np.linalg.cholesky(0.5 * (a + a.conj().T))
+        chol = np.linalg.cholesky(0.5 * (a + _hermitian(a)))
     except np.linalg.LinAlgError as exc:
         raise EvaluationError("covariance is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diagonal(chol).real)))
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
 
 
 def sum_rate(
-    channels: list[np.ndarray],
+    channels: np.ndarray | Sequence[np.ndarray],
     filters: LinkFilters,
     sigma_n2: float,
     n_s: int,
@@ -68,21 +73,26 @@ def sum_rate(
     in an orthonormal basis of each combiner's resolvable column space,
     which leaves the rate unchanged for well-conditioned combiners but keeps
     C_u positive definite when combiner columns become nearly parallel.
+    All users are evaluated as one stack: channels (U, N_r, N_t), every
+    user's combined channel in one product with the stacked precoders.
     """
-    n_users = len(channels)
-    if not (len(filters.f) == len(filters.w) == n_users):
+    channels = np.asarray(channels)
+    f = np.asarray(filters.f)
+    w = np.asarray(filters.w)
+    n_users = channels.shape[0]
+    if not (f.shape[0] == w.shape[0] == n_users):
         raise ValueError("channels and filters must describe the same user set")
 
-    f_stack = np.concatenate(filters.f, axis=1)  # (N_t, U * N_s)
-    total = 0.0
-    for u in range(n_users):
-        q_u = _combiner_basis(filters.w[u])
-        received = (q_u.conj().T @ channels[u] @ f_stack) / np.sqrt(n_s)
-        blocks = received.reshape(q_u.shape[1], n_users, n_s)
-        signal = blocks[:, u, :]
-        r_u = signal @ signal.conj().T
-        all_streams = np.einsum("iuk,luk->il", blocks, blocks.conj())
-        c_u = sigma_n2 * np.eye(q_u.shape[1]) + (all_streams - r_u)
-        # det(C+R) >= det(C) holds exactly; the max() only absorbs roundoff.
-        total += max(0.0, _logdet_hermitian(c_u + r_u) - _logdet_hermitian(c_u))
-    return total / _LN2
+    n_t = f.shape[1]
+    f_stack = f.transpose(1, 0, 2).reshape(n_t, n_users * n_s)
+    q = _combiner_basis(w)
+    combined = (_hermitian(q) @ channels).reshape(n_users * n_s, n_t)
+    received = (combined @ f_stack) / np.sqrt(n_s)
+    blocks = received.reshape(n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
+    users = np.arange(n_users)
+    signal = blocks.reshape(n_users, n_s, n_users, n_s)[users, :, users, :]
+    r = signal @ _hermitian(signal)
+    c = sigma_n2 * np.eye(n_s) + (blocks @ _hermitian(blocks) - r)
+    # det(C+R) >= det(C) holds exactly; the max() only absorbs roundoff.
+    rates = np.maximum(0.0, _logdet_hermitian(c + r) - _logdet_hermitian(c))
+    return float(sum(rates.tolist())) / _LN2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CovariancePair
+from .channel import CovariancePair, _hermitian
 
 _HERMITIAN_RTOL = 1e-10
 
@@ -29,7 +29,10 @@ class RankDeficiencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class OuterFilters:
-    """Per-user outer filter pair: f_o is (N_t, M_t), w_o is (N_r, M_r)."""
+    """Outer filter pairs: f_o is (..., N_t, M_t), w_o is (..., N_r, M_r).
+
+    A trial stacks its users on the leading axis.
+    """
 
     f_o: np.ndarray
     w_o: np.ndarray
@@ -37,24 +40,26 @@ class OuterFilters:
 
 
 def _top_eigenvectors(manifold: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray:
-    """Leading m eigenvectors of B K B^H without forming the N x N matrix.
+    """Leading m eigenvectors of each B K B^H without forming the N x N matrix.
 
     With B = QR, B K B^H = Q (R K R^H) Q^H, so the eigenvectors are Q times
     those of the p x p matrix R K R^H, p = min(N, L). Beyond p the
     covariance is null; those columns come from the complete QR, which
-    spans the orthogonal complement of range(B).
+    spans the orthogonal complement of range(B). B (..., N, L) and
+    K (..., L, L) may stack users on leading axes.
     """
-    n, n_paths = manifold.shape
+    n, n_paths = manifold.shape[-2:]
     if m > n:
         raise ValueError(f"cannot extract {m} eigenvectors from a {n}-dim covariance")
-    hermitian_gap = np.linalg.norm(weight - weight.conj().T)
-    if hermitian_gap > _HERMITIAN_RTOL * max(np.linalg.norm(weight), 1e-300):
+    hermitian_gap = np.linalg.norm(weight - _hermitian(weight), axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(weight, axis=(-2, -1)), 1e-300)
+    if np.any(hermitian_gap > _HERMITIAN_RTOL * scale):
         raise ValueError("covariance weight matrix is not Hermitian")
     p = min(n, n_paths)
     q, r = np.linalg.qr(manifold, mode="complete" if m > p else "reduced")
-    r = r[:p]
-    _, vecs = np.linalg.eigh(r @ weight @ r.conj().T)  # eigenvalues ascending
-    return np.hstack([q[:, :p] @ vecs[:, ::-1][:, :m], q[:, p:m]])
+    r = r[..., :p, :]
+    _, vecs = np.linalg.eigh(r @ weight @ _hermitian(r))  # eigenvalues ascending
+    return np.concatenate([q[..., :p] @ vecs[..., ::-1][..., :m], q[..., p:m]], axis=-1)
 
 
 def cme(cov: CovariancePair, m_t: int, m_r: int) -> OuterFilters:
@@ -62,7 +67,7 @@ def cme(cov: CovariancePair, m_t: int, m_r: int) -> OuterFilters:
 
     f_o holds the m_t leading eigenvectors of the uplink covariance and w_o
     the m_r leading eigenvectors of the downlink covariance, in descending
-    eigenvalue order. Columns are orthonormal.
+    eigenvalue order, for every user at once. Columns are orthonormal.
     """
     return OuterFilters(
         f_o=_top_eigenvectors(cov.b_ul, cov.k_ul, m_t),
@@ -143,12 +148,21 @@ def path_outer_filters(
     m_r: int,
     method: str,
 ) -> OuterFilters:
-    """Build both outer filters from partial CSI with ``pps`` or ``sps``."""
+    """Build both outer filters from partial CSI with ``pps`` or ``sps``.
+
+    Manifolds (..., N, L) and powers (..., L) may stack users on leading
+    axes; the greedy selection runs user by user.
+    """
     select = {"pps": pps, "sps": sps}.get(method)
     if select is None:
         raise ValueError(f"unknown path-selection method {method!r}")
-    return OuterFilters(
-        f_o=select(a_t, powers, m_t),
-        w_o=select(a_r, powers, m_r),
-        method=method,
-    )
+    powers = np.asarray(powers, dtype=float)
+    # Column-major per user, as ``manifold[:, idx]`` is: products with F_o
+    # then run the same BLAS kernel for every user count, which matters
+    # where an inner filter (BD-MER) nulls F_o F_i down to rounding level.
+    f_o = np.empty((*a_t.shape[:-2], m_t, a_t.shape[-2]), dtype=a_t.dtype).swapaxes(-1, -2)
+    w_o = np.empty((*a_r.shape[:-2], m_r, a_r.shape[-2]), dtype=a_r.dtype).swapaxes(-1, -2)
+    for user in np.ndindex(powers.shape[:-1]):
+        f_o[user] = select(a_t[user], powers[user], m_t)
+        w_o[user] = select(a_r[user], powers[user], m_r)
+    return OuterFilters(f_o=f_o, w_o=w_o, method=method)

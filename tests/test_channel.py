@@ -73,7 +73,7 @@ class TestDrawMacroscopic:
     def test_scenario_sizes(self, scenario):
         clusters, rays = SCENARIOS[scenario]
         states = draw_macroscopic(scenario, 3, np.random.default_rng(1))
-        assert len(states) == 3
+        assert states.aod.shape == (3, rays)
         for state in states:
             assert state.n_rays == rays
             assert state.n_clusters == clusters

@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from dsmimo import (
 )
 from dsmimo import harness
 from dsmimo.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = ExperimentConfig(
     scenario="poor", n_t=8, n_r=8, m_t=2, m_r=2, n_s=1, n_users=1,
@@ -170,6 +176,17 @@ class TestErrorRows:
         }
         for row in (rows[0], rows[2]):
             assert row["n_trials"] == "3" and float(row["mean_rate"]) > 0.0
+
+    def test_singular_mmse_covariance_becomes_solver_error_row(self):
+        # 32 users through 16 power-dominant paths each at fair scattering:
+        # some user's MMSE covariance is numerically singular (cond ~ 6e17).
+        cfg = ExperimentConfig(
+            scenario="fair", m_t=16, m_r=16, n_s=1, n_users=32, snr_db=20.0,
+            outer="pps", inner="met_mmse", n_trials=2,
+        )
+        [record] = run_sweep(cfg, seed=1)
+        assert record.status == "error:solvererror"
+        assert record.n_trials == 0 and record.mean_rate is None
 
 
 class TestCsvEmission:
@@ -339,6 +356,23 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["run", "--config", str(cfg), "--workers", workers, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--preset", "bench_met_mmse"], ["--config", "perfbench/congested_cell.yaml"]],
+    )
+    def test_csv_identical_across_blas_thread_counts(self, source):
+        # The stacked GEMMs are large enough for a threaded BLAS to split.
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(ROOT / "src")}
+            done = subprocess.run(
+                [sys.executable, "-m", "dsmimo", "run", *source, "--trials", "3"],
+                cwd=ROOT, env=env, capture_output=True, check=True, timeout=300,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b",ok\n") >= 1
 
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0

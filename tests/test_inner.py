@@ -323,6 +323,18 @@ class TestMetMmse:
         with pytest.raises(SolverError):
             met_mmse(effset, np.array([1.0]), sigma_n2=0.0, n_s=1)
 
+    def test_one_singular_user_raises(self):
+        # Only user 1 hears nothing: its received covariance is the zero
+        # matrix while the other users' are well conditioned.
+        rng = np.random.default_rng(29)
+        effset = _random_effset(rng, 3, 3, 3)
+        h_eff = effset.h_eff.copy()
+        h_eff[1] = 0.0
+        w_o_gram = effset.w_o_gram.copy()
+        w_o_gram[1] = 0.0
+        with pytest.raises(SolverError):
+            met_mmse(EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram), np.ones(3), 0.1, 1)
+
     def test_gamma_count_validation(self):
         rng = np.random.default_rng(23)
         effset = _random_effset(rng, 2, 3, 3)
