@@ -107,6 +107,19 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _cross_user_products(w: np.ndarray, channels: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """All (combiner owner, precoder owner) products, out[u, :, j, :] = W_u^H H_u F_j.
+
+    From combiners (U, N_r, a), channels (U, N_r, N_t) and precoders
+    (U, N_t, b), as one product of the stacked combined channels (U a, N_t)
+    with the stacked precoders (N_t, U b); the result is (U, a, U, b).
+    """
+    n_users, n_t, b = f.shape
+    combined = (_hermitian(w) @ channels).reshape(-1, n_t)
+    products = combined @ f.transpose(1, 0, 2).reshape(n_t, n_users * b)
+    return products.reshape(n_users, -1, n_users, b)
+
+
 def ula_response(geometry: ArrayGeometry, azimuth: float) -> np.ndarray:
     """Unit-norm ULA steering vector at the given azimuth.
 

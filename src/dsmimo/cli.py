@@ -10,8 +10,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import yaml
-
 from .harness import (
     PRESETS,
     ConfigError,
@@ -64,22 +62,16 @@ def _resolve_configs(args) -> list:
 
 def _cmd_run(args) -> int:
     try:
-        configs = _resolve_configs(args)
-        for cfg in configs:
-            cfg.validate()
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        records = []
-        for cfg in configs:
-            records.extend(run_sweep(cfg, seed=args.seed, workers=args.workers))
+        records = run_sweep(*_resolve_configs(args), seed=args.seed, workers=args.workers)
         text = emit_csv(records)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
@@ -96,7 +88,7 @@ def _cmd_list_presets() -> int:
 def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
+    except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     print(f"ok: {len(cfg.grid())} grid point(s)")

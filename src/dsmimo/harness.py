@@ -1,7 +1,9 @@
 """Config-driven Monte Carlo sum-rate experiments with seeded reproducibility.
 
-A sweep expands an :class:`ExperimentConfig` over its list-valued axes
-(scenario, SNR, number of users) and runs every grid point independently.
+A run is one sweep: :func:`run_sweep` takes every config of the run,
+expands each over its list-valued axes (scenario, SNR, number of users)
+and maps one worker pool over all of the resulting grid points, each of
+which runs independently.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -10,7 +12,6 @@ draws (paired comparisons) and results do not depend on scheduling.
 
 from __future__ import annotations
 
-import io
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -37,22 +38,6 @@ _SCENARIO_CODE = {"poor": 0, "fair": 1, "rich": 2}
 _SUBSTREAM_MACRO = 0
 _SUBSTREAM_SLOTS = 1
 _SUBSTREAM_EVAL = 2
-
-CSV_COLUMNS = (
-    "outer",
-    "inner",
-    "layers",
-    "scenario",
-    "snr_db",
-    "n_users",
-    "n_streams",
-    "m_t",
-    "m_r",
-    "n_trials",
-    "mean_rate",
-    "stderr",
-    "status",
-)
 
 
 class ConfigError(ValueError):
@@ -281,17 +266,20 @@ def run_point(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:
 
 
 def run_sweep(
-    cfg: ExperimentConfig,
+    *configs: ExperimentConfig,
     seed: int | None = None,
     workers: int = 1,
 ) -> list[RateRecord]:
-    """Run the full grid; per-point failures become error rows, never aborts.
+    """Run every grid point of every config, in config order, as one sweep.
 
-    Results are identical for any ``workers`` count because every point's
-    substreams are fixed by its content.
+    All configs are validated before any point runs. Per-point failures
+    become error rows and never abort the sweep. Results are identical for
+    any ``workers`` count because every point's substreams are fixed by its
+    content.
     """
-    cfg.validate()
-    points = cfg.grid()
+    for cfg in configs:
+        cfg.validate()
+    points = [point for cfg in configs for point in cfg.grid()]
 
     def one(point: ExperimentConfig) -> RateRecord:
         try:
@@ -305,32 +293,37 @@ def run_sweep(
         return list(pool.map(one, points))
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6g}"
+def _fmt(value: object) -> str:
+    if value is None:
+        return ""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def emit_csv(records: Sequence[RateRecord]) -> str:
-    """Render records as CSV text in the given (deterministic) order."""
+    """Render records as CSV text in the given (deterministic) order.
+
+    The columns are the fields of :class:`RateRecord`, in declaration order.
+    """
     if not records:
         raise ValueError("no records to emit")
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for r in records:
-        row = (
-            r.outer, r.inner, str(r.layers), r.scenario, _fmt(r.snr_db),
-            str(r.n_users), str(r.n_streams), str(r.m_t), str(r.m_r),
-            str(r.n_trials), _fmt(r.mean_rate), _fmt(r.stderr), r.status,
-        )
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    names = [f.name for f in fields(RateRecord)]
+    lines = [names] + [[_fmt(getattr(r, name)) for name in names] for r in records]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Load a flat YAML mapping into an :class:`ExperimentConfig`."""
+    """Load a flat YAML mapping into an :class:`ExperimentConfig`.
+
+    A file that cannot be read, is not UTF-8 text or is not valid YAML
+    raises :class:`ConfigError`, like a config that fails validation.
+    """
     import yaml  # only config files need it, and it is a tenth of `import dsmimo`
 
-    with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot load config file {path}: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _hermitian
+from .channel import _cross_user_products, _hermitian
 from .outer import OuterFilters
 
 # Singular values below this fraction of the largest are treated as zero
@@ -106,12 +106,8 @@ def effective_channels(
     n_users = channels.shape[0]
     if outers.f_o.shape[0] != n_users or outers.w_o.shape[0] != n_users:
         raise ValueError("one outer filter pair per channel is required")
-    m_r = outers.w_o.shape[-1]
-    n_t, m_t = outers.f_o.shape[-2:]
     w_o_gram = _hermitian(outers.w_o) @ outers.w_o
-    compressed = (_hermitian(outers.w_o) @ channels).reshape(n_users * m_r, n_t)
-    f_stack = outers.f_o.transpose(1, 0, 2).reshape(n_t, n_users * m_t)
-    h_eff = (compressed @ f_stack).reshape(n_users, m_r, n_users, m_t).transpose(0, 2, 1, 3)
+    h_eff = _cross_user_products(outers.w_o, channels, outers.f_o).transpose(0, 2, 1, 3)
     return EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram)
 
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _hermitian
+from .channel import _cross_user_products, _hermitian
 
 _LN2 = np.log(2.0)
 
@@ -83,14 +83,10 @@ def sum_rate(
     if not (f.shape[0] == w.shape[0] == n_users):
         raise ValueError("channels and filters must describe the same user set")
 
-    n_t = f.shape[1]
-    f_stack = f.transpose(1, 0, 2).reshape(n_t, n_users * n_s)
-    q = _combiner_basis(w)
-    combined = (_hermitian(q) @ channels).reshape(n_users * n_s, n_t)
-    received = (combined @ f_stack) / np.sqrt(n_s)
+    received = _cross_user_products(_combiner_basis(w), channels, f) / np.sqrt(n_s)
     blocks = received.reshape(n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
     users = np.arange(n_users)
-    signal = blocks.reshape(n_users, n_s, n_users, n_s)[users, :, users, :]
+    signal = received[users, :, users, :]
     r = signal @ _hermitian(signal)
     c = sigma_n2 * np.eye(n_s) + (blocks @ _hermitian(blocks) - r)
     # det(C+R) >= det(C) holds exactly; the max() only absorbs roundoff.

@@ -3,7 +3,7 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from dsmimo import (
     ConfigError,
     ExperimentConfig,
     PRESETS,
+    RateRecord,
     emit_csv,
     load_config,
     preset_configs,
@@ -134,6 +135,41 @@ class TestDeterminismAndPairing:
         assert serial == threaded
 
 
+class TestMultiConfigSweep:
+    CONFIGS = (
+        replace(SMALL, n_users=[1, 2]),
+        replace(SMALL, inner="met_bd", n_users=4),  # 4 > m_r = 2: infeasible
+        replace(SMALL, inner="met_mmse", snr_db=[0.0, 20.0]),
+    )
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_sweep_equals_concatenated_sweeps(self, monkeypatch, workers):
+        real_trial = harness.run_trial
+
+        def failing_trial(cfg, seed, trial):
+            if cfg.inner == "met_mmse" and cfg.snr_db == 20.0:
+                raise RuntimeError("singular system")
+            return real_trial(cfg, seed, trial)
+
+        monkeypatch.setattr(harness, "run_trial", failing_trial)
+        together = run_sweep(*self.CONFIGS, seed=3, workers=workers)
+        apart = [r for cfg in self.CONFIGS for r in run_sweep(cfg, seed=3, workers=workers)]
+        assert [r.status for r in together] == [
+            "ok", "ok", "infeasible", "ok", "error:runtimeerror"
+        ]
+        assert emit_csv(together) == emit_csv(apart)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_config_anywhere_fails_before_any_point_runs(self, monkeypatch, position):
+        calls = []
+        monkeypatch.setattr(harness, "run_point", lambda cfg, seed=None: calls.append(cfg))
+        configs = list(self.CONFIGS)
+        configs[position] = replace(configs[position], outer="zf")
+        with pytest.raises(ConfigError):
+            run_sweep(*configs, seed=0, workers=2)
+        assert calls == []
+
+
 class TestFeasibilityHandling:
     def test_bd_infeasible_point_is_flagged(self):
         cfg = replace(SMALL, inner="met_bd", n_users=4)  # 4 > m_r = 2
@@ -195,6 +231,7 @@ class TestCsvEmission:
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0].startswith("outer,inner,layers,scenario,snr_db")
+        assert lines[0].split(",") == [f.name for f in fields(RateRecord)]
 
     def test_infeasible_row_has_empty_rate(self):
         record = run_point(replace(SMALL, inner="met_bd", n_users=4), seed=0)
@@ -250,6 +287,12 @@ class TestConfigFile:
     def test_unknown_keys_of_mixed_types_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("1: 2\nbandwidth: 100\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    def test_yaml_syntax_error_is_config_error(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("scenario: [poor\nn_t: 8\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
 
@@ -345,6 +388,18 @@ class TestCli:
         key = entry.split(":")[0]
         lines = [l for l in cfg.read_text().splitlines() if not l.startswith(f"{key}:")]
         cfg.write_text("\n".join([*lines, entry]) + "\n")
+        out = tmp_path / "out.csv"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfescenario: poor\n", b"scenario: [poor\n"], ids=["not_utf8", "bad_yaml"]
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, command, content):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(content)
         out = tmp_path / "out.csv"
         extra = ["--out", str(out)] if command == "run" else []
         assert main([command, "--config", str(cfg), *extra]) == 2
