@@ -5,6 +5,7 @@ from .channel import (
     SCENARIOS,
     ArrayGeometry,
     CovariancePair,
+    FactoredChannel,
     MacroState,
     draw_macroscopic,
     estimate_covariances,

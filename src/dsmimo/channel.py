@@ -102,21 +102,54 @@ class CovariancePair:
         return self.b_ul @ self.k_ul @ _hermitian(self.b_ul)
 
 
+@dataclass(frozen=True)
+class FactoredChannel:
+    """Downlink channels H = (A_r D) A_t^T kept as their two factors.
+
+    ``rx_gains`` (..., N_r, L) is the arrival manifold with each path's
+    column scaled by its complex gain, ``a_t`` (..., N_t, L) the departure
+    manifold; leading axes index users. H has rank at most L, and the
+    two-layer path reads it only through products with filters, so the
+    dense (..., N_r, N_t) matrices are formed only by :meth:`dense`, or
+    where an array is expected.
+    """
+
+    rx_gains: np.ndarray
+    a_t: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (*self.rx_gains.shape[:-1], self.a_t.shape[-2])
+
+    def dense(self) -> np.ndarray:
+        return self.rx_gains @ self.a_t.swapaxes(-1, -2)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.dense(), dtype=dtype)
+
+
 def _hermitian(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
 
 
-def _cross_user_products(w: np.ndarray, channels: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _cross_user_products(
+    w: np.ndarray, channels: FactoredChannel | np.ndarray, f: np.ndarray
+) -> np.ndarray:
     """All (combiner owner, precoder owner) products, out[u, :, j, :] = W_u^H H_u F_j.
 
-    From combiners (U, N_r, a), channels (U, N_r, N_t) and precoders
-    (U, N_t, b), as one product of the stacked combined channels (U a, N_t)
-    with the stacked precoders (N_t, U b); the result is (U, a, U, b).
+    From combiners (U, N_r, a), channels (U, N_r, N_t) or their
+    :class:`FactoredChannel`, and precoders (U, N_t, b), as one product of
+    the stacked combined channels (U a, N_t) with the stacked precoders
+    (N_t, U b); the result is (U, a, U, b). A factored channel is combined
+    as (W_u^H A_r,u D_u) A_t,u^T, so no N_r x N_t matrix is formed.
     """
     n_users, n_t, b = f.shape
-    combined = (_hermitian(w) @ channels).reshape(-1, n_t)
-    products = combined @ f.transpose(1, 0, 2).reshape(n_t, n_users * b)
+    if isinstance(channels, FactoredChannel):
+        combined = (_hermitian(w) @ channels.rx_gains) @ channels.a_t.swapaxes(-1, -2)
+    else:
+        combined = _hermitian(w) @ channels
+    products = combined.reshape(-1, n_t) @ f.transpose(1, 0, 2).reshape(n_t, n_users * b)
     return products.reshape(n_users, -1, n_users, b)
 
 
@@ -189,28 +222,40 @@ def draw_macroscopic(
     )
 
 
+def path_manifolds(
+    macro: MacroState, tx: ArrayGeometry, rx: ArrayGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """Departure and arrival manifolds (A_t, A_r) of every path of the state.
+
+    Shapes (..., N_t, L) and (..., N_r, L) for a state of shape (..., L).
+    The rays stay fixed for the whole drop, so one pair serves CSI
+    acquisition and every channel realization of it.
+    """
+    return ula_manifold(tx, macro.aod), ula_manifold(rx, macro.aoa)
+
+
 def realize_channel(
     macro: MacroState,
     phases: np.ndarray,
     tx: ArrayGeometry,
     rx: ArrayGeometry,
-) -> np.ndarray:
+    manifolds: tuple[np.ndarray, np.ndarray] | None = None,
+) -> FactoredChannel:
     """One fading realization of the (..., N_r, N_t) downlink channel matrices.
 
     H = sqrt(N_t N_r / L) * sum_l m_l e^{j theta_l} a_r(aoa_l) a_t(aod_l)^T
-    for a state of shape (..., L) and phases of the same shape. Note the
-    plain transpose on the departure steering vector.
+    for a state of shape (..., L) and phases of the same shape, returned
+    factored as (A_r D) A_t^T. Note the plain transpose on the departure
+    steering vector. ``manifolds`` are the state's :func:`path_manifolds`,
+    built here when absent.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != macro.aod.shape:
         raise ValueError(f"expected phases of shape {macro.aod.shape}, got {phases.shape}")
-    a_t = ula_manifold(tx, macro.aod)
-    scaled = ula_manifold(rx, macro.aoa)
+    a_t, a_r = path_manifolds(macro, tx, rx) if manifolds is None else manifolds
     scale = np.sqrt(tx.n_elements * rx.n_elements / macro.n_rays)
-    # Scaled in place: a second (..., N_r, L) array would raise a trial's
-    # heap peak, which this function sets by allocating the channel stack.
-    scaled *= (scale * macro.magnitudes * np.exp(1j * phases))[..., None, :]
-    return scaled @ a_t.swapaxes(-1, -2)
+    gains = scale * macro.magnitudes * np.exp(1j * phases)
+    return FactoredChannel(rx_gains=a_r * gains[..., None, :], a_t=a_t)
 
 
 def estimate_covariances(
@@ -219,6 +264,7 @@ def estimate_covariances(
     rng: np.random.Generator,
     tx: ArrayGeometry,
     rx: ArrayGeometry,
+    manifolds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CovariancePair:
     """Estimate downlink/uplink covariances by averaging over fading slots.
 
@@ -232,7 +278,8 @@ def estimate_covariances(
     the L x L gain correlation: uplink B = conj(A_t), K = gram(A_r) o corr;
     downlink B = A_r, K = conj(gram(A_t) o corr). This is algebraically
     identical to accumulating per-slot Gram matrices but independent of the
-    antenna counts.
+    antenna counts. ``manifolds`` are the state's :func:`path_manifolds`,
+    built here when absent.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
@@ -242,8 +289,7 @@ def estimate_covariances(
     gains = scale * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
     corr = _hermitian(gains) @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
 
-    a_t = ula_manifold(tx, macro.aod)
-    a_r = ula_manifold(rx, macro.aoa)
+    a_t, a_r = path_manifolds(macro, tx, rx) if manifolds is None else manifolds
     k_ul = (_hermitian(a_r) @ a_r) * corr
     k_dl = ((_hermitian(a_t) @ a_t) * corr).conj()
     return CovariancePair(
@@ -256,13 +302,14 @@ def extract_partial_csi(
     macro: MacroState,
     tx: ArrayGeometry,
     rx: ArrayGeometry,
+    manifolds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact macroscopic CSI: manifold matrices and per-path powers.
 
     Returns (A_t, A_r, powers) with shapes (..., N_t, L), (..., N_r, L),
     (..., L) for a state of shape (..., L); powers are squared gain
-    magnitudes.
+    magnitudes. ``manifolds`` are the state's :func:`path_manifolds`,
+    built here when absent.
     """
-    a_t = ula_manifold(tx, macro.aod)
-    a_r = ula_manifold(rx, macro.aoa)
+    a_t, a_r = path_manifolds(macro, tx, rx) if manifolds is None else manifolds
     return a_t, a_r, macro.magnitudes**2

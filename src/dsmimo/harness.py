@@ -25,11 +25,12 @@ from .channel import (
     draw_macroscopic,
     estimate_covariances,
     extract_partial_csi,
+    path_manifolds,
     realize_channel,
 )
 from .inner import bd_mer, effective_channels, met_bd, met_mer, met_mmse, normalize_gamma
 from .metrics import LinkFilters, snr_to_power, sum_rate
-from .outer import OuterFilters, cme, path_outer_filters
+from .outer import cme, path_outer_filters
 
 OUTER_METHODS = ("cme", "pps", "sps", "none")
 INNER_METHODS = ("met_mer", "met_bd", "met_mmse", "bd_mer")
@@ -205,8 +206,9 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     The outer filters see only the drop's macroscopic state (via estimated
     covariances or exact path parameters); the rate is then evaluated on a
     fresh phase realization of the same drop, which the inner filters know
-    perfectly through the effective channels. Every stage works on all
-    users at once, stacked on a leading (U, ...) axis.
+    perfectly through the effective channels. The drop's path manifolds
+    are built once for CSI acquisition and the realization. Every stage
+    works on all users at once, stacked on a leading (U, ...) axis.
     """
     tx = ArrayGeometry(cfg.n_t)
     rx = ArrayGeometry(cfg.n_r)
@@ -216,23 +218,27 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
 
     macro_rng = _substream(seed, *point_key, _SUBSTREAM_MACRO)
     macro = draw_macroscopic(cfg.scenario, n_users, macro_rng, cfg.sigma_c_deg)
+    manifolds = path_manifolds(macro, tx, rx)
 
-    if cfg.layers == 1:
-        # Identity outer filters run 1-layer trials through the 2-layer path.
-        outers = OuterFilters(
-            f_o=np.broadcast_to(np.eye(cfg.n_t, dtype=complex), (n_users, cfg.n_t, cfg.n_t)),
-            w_o=np.broadcast_to(np.eye(cfg.n_r, dtype=complex), (n_users, cfg.n_r, cfg.n_r)),
-            method="none",
-        )
-    elif cfg.outer == "cme":
+    outers = None  # one layer: the inner stage works on the full channel
+    if cfg.layers == 2 and cfg.outer == "cme":
         slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
-        outers = cme(estimate_covariances(macro, cfg.n_slots, slots_rng, tx, rx), cfg.m_t, cfg.m_r)
-    else:
-        outers = path_outer_filters(*extract_partial_csi(macro, tx, rx), cfg.m_t, cfg.m_r, cfg.outer)
+        outers = cme(
+            estimate_covariances(macro, cfg.n_slots, slots_rng, tx, rx, manifolds), cfg.m_t, cfg.m_r
+        )
+    elif cfg.layers == 2:
+        outers = path_outer_filters(
+            *extract_partial_csi(macro, tx, rx, manifolds), cfg.m_t, cfg.m_r, cfg.outer
+        )
 
     eval_rng = _substream(seed, *point_key, _SUBSTREAM_EVAL)
     phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
-    channels = realize_channel(macro, phases, tx, rx)
+    channels = realize_channel(macro, phases, tx, rx, manifolds)
+    del manifolds  # A_r is read no more; A_t lives on in the channel's factors
+    if outers is None:
+        # The 1-layer baseline designs on the dense channels; the 2-layer
+        # path reads them only through products with the factors.
+        channels = channels.dense()
     effset = effective_channels(channels, outers)
 
     if cfg.inner == "met_bd":
@@ -241,12 +247,14 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
         inners = bd_mer(effset, cfg.n_s)
     else:
         inners = met_mer(effset.serving, cfg.n_s)
-    gammas = normalize_gamma(outers.f_o, inners.f_i, p_t, n_users)
+    gammas = normalize_gamma(None if outers is None else outers.f_o, inners.f_i, p_t, n_users)
     if cfg.inner == "met_mmse":
         inners = met_mmse(effset, gammas, cfg.sigma_n2, cfg.n_s, f_i=inners.f_i)
 
-    full_f = gammas[:, None, None] * (outers.f_o @ inners.f_i)
-    return sum_rate(channels, LinkFilters(f=full_f, w=outers.w_o @ inners.w_i), cfg.sigma_n2, cfg.n_s)
+    f, w = inners.f_i, inners.w_i
+    if outers is not None:
+        f, w = outers.f_o @ f, outers.w_o @ w
+    return sum_rate(channels, LinkFilters(f=gammas[:, None, None] * f, w=w), cfg.sigma_n2, cfg.n_s)
 
 
 def run_point(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _cross_user_products, _hermitian
+from .channel import FactoredChannel, _cross_user_products, _hermitian
 from .outer import OuterFilters
 
 # Singular values below this fraction of the largest are treated as zero
@@ -22,6 +22,11 @@ from .outer import OuterFilters
 _RANK_RTOL = 1e-10
 
 _MMSE_MAX_CONDITION = 1e12
+
+# Below this fraction of ||F_o|| ||F_i||, F_o's nearly parallel steering
+# vectors have cancelled F_i: the rounding error F_i carries from its SVDs and
+# projections, amplified by the inverse ratio, is the composite's direction.
+_GAMMA_RTOL = 1e-6
 
 
 class InfeasibleError(ValueError):
@@ -88,22 +93,31 @@ def truncated_svd(h: np.ndarray, n_s: int) -> TruncatedSvd:
 
 
 def effective_channels(
-    channels: np.ndarray | Sequence[np.ndarray],
-    outers: OuterFilters | Sequence[OuterFilters],
+    channels: FactoredChannel | np.ndarray | Sequence[np.ndarray],
+    outers: OuterFilters | Sequence[OuterFilters] | None,
 ) -> EffectiveChannelSet:
     """Compress every (combiner owner, precoder owner) pair through the outer filters.
 
-    h_eff[u, j] = W_o,u^H H_u F_o,j, from channels (U, N_r, N_t) and stacked
-    outer filters (or one pair per user) in a single product of the stacked
-    compressed channels (U M_r, N_t) with the stacked precoders (N_t, U M_t).
+    h_eff[u, j] = W_o,u^H H_u F_o,j, from channels (U, N_r, N_t), dense or
+    factored, and stacked outer filters (or one pair per user) in a single
+    product of the stacked compressed channels (U M_r, N_t) with the
+    stacked precoders (N_t, U M_t). Without outer filters (``None``, one
+    layer) every precoder sees the full channel: h_eff[u, j] = H_u, and the
+    noise stays white.
     """
-    channels = np.asarray(channels)
+    if outers is None or not isinstance(channels, FactoredChannel):
+        channels = np.asarray(channels)
+    n_users, n_r, n_t = channels.shape
+    if outers is None:
+        return EffectiveChannelSet(
+            h_eff=np.broadcast_to(channels[:, None], (n_users, n_users, n_r, n_t)),
+            w_o_gram=np.broadcast_to(np.eye(n_r), (n_users, n_r, n_r)),
+        )
     if not isinstance(outers, OuterFilters):  # one pair per user
         outers = OuterFilters(
             f_o=np.array([o.f_o for o in outers]), w_o=np.array([o.w_o for o in outers]),
             method="per-user",
         )
-    n_users = channels.shape[0]
     if outers.f_o.shape[0] != n_users or outers.w_o.shape[0] != n_users:
         raise ValueError("one outer filter pair per channel is required")
     w_o_gram = _hermitian(outers.w_o) @ outers.w_o
@@ -204,19 +218,32 @@ def met_mmse(
         "j,ujik,ujlk->uil", gammas**2 / n_s, steered, steered.conj()
     )
     r_yy = 0.5 * (r_yy + _hermitian(r_yy))
-    if np.any(np.linalg.cond(r_yy) > _MMSE_MAX_CONDITION):
+    # R_yy is Hermitian positive definite, so its eigenvalues give the
+    # 2-norm condition number without the singular vectors of cond().
+    eigvals = np.linalg.eigvalsh(r_yy)  # ascending
+    if not np.all(eigvals[..., 0] * _MMSE_MAX_CONDITION > eigvals[..., -1]):
         raise SolverError("received-signal covariance is numerically singular")
     users = np.arange(n_users)
     w_i = (gammas / n_s)[:, None, None] * np.linalg.solve(r_yy, steered[users, users])
     return InnerFilters(f_i=f_i, w_i=w_i)
 
 
-def normalize_gamma(f_o: np.ndarray, f_i: np.ndarray, p_t: float, n_users: int) -> np.ndarray:
+def normalize_gamma(
+    f_o: np.ndarray | None, f_i: np.ndarray, p_t: float, n_users: int
+) -> np.ndarray:
     """Scaling that gives each composite precoder F_o @ F_i its power budget P_t / U.
 
-    Stacked (..., N_t, M_t) and (..., M_t, N_s) filters give one gamma per user.
+    Stacked (..., N_t, M_t) and (..., M_t, N_s) filters give one gamma per
+    user; without outer filters (``None``, one layer) the composite is F_i.
+    A composite whose norm has cancelled to below ``_GAMMA_RTOL`` times
+    ||F_o|| ||F_i|| carries no reliable direction, so it is rejected like a
+    zero one instead of being scaled up.
     """
-    norm = np.linalg.norm(f_o @ f_i, axis=(-2, -1))
-    if np.any(norm <= 0.0):
-        raise ValueError("composite precoder F_o @ F_i has zero Frobenius norm")
+    f_i_norm = np.linalg.norm(f_i, axis=(-2, -1))
+    norm, floor = f_i_norm, 0.0
+    if f_o is not None:
+        norm = np.linalg.norm(f_o @ f_i, axis=(-2, -1))
+        floor = _GAMMA_RTOL * np.linalg.norm(f_o, axis=(-2, -1)) * f_i_norm
+    if np.any(norm <= floor):
+        raise ValueError("composite precoder F_o @ F_i has zero or cancelled Frobenius norm")
     return np.sqrt(p_t / n_users) / norm

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _cross_user_products, _hermitian
+from .channel import FactoredChannel, _cross_user_products, _hermitian
 
 _LN2 = np.log(2.0)
 
@@ -60,7 +60,7 @@ def _logdet_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def sum_rate(
-    channels: np.ndarray | Sequence[np.ndarray],
+    channels: FactoredChannel | np.ndarray | Sequence[np.ndarray],
     filters: LinkFilters,
     sigma_n2: float,
     n_s: int,
@@ -73,10 +73,12 @@ def sum_rate(
     in an orthonormal basis of each combiner's resolvable column space,
     which leaves the rate unchanged for well-conditioned combiners but keeps
     C_u positive definite when combiner columns become nearly parallel.
-    All users are evaluated as one stack: channels (U, N_r, N_t), every
-    user's combined channel in one product with the stacked precoders.
+    All users are evaluated as one stack: channels (U, N_r, N_t), dense or
+    factored, every user's combined channel in one product with the stacked
+    precoders.
     """
-    channels = np.asarray(channels)
+    if not isinstance(channels, FactoredChannel):
+        channels = np.asarray(channels)
     f = np.asarray(filters.f)
     w = np.asarray(filters.w)
     n_users = channels.shape[0]

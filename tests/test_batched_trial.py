@@ -6,6 +6,15 @@ time through covariance estimation, CME, channel realization, effective
 channels, inner design, normalization and rate. It is kept here only as
 the oracle. Path selection (``pps``/``sps``) and ``_null_projector`` are
 per-user in the library itself and are imported unchanged.
+
+The oracle realizes each user's channel densely, H_u = (A_r D) A_t^T, or,
+like the library's 2-layer path, as that factor pair, whose products with
+filters are then taken as ((W^H A_r D) A_t^T) F. The two agree to rounding
+level, but the rate of a trial whose filters cancel (block diagonalization
+on nearly parallel selected paths) amplifies rounding by up to 1e11. So
+batching is checked against the factored oracle on every trial, and the
+factored channel against the dense oracle on the products themselves and
+on whole trials of the schemes that do not cancel.
 """
 
 import numpy as np
@@ -19,14 +28,22 @@ from dsmimo import (
     ExperimentConfig,
     InfeasibleError,
     InnerFilters,
+    LinkFilters,
     MacroState,
     OuterFilters,
     SolverError,
     TruncatedSvd,
+    cme,
+    draw_macroscopic,
+    effective_channels,
+    estimate_covariances,
+    met_mer,
     pps,
+    realize_channel,
     run_trial,
     snr_to_power,
     sps,
+    sum_rate,
 )
 from dsmimo.channel import RAYS_PER_CLUSTER, SCENARIOS, _fold_azimuth_deg
 from dsmimo.harness import (
@@ -36,7 +53,7 @@ from dsmimo.harness import (
     _SUBSTREAM_SLOTS,
     _substream,
 )
-from dsmimo.inner import _MMSE_MAX_CONDITION, _null_projector
+from dsmimo.inner import _GAMMA_RTOL, _MMSE_MAX_CONDITION, _null_projector
 from dsmimo.outer import _HERMITIAN_RTOL
 
 # ---------------------------------------------------------------------------
@@ -71,12 +88,25 @@ def _draw_macroscopic(scenario, n_users, rng, sigma_c_deg):
     return states
 
 
-def _realize_channel(macro, phases, tx, rx):
+def _realize_factors(macro, phases, tx, rx):
     a_t = _ula_manifold(tx, macro.aod)
     a_r = _ula_manifold(rx, macro.aoa)
     scale = np.sqrt(tx.n_elements * rx.n_elements / macro.n_rays)
     gains = scale * macro.magnitudes * np.exp(1j * phases)
-    return (a_r * gains) @ a_t.T
+    return a_r * gains, a_t
+
+
+def _realize_channel(macro, phases, tx, rx):
+    rx_gains, a_t = _realize_factors(macro, phases, tx, rx)
+    return rx_gains @ a_t.T
+
+
+def _combine(w, channel):
+    """W^H H of a dense channel or of a factor pair (A_r D, A_t)."""
+    if isinstance(channel, tuple):
+        rx_gains, a_t = channel
+        return (w.conj().T @ rx_gains) @ a_t.T
+    return w.conj().T @ channel
 
 
 def _estimate_covariances(macro, n_slots, rng, tx, rx):
@@ -140,7 +170,7 @@ def _effective_channels(channels, outers):
     h_eff = np.empty((n_users, n_users, m_r, m_t), dtype=complex)
     w_o_gram = np.empty((n_users, m_r, m_r), dtype=complex)
     for u in range(n_users):
-        compressed = outers[u].w_o.conj().T @ channels[u]
+        compressed = _combine(outers[u].w_o, channels[u])
         h_eff[u] = (compressed @ f_stack).reshape(m_r, n_users, m_t).transpose(1, 0, 2)
         w_o_gram[u] = outers[u].w_o.conj().T @ outers[u].w_o
     return EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram)
@@ -207,7 +237,7 @@ def _met_mmse(effset, gammas, sigma_n2, n_s):
 
 def _normalize_gamma(f_o, f_i, p_t, n_users):
     norm = np.linalg.norm(f_o @ f_i)
-    if norm <= 0.0:
+    if norm <= _GAMMA_RTOL * np.linalg.norm(f_o) * np.linalg.norm(f_i):
         raise ValueError("composite precoder F_o @ F_i has zero Frobenius norm")
     return float(np.sqrt(p_t / n_users) / norm)
 
@@ -234,7 +264,7 @@ def _sum_rate(channels, f, w, sigma_n2, n_s):
     total = 0.0
     for u in range(n_users):
         q_u = _combiner_basis(w[u])
-        received = (q_u.conj().T @ channels[u] @ f_stack) / np.sqrt(n_s)
+        received = (_combine(q_u, channels[u]) @ f_stack) / np.sqrt(n_s)
         blocks = received.reshape(q_u.shape[1], n_users, n_s)
         signal = blocks[:, u, :]
         r_u = signal @ signal.conj().T
@@ -244,8 +274,12 @@ def _sum_rate(channels, f, w, sigma_n2, n_s):
     return total / np.log(2.0)
 
 
-def reference_trial(cfg, seed, trial):
-    """The per-user run_trial, stage for stage."""
+def reference_trial(cfg, seed, trial, dense=False):
+    """The per-user run_trial, stage for stage.
+
+    1-layer trials always use dense channels; 2-layer trials use factor
+    pairs, as the library does, unless ``dense``.
+    """
     tx = ArrayGeometry(cfg.n_t)
     rx = ArrayGeometry(cfg.n_r)
     p_t = snr_to_power(cfg.snr_db, cfg.sigma_n2)
@@ -276,9 +310,9 @@ def reference_trial(cfg, seed, trial):
         ]
 
     eval_rng = _substream(seed, *point_key, _SUBSTREAM_EVAL)
+    realize = _realize_channel if dense or cfg.layers == 1 else _realize_factors
     channels = [
-        _realize_channel(m, eval_rng.uniform(-np.pi, np.pi, size=m.n_rays), tx, rx)
-        for m in macros
+        realize(m, eval_rng.uniform(-np.pi, np.pi, size=m.n_rays), tx, rx) for m in macros
     ]
     effset = _effective_channels(channels, outers)
 
@@ -315,9 +349,9 @@ COMBOS = [(outer, inner, 2) for outer in ("cme", "pps", "sps") for inner in
 COMBOS += [("none", inner, 1) for inner in ("met_mer", "met_bd", "met_mmse", "bd_mer")]
 
 
-def _assert_same_outcome(cfg, seed, trial):
+def _assert_same_outcome(cfg, seed, trial, dense=False):
     try:
-        expected = reference_trial(cfg, seed, trial)
+        expected = reference_trial(cfg, seed, trial, dense)
     except Exception as exc:  # the batched trial must raise the same class
         with pytest.raises(Exception) as caught:
             run_trial(cfg, seed, trial)
@@ -345,11 +379,74 @@ def test_batched_trial_matches_per_user_reference(outer, inner, layers, n_users)
 
 
 def test_congested_cell_matches_per_user_reference():
-    # The benchmark's operating point at full array size, U = 32.
+    # The benchmark's operating point at full array size, U = 32, against
+    # the dense oracle: the whole trial, factored channel included.
     cfg = ExperimentConfig(
         scenario="poor", m_t=4, m_r=4, n_s=1, n_users=32, snr_db=0.0,
         outer="cme", inner="met_mmse", n_slots=100,
     )
     for trial in range(3):
-        assert _assert_same_outcome(cfg, 1, trial) == "rate"
+        assert _assert_same_outcome(cfg, 1, trial, dense=True) == "rate"
+
+
+@pytest.mark.parametrize("outer", ["cme", "pps", "sps"])
+@pytest.mark.parametrize("inner", ["met_mer", "met_mmse"])
+@pytest.mark.parametrize("n_users", [1, 2, 5])
+def test_factored_trial_matches_dense_reference(outer, inner, n_users):
+    # The schemes whose filters never cancel, over the same grid as above.
+    for seed in range(4):
+        cfg = ExperimentConfig(
+            scenario=("poor", "fair", "rich")[seed % 3], n_t=16, n_r=12, m_t=6, m_r=4,
+            n_s=1 + seed % 2, n_users=n_users, snr_db=(0.0, 20.0)[seed % 2],
+            outer=outer, inner=inner, n_slots=20,
+        )
+        for trial in range(2):
+            assert _assert_same_outcome(cfg, seed, trial, dense=True) == "rate"
+
+
+def test_cancelled_composite_precoder_is_rejected():
+    # BD-MER projects user 3's MET precoder to 9e-8 of its norm, and the
+    # nearly parallel power-dominant paths of F_o cancel that to 4e-7 of
+    # ||F_o|| ||F_i||: ||F_o F_i|| = 9e-14 would be scaled by gamma = 1.6e11.
+    # Dense and factored channels then gave rates 0.23 % apart.
+    cfg = ExperimentConfig(
+        scenario="rich", n_t=16, n_r=12, m_t=6, m_r=4, n_s=1, n_users=5, snr_db=0.0,
+        outer="pps", inner="bd_mer", n_slots=20,
+    )
+    with pytest.raises(ValueError, match="cancelled"):
+        run_trial(cfg, 2, 1)
+    for dense in (False, True):
+        with pytest.raises(ValueError):
+            reference_trial(cfg, 2, 1, dense)
+
+
+@pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+@pytest.mark.parametrize("n_users", [1, 5, 32])
+def test_factored_products_match_dense(scenario, n_users):
+    # effective_channels and sum_rate on the factor pair against the dense
+    # per-user oracle; rich has L = 64 = N paths, so the factors are square.
+    rng = np.random.default_rng(n_users)
+    tx, rx = ArrayGeometry(64), ArrayGeometry(64)
+    macro = draw_macroscopic(scenario, n_users, rng)
+    phases = rng.uniform(-np.pi, np.pi, size=macro.aod.shape)
+    channels = realize_channel(macro, phases, tx, rx)
+    dense = [_realize_channel(macro[u], phases[u], tx, rx) for u in range(n_users)]
+    outers = cme(estimate_covariances(macro, 20, rng, tx, rx), 8, 8)
+    per_user = [OuterFilters(f_o=outers.f_o[u], w_o=outers.w_o[u], method="cme")
+                for u in range(n_users)]
+
+    got = effective_channels(channels, outers)
+    want = _effective_channels(dense, per_user)
+    assert np.linalg.norm(got.h_eff - want.h_eff) <= 1e-12 * np.linalg.norm(want.h_eff)
+    assert np.array_equal(got.w_o_gram, want.w_o_gram)
+
+    n_s = 2
+    inners = met_mer(got.serving, n_s)
+    f = [0.5 * outers.f_o[u] @ inners.f_i[u] for u in range(n_users)]
+    w = [outers.w_o[u] @ inners.w_i[u] for u in range(n_users)]
+    rate = sum_rate(channels, LinkFilters(f=np.array(f), w=np.array(w)), 1e-2, n_s)
+    assert rate == pytest.approx(_sum_rate(dense, f, w, 1e-2, n_s), rel=1e-12, abs=0.0)
+    assert rate == pytest.approx(
+        sum_rate(np.array(dense), LinkFilters(f=f, w=w), 1e-2, n_s), rel=1e-12, abs=0.0
+    )
 

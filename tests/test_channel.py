@@ -133,7 +133,10 @@ class TestRealizeChannel:
             n_clusters=1,
             rays_per_cluster=4,
         )
-        diff = realize_channel(boosted, phases, tx, rx) - realize_channel(macro, phases, tx, rx)
+        diff = (
+            realize_channel(boosted, phases, tx, rx).dense()
+            - realize_channel(macro, phases, tx, rx).dense()
+        )
         scale = np.sqrt(8 * 8 / 4)
         term = (
             scale

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -168,6 +169,35 @@ class TestMultiConfigSweep:
         with pytest.raises(ConfigError):
             run_sweep(*configs, seed=0, workers=2)
         assert calls == []
+
+
+class TestTrialMemory:
+    # 32 users at 128 x 128 through 8 paths: the dense channel stack is
+    # 8.4 MB, near three times a factored 2-layer trial's heap peak (3.0 MB).
+    CFG = ExperimentConfig(
+        scenario="poor", n_t=128, n_r=128, m_t=4, m_r=4, n_s=1, n_users=32, snr_db=0.0,
+        outer="cme", inner="met_mmse", n_slots=100,
+    )
+    STACK_BYTES = 32 * 128 * 128 * np.dtype(complex).itemsize
+
+    @staticmethod
+    def _heap_peak(cfg):
+        run_trial(cfg, 1, 0)  # first-call allocations are not the trial's
+        tracemalloc.start()
+        try:
+            run_trial(cfg, 1, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_two_layer_trial_allocates_no_dense_channel_stack(self):
+        # numpy reports its buffers to tracemalloc, so a (U, N_r, N_t)
+        # array alive at any point would lift the peak above its size.
+        assert self._heap_peak(self.CFG) < self.STACK_BYTES
+
+    def test_one_layer_trial_builds_the_dense_channel_stack(self):
+        cfg = replace(self.CFG, outer="none", layers=1, inner="met_mer")
+        assert self._heap_peak(cfg) >= self.STACK_BYTES
 
 
 class TestFeasibilityHandling:

@@ -394,3 +394,22 @@ class TestNormalizeGamma:
     def test_zero_product_rejected(self):
         with pytest.raises(ValueError):
             normalize_gamma(np.zeros((4, 2)), np.ones((2, 1)), 1.0, 1)
+
+    @pytest.mark.parametrize("offset,rejected", [(1e-8, True), (1e-4, False)])
+    def test_cancelled_product_rejected(self, offset, rejected):
+        # Two steering vectors `offset` apart, driven in antiphase: F_o F_i
+        # is a few times `offset` of ||F_o|| ||F_i||.
+        k = np.arange(8)[:, None]
+        f_o = np.exp(-1j * np.pi * k * np.array([0.3, 0.3 + offset])) / np.sqrt(8)
+        f_i = np.array([[1.0], [-1.0]])
+        if rejected:
+            with pytest.raises(ValueError, match="cancelled"):
+                normalize_gamma(f_o, f_i, 1.0, 1)
+        else:
+            assert np.isfinite(normalize_gamma(f_o, f_i, 1.0, 1))
+
+    def test_one_layer_gamma_uses_the_inner_precoder_alone(self):
+        rng = np.random.default_rng(30)
+        f_i = _random_complex(rng, (3, 8, 2))
+        eye = np.broadcast_to(np.eye(8), (3, 8, 8))
+        assert np.array_equal(normalize_gamma(None, f_i, 0.3, 3), normalize_gamma(eye, f_i, 0.3, 3))
