@@ -23,7 +23,8 @@ print("=== scattering scenarios ===")
 for scenario, (clusters, n_rays) in SCENARIOS.items():
     macro = draw_macroscopic(scenario, 1, rng)[0]
     phases = rng.uniform(-np.pi, np.pi, macro.n_rays)
-    h = realize_channel(macro, phases, tx, rx)
+    a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
+    h = realize_channel(macro, phases, a_t, a_r).dense()
     svals = np.linalg.svd(h, compute_uv=False)
     strong = int(np.sum(svals > 0.1 * svals[0]))
     print(
@@ -35,8 +36,9 @@ for scenario, (clusters, n_rays) in SCENARIOS.items():
 print()
 print("=== statistical CSI: covariance energy concentration ===")
 macro = draw_macroscopic("poor", 1, rng)[0]
+a_t, a_r, powers = extract_partial_csi(macro, tx, rx)
 for n_slots in (1, 10, 100):
-    pair = estimate_covariances(macro, n_slots, rng, tx, rx)
+    pair = estimate_covariances(macro, n_slots, rng, a_t, a_r)
     eigs = np.sort(np.linalg.eigvalsh(pair.c_ul))[::-1]
     captured = eigs[:8].sum() / eigs.sum()
     print(
@@ -46,7 +48,6 @@ for n_slots in (1, 10, 100):
 
 print()
 print("=== partial CSI: per-path powers and steering vectors ===")
-a_t, a_r, powers = extract_partial_csi(macro, tx, rx)
 order = np.argsort(powers)[::-1]
 print(f"manifold shapes: A_t {a_t.shape}, A_r {a_r.shape}")
 print("path powers, strongest first:", np.array2string(powers[order], precision=3))

@@ -125,6 +125,8 @@ class FactoredChannel:
         return self.rx_gains @ self.a_t.swapaxes(-1, -2)
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a factored channel has no dense array to view without a copy")
         return np.asarray(self.dense(), dtype=dtype)
 
 
@@ -222,49 +224,37 @@ def draw_macroscopic(
     )
 
 
-def path_manifolds(
-    macro: MacroState, tx: ArrayGeometry, rx: ArrayGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Departure and arrival manifolds (A_t, A_r) of every path of the state.
-
-    Shapes (..., N_t, L) and (..., N_r, L) for a state of shape (..., L).
-    The rays stay fixed for the whole drop, so one pair serves CSI
-    acquisition and every channel realization of it.
-    """
-    return ula_manifold(tx, macro.aod), ula_manifold(rx, macro.aoa)
-
-
 def realize_channel(
-    macro: MacroState,
-    phases: np.ndarray,
-    tx: ArrayGeometry,
-    rx: ArrayGeometry,
-    manifolds: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FactoredChannel:
+    macro: MacroState, phases: np.ndarray, a_t: np.ndarray, a_r: np.ndarray
+) -> FactoredChannel | np.ndarray:
     """One fading realization of the (..., N_r, N_t) downlink channel matrices.
 
     H = sqrt(N_t N_r / L) * sum_l m_l e^{j theta_l} a_r(aoa_l) a_t(aod_l)^T
-    for a state of shape (..., L) and phases of the same shape, returned
-    factored as (A_r D) A_t^T. Note the plain transpose on the departure
-    steering vector. ``manifolds`` are the state's :func:`path_manifolds`,
-    built here when absent.
+    for a state of shape (..., L) and phases of the same shape. Note the
+    plain transpose on the departure steering vector. ``a_t`` and ``a_r``
+    are the state's manifolds, as :func:`extract_partial_csi` returns them;
+    the rays stay fixed for the whole drop, so one pair serves its CSI and
+    every realization. H is returned factored as (A_r D) A_t^T while the
+    factors hold no more entries than H, L (N_r + N_t) <= N_r N_t, and as
+    the dense matrices otherwise (rich scattering on small arrays).
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != macro.aod.shape:
         raise ValueError(f"expected phases of shape {macro.aod.shape}, got {phases.shape}")
-    a_t, a_r = path_manifolds(macro, tx, rx) if manifolds is None else manifolds
-    scale = np.sqrt(tx.n_elements * rx.n_elements / macro.n_rays)
-    gains = scale * macro.magnitudes * np.exp(1j * phases)
-    return FactoredChannel(rx_gains=a_r * gains[..., None, :], a_t=a_t)
+    n_t, n_r = a_t.shape[-2], a_r.shape[-2]
+    gains = np.sqrt(n_t * n_r / macro.n_rays) * macro.magnitudes * np.exp(1j * phases)
+    rx_gains = a_r * gains[..., None, :]
+    if macro.n_rays * (n_r + n_t) > n_r * n_t:
+        return rx_gains @ a_t.swapaxes(-1, -2)
+    return FactoredChannel(rx_gains=rx_gains, a_t=a_t)
 
 
 def estimate_covariances(
     macro: MacroState,
     n_slots: int,
     rng: np.random.Generator,
-    tx: ArrayGeometry,
-    rx: ArrayGeometry,
-    manifolds: tuple[np.ndarray, np.ndarray] | None = None,
+    a_t: np.ndarray,
+    a_r: np.ndarray,
 ) -> CovariancePair:
     """Estimate downlink/uplink covariances by averaging over fading slots.
 
@@ -278,18 +268,17 @@ def estimate_covariances(
     the L x L gain correlation: uplink B = conj(A_t), K = gram(A_r) o corr;
     downlink B = A_r, K = conj(gram(A_t) o corr). This is algebraically
     identical to accumulating per-slot Gram matrices but independent of the
-    antenna counts. ``manifolds`` are the state's :func:`path_manifolds`,
-    built here when absent.
+    antenna counts. ``a_t`` and ``a_r`` are the state's manifolds, as
+    :func:`extract_partial_csi` returns them.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     n_rays = macro.n_rays
-    scale = np.sqrt(tx.n_elements * rx.n_elements / n_rays / 2.0)
+    scale = np.sqrt(a_t.shape[-2] * a_r.shape[-2] / n_rays / 2.0)
     draws = rng.standard_normal((*macro.aod.shape[:-1], 2, n_slots, n_rays))
     gains = scale * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
     corr = _hermitian(gains) @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
 
-    a_t, a_r = path_manifolds(macro, tx, rx) if manifolds is None else manifolds
     k_ul = (_hermitian(a_r) @ a_r) * corr
     k_dl = ((_hermitian(a_t) @ a_t) * corr).conj()
     return CovariancePair(
@@ -302,14 +291,14 @@ def extract_partial_csi(
     macro: MacroState,
     tx: ArrayGeometry,
     rx: ArrayGeometry,
-    manifolds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact macroscopic CSI: manifold matrices and per-path powers.
 
     Returns (A_t, A_r, powers) with shapes (..., N_t, L), (..., N_r, L),
     (..., L) for a state of shape (..., L); powers are squared gain
-    magnitudes. ``manifolds`` are the state's :func:`path_manifolds`,
-    built here when absent.
+    magnitudes. The manifolds also serve :func:`estimate_covariances` and
+    :func:`realize_channel`.
     """
-    a_t, a_r = path_manifolds(macro, tx, rx) if manifolds is None else manifolds
+    a_t = ula_manifold(tx, macro.aod)
+    a_r = ula_manifold(rx, macro.aoa)
     return a_t, a_r, macro.magnitudes**2

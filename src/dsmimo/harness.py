@@ -25,7 +25,6 @@ from .channel import (
     draw_macroscopic,
     estimate_covariances,
     extract_partial_csi,
-    path_manifolds,
     realize_channel,
 )
 from .inner import bd_mer, effective_channels, met_bd, met_mer, met_mmse, normalize_gamma
@@ -207,8 +206,9 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     covariances or exact path parameters); the rate is then evaluated on a
     fresh phase realization of the same drop, which the inner filters know
     perfectly through the effective channels. The drop's path manifolds
-    are built once for CSI acquisition and the realization. Every stage
-    works on all users at once, stacked on a leading (U, ...) axis.
+    are built once, by ``extract_partial_csi``; CME reads them only to
+    simulate its training slots. Every stage works on all users at once,
+    stacked on a leading (U, ...) axis.
     """
     tx = ArrayGeometry(cfg.n_t)
     rx = ArrayGeometry(cfg.n_r)
@@ -218,27 +218,23 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
 
     macro_rng = _substream(seed, *point_key, _SUBSTREAM_MACRO)
     macro = draw_macroscopic(cfg.scenario, n_users, macro_rng, cfg.sigma_c_deg)
-    manifolds = path_manifolds(macro, tx, rx)
+    a_t, a_r, powers = extract_partial_csi(macro, tx, rx)
 
     outers = None  # one layer: the inner stage works on the full channel
     if cfg.layers == 2 and cfg.outer == "cme":
         slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
-        outers = cme(
-            estimate_covariances(macro, cfg.n_slots, slots_rng, tx, rx, manifolds), cfg.m_t, cfg.m_r
-        )
+        outers = cme(estimate_covariances(macro, cfg.n_slots, slots_rng, a_t, a_r), cfg.m_t, cfg.m_r)
     elif cfg.layers == 2:
-        outers = path_outer_filters(
-            *extract_partial_csi(macro, tx, rx, manifolds), cfg.m_t, cfg.m_r, cfg.outer
-        )
+        outers = path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer)
 
     eval_rng = _substream(seed, *point_key, _SUBSTREAM_EVAL)
     phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
-    channels = realize_channel(macro, phases, tx, rx, manifolds)
-    del manifolds  # A_r is read no more; A_t lives on in the channel's factors
+    channels = realize_channel(macro, phases, a_t, a_r)
+    del a_t, a_r  # what the channel needs of them, it holds
     if outers is None:
         # The 1-layer baseline designs on the dense channels; the 2-layer
-        # path reads them only through products with the factors.
-        channels = channels.dense()
+        # path reads factored ones only through products with filters.
+        channels = np.asarray(channels)
     effset = effective_channels(channels, outers)
 
     if cfg.inner == "met_bd":
@@ -254,7 +250,8 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     f, w = inners.f_i, inners.w_i
     if outers is not None:
         f, w = outers.f_o @ f, outers.w_o @ w
-    return sum_rate(channels, LinkFilters(f=gammas[:, None, None] * f, w=w), cfg.sigma_n2, cfg.n_s)
+    f = gammas[:, None, None] * f  # rebound, so no unscaled copy stays alive
+    return sum_rate(channels, LinkFilters(f=f, w=w), cfg.sigma_n2, cfg.n_s)
 
 
 def run_point(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:

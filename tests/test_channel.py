@@ -5,6 +5,7 @@ import pytest
 
 from dsmimo import (
     ArrayGeometry,
+    FactoredChannel,
     MacroState,
     SCENARIOS,
     draw_macroscopic,
@@ -34,6 +35,11 @@ def _random_macro(rng, n_rays=8, n_clusters=2):
         n_clusters=n_clusters,
         rays_per_cluster=n_rays // n_clusters,
     )
+
+
+def _manifolds(macro, tx, rx):
+    a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
+    return a_t, a_r
 
 
 class TestUlaResponse:
@@ -105,7 +111,7 @@ class TestRealizeChannel:
     def test_single_path_closed_form(self):
         tx = rx = ArrayGeometry(2)
         macro = _single_ray_macro(aod=0.9, aoa=2.1)
-        h = realize_channel(macro, np.zeros(1), tx, rx)
+        h = realize_channel(macro, np.zeros(1), *_manifolds(macro, tx, rx))
         outer = 2.0 * np.outer(ula_response(rx, 2.1), ula_response(tx, 0.9))
         assert np.allclose(h, outer, atol=1e-12)
         assert abs(np.linalg.norm(h) - 2.0) < 1e-12
@@ -116,7 +122,7 @@ class TestRealizeChannel:
         tx = rx = ArrayGeometry(64)
         for seed in range(100):
             macro = _random_macro(np.random.default_rng(seed))
-            h = realize_channel(macro, np.zeros(8), tx, rx)
+            h = realize_channel(macro, np.zeros(8), *_manifolds(macro, tx, rx))
             svals = np.linalg.svd(h, compute_uv=False)
             assert svals[7] > 1e-8 * svals[0]
             assert svals[8] < 1e-8 * svals[0]  # rank never exceeds L
@@ -134,8 +140,8 @@ class TestRealizeChannel:
             rays_per_cluster=4,
         )
         diff = (
-            realize_channel(boosted, phases, tx, rx).dense()
-            - realize_channel(macro, phases, tx, rx).dense()
+            realize_channel(boosted, phases, *_manifolds(boosted, tx, rx)).dense()
+            - realize_channel(macro, phases, *_manifolds(macro, tx, rx)).dense()
         )
         scale = np.sqrt(8 * 8 / 4)
         term = (
@@ -155,15 +161,45 @@ class TestRealizeChannel:
         draws = 10_000
         acc = 0.0
         for _ in range(draws):
-            h = realize_channel(macro, rng.uniform(-np.pi, np.pi, 4), tx, rx)
+            phases = rng.uniform(-np.pi, np.pi, 4)
+            h = realize_channel(macro, phases, *_manifolds(macro, tx, rx))
             acc += np.linalg.norm(h) ** 2
         expected = (8 * 8 / 4) * np.sum(macro.magnitudes**2)
         assert abs(acc / draws - expected) < 0.02 * expected
 
+    @pytest.mark.parametrize("scenario,factored", [("poor", True), ("fair", True), ("rich", False)])
+    def test_factored_while_the_factors_are_no_larger(self, scenario, factored):
+        # At 64 x 64, L (N_r + N_t) <= N_r N_t holds up to L = 32 paths.
+        tx = rx = ArrayGeometry(64)
+        rng = np.random.default_rng(15)
+        macro = draw_macroscopic(scenario, 3, rng)
+        phases = rng.uniform(-np.pi, np.pi, macro.aod.shape)
+        a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
+        h = realize_channel(macro, phases, a_t, a_r)
+        assert isinstance(h, FactoredChannel) is factored
+        assert h.shape == (3, 64, 64)
+        scale = np.sqrt(64 * 64 / macro.n_rays)
+        for u in range(3):
+            terms = [
+                scale * macro.magnitudes[u, l] * np.exp(1j * phases[u, l])
+                * np.outer(ula_response(rx, macro.aoa[u, l]), ula_response(tx, macro.aod[u, l]))
+                for l in range(macro.n_rays)
+            ]
+            assert np.allclose(np.asarray(h)[u], sum(terms), atol=1e-10)
+
+    def test_factored_channel_has_no_array_view(self):
+        array = ArrayGeometry(4)
+        macro = _single_ray_macro(0.9, 2.1)
+        h = realize_channel(macro, np.zeros(1), *_manifolds(macro, array, array))
+        assert np.array_equal(np.asarray(h), h.dense())
+        with pytest.raises(ValueError):
+            np.asarray(h, copy=False)
+
     def test_phase_count_mismatch(self):
         macro = _single_ray_macro(1.0, 1.0)
+        manifolds = _manifolds(macro, ArrayGeometry(2), ArrayGeometry(2))
         with pytest.raises(ValueError):
-            realize_channel(macro, np.zeros(3), ArrayGeometry(2), ArrayGeometry(2))
+            realize_channel(macro, np.zeros(3), *manifolds)
 
 
 class TestEstimateCovariances:
@@ -173,7 +209,8 @@ class TestEstimateCovariances:
         tx, rx = ArrayGeometry(8), ArrayGeometry(6)
         macro = _random_macro(np.random.default_rng(7), n_rays=4, n_clusters=1)
         n_slots = 5
-        pair = estimate_covariances(macro, n_slots, np.random.default_rng(11), tx, rx)
+        rng = np.random.default_rng(11)
+        pair = estimate_covariances(macro, n_slots, rng, *_manifolds(macro, tx, rx))
 
         clone = np.random.default_rng(11)
         scale = np.sqrt(8 * 6 / 4 * 1.0 / 2.0)
@@ -194,7 +231,8 @@ class TestEstimateCovariances:
     def test_single_slot_is_one_gram_matrix(self):
         tx = rx = ArrayGeometry(4)
         macro = _random_macro(np.random.default_rng(8), n_rays=4, n_clusters=1)
-        pair = estimate_covariances(macro, 1, np.random.default_rng(9), tx, rx)
+        rng = np.random.default_rng(9)
+        pair = estimate_covariances(macro, 1, rng, *_manifolds(macro, tx, rx))
         clone = np.random.default_rng(9)
         scale = np.sqrt(4 * 4 / 4 / 2.0)
         gains = scale * (clone.standard_normal((1, 4)) + 1j * clone.standard_normal((1, 4)))
@@ -207,7 +245,7 @@ class TestEstimateCovariances:
         rng = np.random.default_rng(10)
         for seed in range(10):
             macro = _random_macro(np.random.default_rng(seed))
-            pair = estimate_covariances(macro, 13, rng, tx, rx)
+            pair = estimate_covariances(macro, 13, rng, *_manifolds(macro, tx, rx))
             for c in (pair.c_dl, pair.c_ul):
                 assert np.linalg.norm(c - c.conj().T) <= 1e-10 * np.linalg.norm(c)
                 eigs = np.linalg.eigvalsh(c)
@@ -221,14 +259,16 @@ class TestEstimateCovariances:
         # so the top-L eigenvalues carry essentially the whole trace.
         tx = rx = ArrayGeometry(64)
         macro = draw_macroscopic("poor", 1, np.random.default_rng(12))[0]
-        pair = estimate_covariances(macro, 100, np.random.default_rng(13), tx, rx)
+        rng = np.random.default_rng(13)
+        pair = estimate_covariances(macro, 100, rng, *_manifolds(macro, tx, rx))
         eigs = np.sort(np.linalg.eigvalsh(pair.c_ul))[::-1]
         assert eigs[:8].sum() >= 0.99 * eigs.sum()
 
     def test_slot_count_validation(self):
         macro = _single_ray_macro(1.0, 1.0)
+        manifolds = _manifolds(macro, ArrayGeometry(2), ArrayGeometry(2))
         with pytest.raises(ValueError):
-            estimate_covariances(macro, 0, np.random.default_rng(0), ArrayGeometry(2), ArrayGeometry(2))
+            estimate_covariances(macro, 0, np.random.default_rng(0), *manifolds)
 
 
 class TestExtractPartialCsi:

@@ -97,7 +97,8 @@ class TestCme:
     def test_captures_more_energy_than_random_subspaces(self):
         tx = rx = ArrayGeometry(16)
         macro = draw_macroscopic("poor", 1, np.random.default_rng(0))[0]
-        pair = estimate_covariances(macro, 50, np.random.default_rng(1), tx, rx)
+        a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
+        pair = estimate_covariances(macro, 50, np.random.default_rng(1), a_t, a_r)
         filters = cme(pair, m_t=8, m_r=8)
         captured = np.trace(filters.f_o.conj().T @ pair.c_ul @ filters.f_o).real
         rng = np.random.default_rng(2)
@@ -142,7 +143,8 @@ class TestCmeMatchesDenseEigh:
         tx = rx = ArrayGeometry(64)
         for seed in range(3):
             macro = draw_macroscopic(scenario, 1, np.random.default_rng(seed))[0]
-            yield estimate_covariances(macro, 100, np.random.default_rng(100 + seed), tx, rx)
+            a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
+            yield estimate_covariances(macro, 100, np.random.default_rng(100 + seed), a_t, a_r)
 
     @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
     @pytest.mark.parametrize("m", [1, 4, "L"])
