@@ -24,7 +24,7 @@ for scenario, (clusters, n_rays) in SCENARIOS.items():
     macro = draw_macroscopic(scenario, 1, rng)[0]
     phases = rng.uniform(-np.pi, np.pi, macro.n_rays)
     a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
-    h = realize_channel(macro, phases, a_t, a_r).dense()
+    h = np.asarray(realize_channel(macro, phases, a_t, a_r))
     svals = np.linalg.svd(h, compute_uv=False)
     strong = int(np.sum(svals > 0.1 * svals[0]))
     print(

@@ -200,6 +200,13 @@ def draw_macroscopic(
     |CN(0, 1)| draws, i.e. Rayleigh with scale sqrt(1/2), held fixed for the
     whole drop. Users are drawn one after another and stacked: the arrays of
     the returned state are (n_users, L).
+
+    Per user the stream gives, in order, 2 n_clusters uniforms (departure,
+    then arrival means), 2 L standard normals (offsets, same order) and L
+    standard exponentials: ziggurat draws take a variable number of raw
+    outputs per value, so users cannot share a call. The transforms of
+    ``Generator.uniform``, ``normal`` and ``rayleigh`` then run once on all
+    users (low + range u, loc + scale z, mode sqrt(2 e)), bit for bit.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {sorted(SCENARIOS)}")
@@ -207,19 +214,19 @@ def draw_macroscopic(
         raise ValueError("n_users must be >= 1")
     n_clusters, n_rays = SCENARIOS[scenario]
 
-    dep = np.empty((n_users, n_rays))
-    arr = np.empty((n_users, n_rays))
-    magnitudes = np.empty((n_users, n_rays))
+    means = np.empty((n_users, 2, n_clusters))
+    offsets = np.empty((n_users, 2, n_rays))
+    exponentials = np.empty((n_users, n_rays))
     for u in range(n_users):
-        mean_dep = rng.uniform(0.0, 180.0, size=n_clusters)
-        mean_arr = rng.uniform(0.0, 180.0, size=n_clusters)
-        dep[u] = rng.normal(np.repeat(mean_dep, RAYS_PER_CLUSTER), sigma_c_deg)
-        arr[u] = rng.normal(np.repeat(mean_arr, RAYS_PER_CLUSTER), sigma_c_deg)
-        magnitudes[u] = rng.rayleigh(scale=np.sqrt(0.5), size=n_rays)
+        rng.random(out=means[u])
+        rng.standard_normal(out=offsets[u])
+        rng.standard_exponential(out=exponentials[u])
+    angles = np.repeat(180.0 * means, RAYS_PER_CLUSTER, axis=-1) + sigma_c_deg * offsets
+    angles = np.deg2rad(_fold_azimuth_deg(angles))
     return MacroState(
-        aod=np.deg2rad(_fold_azimuth_deg(dep)),
-        aoa=np.deg2rad(_fold_azimuth_deg(arr)),
-        magnitudes=magnitudes,
+        aod=angles[:, 0],
+        aoa=angles[:, 1],
+        magnitudes=np.sqrt(0.5) * np.sqrt(2.0 * exponentials),
         n_clusters=n_clusters,
     )
 
@@ -276,7 +283,10 @@ def estimate_covariances(
     n_rays = macro.n_rays
     scale = np.sqrt(a_t.shape[-2] * a_r.shape[-2] / n_rays / 2.0)
     draws = rng.standard_normal((*macro.aod.shape[:-1], 2, n_slots, n_rays))
-    gains = scale * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    gains = np.empty(draws[..., 0, :, :].shape, dtype=complex)
+    np.multiply(scale, draws[..., 0, :, :], out=gains.real)
+    np.multiply(scale, draws[..., 1, :, :], out=gains.imag)
+    del draws  # only the gains and their conjugate are alive in the Gram product
     corr = _hermitian(gains) @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
 
     k_ul = (_hermitian(a_r) @ a_r) * corr

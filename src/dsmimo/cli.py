@@ -7,6 +7,7 @@ errors, 3 when a runtime error aborts the whole run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -60,9 +61,21 @@ def _resolve_configs(args) -> list:
     return configs
 
 
+def _check_out_path(path: str) -> None:
+    """Fail before any point runs if ``path`` names a directory or lies in a missing one."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"--out {path}: directory {parent} does not exist")
+
+
 def _cmd_run(args) -> int:
     try:
-        records = run_sweep(*_resolve_configs(args), seed=args.seed, workers=args.workers)
+        configs = _resolve_configs(args)
+        if args.out:
+            _check_out_path(args.out)
+        records = run_sweep(*configs, seed=args.seed, workers=args.workers)
         text = emit_csv(records)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dsmimo import (
     ula_manifold,
     ula_response,
 )
+from dsmimo.channel import RAYS_PER_CLUSTER, _fold_azimuth_deg
 
 
 def _single_ray_macro(aod, aoa, magnitude=1.0):
@@ -105,6 +107,40 @@ class TestDrawMacroscopic:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             draw_macroscopic("urban", 1, np.random.default_rng(0))
+
+    @staticmethod
+    def _reference_draw(scenario, n_users, rng, sigma_c_deg):
+        """The per-user loop of five generator calls that the bulk draw replaced."""
+        n_clusters, n_rays = SCENARIOS[scenario]
+        dep = np.empty((n_users, n_rays))
+        arr = np.empty((n_users, n_rays))
+        magnitudes = np.empty((n_users, n_rays))
+        for u in range(n_users):
+            mean_dep = rng.uniform(0.0, 180.0, size=n_clusters)
+            mean_arr = rng.uniform(0.0, 180.0, size=n_clusters)
+            dep[u] = rng.normal(np.repeat(mean_dep, RAYS_PER_CLUSTER), sigma_c_deg)
+            arr[u] = rng.normal(np.repeat(mean_arr, RAYS_PER_CLUSTER), sigma_c_deg)
+            magnitudes[u] = rng.rayleigh(scale=np.sqrt(0.5), size=n_rays)
+        return (
+            np.deg2rad(_fold_azimuth_deg(dep)),
+            np.deg2rad(_fold_azimuth_deg(arr)),
+            magnitudes,
+        )
+
+    @pytest.mark.parametrize("sigma_c_deg", [0.0, 2.5, 5.0])
+    @pytest.mark.parametrize("n_users", [1, 2, 5, 32])
+    @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+    def test_bulk_draw_matches_per_user_generator_calls(self, scenario, n_users, sigma_c_deg):
+        # Equal values and an equal generator state afterwards: the bulk
+        # draw consumes the stream exactly as the per-user calls did.
+        for seed in range(40):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            state = draw_macroscopic(scenario, n_users, rng, sigma_c_deg)
+            aod, aoa, magnitudes = self._reference_draw(scenario, n_users, ref_rng, sigma_c_deg)
+            assert np.array_equal(state.aod, aod)
+            assert np.array_equal(state.aoa, aoa)
+            assert np.array_equal(state.magnitudes, magnitudes)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRealizeChannel:
@@ -263,6 +299,27 @@ class TestEstimateCovariances:
         pair = estimate_covariances(macro, 100, rng, *_manifolds(macro, tx, rx))
         eigs = np.sort(np.linalg.eigvalsh(pair.c_ul))[::-1]
         assert eigs[:8].sum() >= 0.99 * eigs.sum()
+
+    def test_slot_gains_need_no_full_size_temporaries(self):
+        # The slot gains are filled in place from the normal draws, so the
+        # call's heap peak is the draws plus the gains (or the gains plus
+        # their conjugate in the Gram product) and a few (U, L, L) matrices.
+        # 32 users, 8 paths and 100 slots: draws and gains are 410 KB each.
+        n_users, n_slots = 32, 100
+        macro = draw_macroscopic("poor", n_users, np.random.default_rng(1))
+        manifolds = _manifolds(macro, ArrayGeometry(64), ArrayGeometry(64))
+        estimate_covariances(macro, n_slots, np.random.default_rng(2), *manifolds)
+        n_rays = macro.n_rays
+        draws_bytes = n_users * 2 * n_slots * n_rays * np.dtype(float).itemsize
+        gains_bytes = n_users * n_slots * n_rays * np.dtype(complex).itemsize
+        slack = 4 * n_users * n_rays * n_rays * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            estimate_covariances(macro, n_slots, np.random.default_rng(2), *manifolds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < draws_bytes + gains_bytes + slack
 
     def test_slot_count_validation(self):
         macro = _single_ray_macro(1.0, 1.0)

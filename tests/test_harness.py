@@ -326,6 +326,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_shipped_example_config_loads(self):
+        # README points users to this file.
+        cfg = load_config(str(ROOT / "demos" / "snr_sweep.yaml"))
+        assert len(cfg.grid()) == 9
+
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- poor\n- fair\n")
@@ -397,6 +402,15 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         out = tmp_path / "no_dir" / "x.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("target", ["missing_dir/x.csv", "."])
+    def test_unwritable_output_fails_before_any_point_runs(self, monkeypatch, tmp_path, target):
+        calls = []
+        monkeypatch.setattr(harness, "run_point", lambda cfg, seed=None: calls.append(cfg))
+        out = tmp_path / target
+        assert main(["run", "--preset", "outer_poor", "--out", str(out)]) == 3
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_validate_good_and_bad(self, tmp_path):
         cfg = self._write_config(tmp_path)
