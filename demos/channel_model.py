@@ -38,7 +38,7 @@ print("=== statistical CSI: covariance energy concentration ===")
 macro = draw_macroscopic("poor", 1, rng)[0]
 a_t, a_r, powers = extract_partial_csi(macro, tx, rx)
 for n_slots in (1, 10, 100):
-    pair = estimate_covariances(macro, n_slots, rng, a_t, a_r)
+    pair = estimate_covariances(n_slots, rng, a_t, a_r)
     eigs = np.sort(np.linalg.eigvalsh(pair.c_ul))[::-1]
     captured = eigs[:8].sum() / eigs.sum()
     print(

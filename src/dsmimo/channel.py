@@ -38,31 +38,22 @@ class MacroState:
     """Macroscopic channel state of one link or of every user: ray angles and magnitudes.
 
     Phases are deliberately absent; they are redrawn per realization.
-    Shapes: ``aod``, ``aoa`` and ``magnitudes`` are all (..., L) with
-    L = n_clusters * rays_per_cluster; a drop of U users stacks them as
-    (U, L), and ``state[u]`` is user u's own state.
+    Shapes: ``aod``, ``aoa`` and ``magnitudes`` are all (..., L); a drop of
+    U users stacks them as (U, L), and ``state[u]`` is user u's own state.
     """
 
     aod: np.ndarray
     aoa: np.ndarray
     magnitudes: np.ndarray
-    n_clusters: int
-    rays_per_cluster: int = RAYS_PER_CLUSTER
 
     def __post_init__(self):
         for name in ("aod", "aoa", "magnitudes"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        expected = self.n_clusters * self.rays_per_cluster
-        if not (
-            self.aod.shape == self.aoa.shape == self.magnitudes.shape
-            and self.aod.shape[-1:] == (expected,)
-        ):
-            raise ValueError(
-                f"expected {expected} rays, got shapes "
-                f"{self.aod.shape}/{self.aoa.shape}/{self.magnitudes.shape}"
-            )
+        if not self.aod.shape == self.aoa.shape == self.magnitudes.shape:
+            shapes = (self.aod.shape, self.aoa.shape, self.magnitudes.shape)
+            raise ValueError(f"aod, aoa and magnitudes need equal shapes, got {shapes}")
         if np.any(self.magnitudes < 0):
             raise ValueError("ray magnitudes must be nonnegative")
 
@@ -71,10 +62,7 @@ class MacroState:
         return self.aod.shape[-1]
 
     def __getitem__(self, user) -> "MacroState":
-        return MacroState(
-            aod=self.aod[user], aoa=self.aoa[user], magnitudes=self.magnitudes[user],
-            n_clusters=self.n_clusters, rays_per_cluster=self.rays_per_cluster,
-        )
+        return MacroState(aod=self.aod[user], aoa=self.aoa[user], magnitudes=self.magnitudes[user])
 
 
 @dataclass(frozen=True)
@@ -144,8 +132,14 @@ def _cross_user_products(
     :class:`FactoredChannel`, and precoders (U, N_t, b), as one product of
     the stacked combined channels (U a, N_t) with the stacked precoders
     (N_t, U b); the result is (U, a, U, b). A factored channel is combined
-    as (W_u^H A_r,u D_u) A_t,u^T, so no N_r x N_t matrix is formed.
+    as (W_u^H A_r,u D_u) A_t,u^T, so no N_r x N_t matrix is formed. Channels
+    given as a list of matrices are stacked; all three must have U users.
     """
+    if not isinstance(channels, FactoredChannel):
+        channels = np.asarray(channels)
+    # Checked first: matmul would broadcast a stack of one user to all of them.
+    if not w.shape[0] == channels.shape[0] == f.shape[0]:
+        raise ValueError("combiners, channels and precoders must describe the same user set")
     n_users, n_t, b = f.shape
     if isinstance(channels, FactoredChannel):
         combined = (_hermitian(w) @ channels.rx_gains) @ channels.a_t.swapaxes(-1, -2)
@@ -227,7 +221,6 @@ def draw_macroscopic(
         aod=angles[:, 0],
         aoa=angles[:, 1],
         magnitudes=np.sqrt(0.5) * np.sqrt(2.0 * exponentials),
-        n_clusters=n_clusters,
     )
 
 
@@ -257,32 +250,28 @@ def realize_channel(
 
 
 def estimate_covariances(
-    macro: MacroState,
-    n_slots: int,
-    rng: np.random.Generator,
-    a_t: np.ndarray,
-    a_r: np.ndarray,
+    n_slots: int, rng: np.random.Generator, a_t: np.ndarray, a_r: np.ndarray
 ) -> CovariancePair:
     """Estimate downlink/uplink covariances by averaging over fading slots.
 
     Each slot redraws the L complex path gains as CN(0, 1) while the ray
     angles stay fixed. Gains are consumed from ``rng`` as standard normals
-    of shape (..., 2, n_slots, L) for a state of shape (..., L): per user a
-    real and an imaginary block. So the estimate carries the drop's angular
-    structure but only the ensemble path power. This keeps statistical CSI
-    coarser than partial CSI, which knows the drop's realized per-path
-    powers. The slot average of H H^H and H^H H is kept in factored form on
-    the L x L gain correlation: uplink B = conj(A_t), K = gram(A_r) o corr;
-    downlink B = A_r, K = conj(gram(A_t) o corr). This is algebraically
-    identical to accumulating per-slot Gram matrices but independent of the
-    antenna counts. ``a_t`` and ``a_r`` are the state's manifolds, as
-    :func:`extract_partial_csi` returns them.
+    of shape (..., 2, n_slots, L) for manifolds of shape (..., N, L): per
+    user a real and an imaginary block. So the estimate carries the drop's
+    angular structure but only the ensemble path power. This keeps
+    statistical CSI coarser than partial CSI, which knows the drop's
+    realized per-path powers. The slot average of H H^H and H^H H is kept
+    in factored form on the L x L gain correlation: uplink B = conj(A_t),
+    K = gram(A_r) o corr; downlink B = A_r, K = conj(gram(A_t) o corr).
+    This is algebraically identical to accumulating per-slot Gram matrices
+    but independent of the antenna counts. The drop's manifolds ``a_t`` and
+    ``a_r``, as :func:`extract_partial_csi` returns them, alone size the draw.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    n_rays = macro.n_rays
-    scale = np.sqrt(a_t.shape[-2] * a_r.shape[-2] / n_rays / 2.0)
-    draws = rng.standard_normal((*macro.aod.shape[:-1], 2, n_slots, n_rays))
+    *users, n_t, n_rays = a_t.shape
+    scale = np.sqrt(n_t * a_r.shape[-2] / n_rays / 2.0)
+    draws = rng.standard_normal((*users, 2, n_slots, n_rays))
     gains = np.empty(draws[..., 0, :, :].shape, dtype=complex)
     np.multiply(scale, draws[..., 0, :, :], out=gains.real)
     np.multiply(scale, draws[..., 1, :, :], out=gains.imag)

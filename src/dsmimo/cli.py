@@ -46,18 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_configs(args) -> list:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("run needs exactly one of --config or --preset")
-    if args.config:
-        configs = [load_config(args.config)]
-    else:
-        configs = preset_configs(args.preset)
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
+    configs = [load_config(args.config)] if args.config else preset_configs(args.preset)
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        configs = [replace(c, n_trials=args.trials) for c in configs]
+    overrides = {k: v for k, v in (("seed", args.seed), ("n_trials", args.trials)) if v is not None}
+    configs = [replace(c, **overrides) for c in configs]
+    for cfg in configs:
+        cfg.validate()
     return configs
 
 
@@ -75,7 +70,7 @@ def _cmd_run(args) -> int:
         configs = _resolve_configs(args)
         if args.out:
             _check_out_path(args.out)
-        records = run_sweep(*configs, seed=args.seed, workers=args.workers)
+        records = run_sweep(*configs, workers=args.workers)
         text = emit_csv(records)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -223,7 +223,7 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     outers = None  # one layer: the inner stage works on the full channel
     if cfg.layers == 2 and cfg.outer == "cme":
         slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
-        outers = cme(estimate_covariances(macro, cfg.n_slots, slots_rng, a_t, a_r), cfg.m_t, cfg.m_r)
+        outers = cme(estimate_covariances(cfg.n_slots, slots_rng, a_t, a_r), cfg.m_t, cfg.m_r)
     elif cfg.layers == 2:
         outers = path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer)
 
@@ -347,7 +347,8 @@ def load_config(path: str) -> ExperimentConfig:
 # grids together cover one figure of the simulation campaign.
 # ---------------------------------------------------------------------------
 
-_SNR_GRID = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+_USER_GRID = tuple(range(2, 65, 2))
 
 
 def _outer_comparison(scenario: str) -> list[ExperimentConfig]:
@@ -366,21 +367,14 @@ def _outer_comparison(scenario: str) -> list[ExperimentConfig]:
     ]
 
 
-def _snr_sweep(n_users: int) -> list[ExperimentConfig]:
+def _inner_comparison(
+    scenario: str, m: int, n_users=_USER_GRID, snr_db=20.0
+) -> list[ExperimentConfig]:
+    # The four inner schemes behind the same CME outer layer, N_s = 1.
     return [
         ExperimentConfig(
-            scenario="poor", m_t=4, m_r=4, n_s=1, n_users=n_users,
-            snr_db=list(_SNR_GRID), outer="cme", inner=method,
-        )
-        for method in INNER_METHODS
-    ]
-
-
-def _congestion_sweep(scenario: str, m: int) -> list[ExperimentConfig]:
-    return [
-        ExperimentConfig(
-            scenario=scenario, m_t=m, m_r=m, n_s=1,
-            n_users=list(range(2, 65, 2)), snr_db=20.0, outer="cme", inner=method,
+            scenario=scenario, m_t=m, m_r=m, n_s=1, n_users=n_users,
+            snr_db=snr_db, outer="cme", inner=method,
         )
         for method in INNER_METHODS
     ]
@@ -408,11 +402,15 @@ PRESETS: dict[str, tuple[str, list[ExperimentConfig]]] = {
     "outer_poor": ("outer methods, poor scattering, U=1, N_s/L sweep", _outer_comparison("poor")),
     "outer_fair": ("outer methods, fair scattering, U=1, N_s/L sweep", _outer_comparison("fair")),
     "outer_rich": ("outer methods, rich scattering, U=1, N_s/L sweep", _outer_comparison("rich")),
-    "snr_poor_4users": ("inner methods vs SNR, poor, U=4, M=4, N_s=1", _snr_sweep(4)),
-    "snr_poor_32users": ("inner methods vs SNR, poor, U=32, M=4, N_s=1", _snr_sweep(32)),
-    "inner_poor": ("inner methods vs U, poor, M=4, 20 dB", _congestion_sweep("poor", 4)),
-    "inner_fair": ("inner methods vs U, fair, M=16, 20 dB", _congestion_sweep("fair", 16)),
-    "inner_rich": ("inner methods vs U, rich, M=32, 20 dB", _congestion_sweep("rich", 32)),
+    "snr_poor_4users": (
+        "inner methods vs SNR, poor, U=4, M=4, N_s=1", _inner_comparison("poor", 4, 4, _SNR_GRID)
+    ),
+    "snr_poor_32users": (
+        "inner methods vs SNR, poor, U=32, M=4, N_s=1", _inner_comparison("poor", 4, 32, _SNR_GRID)
+    ),
+    "inner_poor": ("inner methods vs U, poor, M=4, 20 dB", _inner_comparison("poor", 4)),
+    "inner_fair": ("inner methods vs U, fair, M=16, 20 dB", _inner_comparison("fair", 16)),
+    "inner_rich": ("inner methods vs U, rich, M=32, 20 dB", _inner_comparison("rich", 32)),
     "bench_met_mer": ("1-layer vs 2-layer, MET-MER, poor, U=2, M=4", _benchmark("met_mer")),
     "bench_met_bd": ("1-layer vs 2-layer, MET-BD, poor, U=2, M=4", _benchmark("met_bd")),
     "bench_met_mmse": ("1-layer vs 2-layer, MET-MMSE, poor, U=2, M=4", _benchmark("met_mmse")),

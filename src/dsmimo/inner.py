@@ -105,10 +105,9 @@ def effective_channels(
     layer) every precoder sees the full channel: h_eff[u, j] = H_u, and the
     noise stays white.
     """
-    if outers is None or not isinstance(channels, FactoredChannel):
-        channels = np.asarray(channels)
-    n_users, n_r, n_t = channels.shape
     if outers is None:
+        channels = np.asarray(channels)
+        n_users, n_r, n_t = channels.shape
         return EffectiveChannelSet(
             h_eff=np.broadcast_to(channels[:, None], (n_users, n_users, n_r, n_t)),
             w_o_gram=np.broadcast_to(np.eye(n_r), (n_users, n_r, n_r)),
@@ -118,8 +117,6 @@ def effective_channels(
             f_o=np.array([o.f_o for o in outers]), w_o=np.array([o.w_o for o in outers]),
             method="per-user",
         )
-    if outers.f_o.shape[0] != n_users or outers.w_o.shape[0] != n_users:
-        raise ValueError("one outer filter pair per channel is required")
     w_o_gram = _hermitian(outers.w_o) @ outers.w_o
     h_eff = _cross_user_products(outers.w_o, channels, outers.f_o).transpose(0, 2, 1, 3)
     return EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram)

@@ -77,15 +77,10 @@ def sum_rate(
     factored, every user's combined channel in one product with the stacked
     precoders.
     """
-    if not isinstance(channels, FactoredChannel):
-        channels = np.asarray(channels)
     f = np.asarray(filters.f)
     w = np.asarray(filters.w)
-    n_users = channels.shape[0]
-    if not (f.shape[0] == w.shape[0] == n_users):
-        raise ValueError("channels and filters must describe the same user set")
-
     received = _cross_user_products(_combiner_basis(w), channels, f) / np.sqrt(n_s)
+    n_users = f.shape[0]
     blocks = received.reshape(n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
     users = np.arange(n_users)
     signal = received[users, :, users, :]

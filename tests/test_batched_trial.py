@@ -86,7 +86,6 @@ def _draw_macroscopic(scenario, n_users, rng, sigma_c_deg):
                 aod=np.deg2rad(_fold_azimuth_deg(dep)),
                 aoa=np.deg2rad(_fold_azimuth_deg(arr)),
                 magnitudes=magnitudes,
-                n_clusters=n_clusters,
             )
         )
     return states
@@ -437,7 +436,7 @@ def test_factored_products_match_dense(scenario, n_users):
     )
     dense = [_realize_channel(macro[u], phases[u], tx, rx) for u in range(n_users)]
     a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
-    outers = cme(estimate_covariances(macro, 20, rng, a_t, a_r), 8, 8)
+    outers = cme(estimate_covariances(20, rng, a_t, a_r), 8, 8)
     per_user = [OuterFilters(f_o=outers.f_o[u], w_o=outers.w_o[u], method="cme")
                 for u in range(n_users)]
 
@@ -456,3 +455,23 @@ def test_factored_products_match_dense(scenario, n_users):
         sum_rate(np.array(dense), LinkFilters(f=f, w=w), 1e-2, n_s), rel=1e-12, abs=0.0
     )
 
+
+
+@pytest.mark.parametrize("form", ["dense", "factored", "list"])
+@pytest.mark.parametrize("n_h, n_w, n_f", [(1, 2, 2), (1, 1, 2), (2, 2, 1), (3, 2, 2)])
+def test_user_count_mismatch_is_rejected(form, n_h, n_w, n_f):
+    # n_h channels, n_w combiners, n_f precoders. Matmul broadcasts a stack
+    # of one user against any number of filters, so the first three cases
+    # would otherwise return effective channels without complaint.
+    rng = np.random.default_rng(n_h + 3 * n_w + 9 * n_f)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    factored = FactoredChannel(rx_gains=cplx(n_h, 6, 3), a_t=cplx(n_h, 5, 3))
+    channels = {"dense": factored.dense(), "factored": factored, "list": list(factored.dense())}
+    w, f = cplx(n_w, 6, 2), cplx(n_f, 5, 2)
+    with pytest.raises(ValueError):
+        effective_channels(channels[form], OuterFilters(f_o=f, w_o=w, method="test"))
+    with pytest.raises(ValueError):
+        sum_rate(channels[form], LinkFilters(f=f, w=w), 1e-2, 2)

@@ -1,5 +1,6 @@
 import cmath
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,18 +25,14 @@ def _single_ray_macro(aod, aoa, magnitude=1.0):
         aod=np.array([aod]),
         aoa=np.array([aoa]),
         magnitudes=np.array([magnitude]),
-        n_clusters=1,
-        rays_per_cluster=1,
     )
 
 
-def _random_macro(rng, n_rays=8, n_clusters=2):
+def _random_macro(rng, n_rays=8):
     return MacroState(
         aod=rng.uniform(0.05, np.pi - 0.05, n_rays),
         aoa=rng.uniform(0.05, np.pi - 0.05, n_rays),
         magnitudes=rng.rayleigh(scale=np.sqrt(0.5), size=n_rays),
-        n_clusters=n_clusters,
-        rays_per_cluster=n_rays // n_clusters,
     )
 
 
@@ -80,18 +77,18 @@ class TestDrawMacroscopic:
     @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
     def test_scenario_sizes(self, scenario):
         clusters, rays = SCENARIOS[scenario]
+        assert rays == clusters * RAYS_PER_CLUSTER
         states = draw_macroscopic(scenario, 3, np.random.default_rng(1))
         assert states.aod.shape == (3, rays)
         for state in states:
             assert state.n_rays == rays
-            assert state.n_clusters == clusters
             assert np.all(state.magnitudes >= 0)
             assert np.all((state.aod >= 0) & (state.aod <= np.pi))
             assert np.all((state.aoa >= 0) & (state.aoa <= np.pi))
 
     def test_zero_spread_collapses_clusters(self):
         state = draw_macroscopic("poor", 1, np.random.default_rng(2), sigma_c_deg=0.0)[0]
-        for c in range(state.n_clusters):
+        for c in range(SCENARIOS["poor"][0]):
             block = slice(4 * c, 4 * (c + 1))
             assert np.ptp(state.aod[block]) == 0.0
             assert np.ptp(state.aoa[block]) == 0.0
@@ -166,14 +163,12 @@ class TestRealizeChannel:
     def test_linearity_in_single_ray_gain(self):
         tx = rx = ArrayGeometry(8)
         rng = np.random.default_rng(5)
-        macro = _random_macro(rng, n_rays=4, n_clusters=1)
+        macro = _random_macro(rng, n_rays=4)
         phases = rng.uniform(-np.pi, np.pi, 4)
         boosted = MacroState(
             aod=macro.aod,
             aoa=macro.aoa,
             magnitudes=macro.magnitudes * np.array([3.0, 1.0, 1.0, 1.0]),
-            n_clusters=1,
-            rays_per_cluster=4,
         )
         diff = (
             realize_channel(boosted, phases, *_manifolds(boosted, tx, rx)).dense()
@@ -193,7 +188,7 @@ class TestRealizeChannel:
         # cross terms vanish in expectation.
         tx = rx = ArrayGeometry(8)
         rng = np.random.default_rng(6)
-        macro = _random_macro(rng, n_rays=4, n_clusters=1)
+        macro = _random_macro(rng, n_rays=4)
         draws = 10_000
         acc = 0.0
         for _ in range(draws):
@@ -243,10 +238,10 @@ class TestEstimateCovariances:
         # Recompute the per-slot gains from a cloned generator and accumulate
         # the Gram matrices explicitly.
         tx, rx = ArrayGeometry(8), ArrayGeometry(6)
-        macro = _random_macro(np.random.default_rng(7), n_rays=4, n_clusters=1)
+        macro = _random_macro(np.random.default_rng(7), n_rays=4)
         n_slots = 5
         rng = np.random.default_rng(11)
-        pair = estimate_covariances(macro, n_slots, rng, *_manifolds(macro, tx, rx))
+        pair = estimate_covariances(n_slots, rng, *_manifolds(macro, tx, rx))
 
         clone = np.random.default_rng(11)
         scale = np.sqrt(8 * 6 / 4 * 1.0 / 2.0)
@@ -266,9 +261,9 @@ class TestEstimateCovariances:
 
     def test_single_slot_is_one_gram_matrix(self):
         tx = rx = ArrayGeometry(4)
-        macro = _random_macro(np.random.default_rng(8), n_rays=4, n_clusters=1)
+        macro = _random_macro(np.random.default_rng(8), n_rays=4)
         rng = np.random.default_rng(9)
-        pair = estimate_covariances(macro, 1, rng, *_manifolds(macro, tx, rx))
+        pair = estimate_covariances(1, rng, *_manifolds(macro, tx, rx))
         clone = np.random.default_rng(9)
         scale = np.sqrt(4 * 4 / 4 / 2.0)
         gains = scale * (clone.standard_normal((1, 4)) + 1j * clone.standard_normal((1, 4)))
@@ -281,7 +276,7 @@ class TestEstimateCovariances:
         rng = np.random.default_rng(10)
         for seed in range(10):
             macro = _random_macro(np.random.default_rng(seed))
-            pair = estimate_covariances(macro, 13, rng, *_manifolds(macro, tx, rx))
+            pair = estimate_covariances(13, rng, *_manifolds(macro, tx, rx))
             for c in (pair.c_dl, pair.c_ul):
                 assert np.linalg.norm(c - c.conj().T) <= 1e-10 * np.linalg.norm(c)
                 eigs = np.linalg.eigvalsh(c)
@@ -296,7 +291,7 @@ class TestEstimateCovariances:
         tx = rx = ArrayGeometry(64)
         macro = draw_macroscopic("poor", 1, np.random.default_rng(12))[0]
         rng = np.random.default_rng(13)
-        pair = estimate_covariances(macro, 100, rng, *_manifolds(macro, tx, rx))
+        pair = estimate_covariances(100, rng, *_manifolds(macro, tx, rx))
         eigs = np.sort(np.linalg.eigvalsh(pair.c_ul))[::-1]
         assert eigs[:8].sum() >= 0.99 * eigs.sum()
 
@@ -308,24 +303,43 @@ class TestEstimateCovariances:
         n_users, n_slots = 32, 100
         macro = draw_macroscopic("poor", n_users, np.random.default_rng(1))
         manifolds = _manifolds(macro, ArrayGeometry(64), ArrayGeometry(64))
-        estimate_covariances(macro, n_slots, np.random.default_rng(2), *manifolds)
+        estimate_covariances(n_slots, np.random.default_rng(2), *manifolds)
         n_rays = macro.n_rays
         draws_bytes = n_users * 2 * n_slots * n_rays * np.dtype(float).itemsize
         gains_bytes = n_users * n_slots * n_rays * np.dtype(complex).itemsize
         slack = 4 * n_users * n_rays * n_rays * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
-            estimate_covariances(macro, n_slots, np.random.default_rng(2), *manifolds)
+            estimate_covariances(n_slots, np.random.default_rng(2), *manifolds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < draws_bytes + gains_bytes + slack
 
+    def test_draw_is_sized_by_the_manifolds(self):
+        # Three users' manifolds take three users' slot gains, whatever state
+        # they came from; each user's pair equals a one-user estimate on its
+        # own block of the draws.
+        tx, rx = ArrayGeometry(8), ArrayGeometry(6)
+        macro = draw_macroscopic("poor", 3, np.random.default_rng(15))
+        a_t, a_r = _manifolds(macro, tx, rx)
+        n_slots = 7
+        rng, clone = np.random.default_rng(16), np.random.default_rng(16)
+        pair = estimate_covariances(n_slots, rng, a_t, a_r)
+        draws = clone.standard_normal((3, 2, n_slots, macro.n_rays))
+        assert rng.bit_generator.state == clone.bit_generator.state
+        assert pair.k_ul.shape == pair.k_dl.shape == (3, macro.n_rays, macro.n_rays)
+        for u in range(3):
+            replay = SimpleNamespace(standard_normal=lambda shape, block=draws[u]: block)
+            one = estimate_covariances(n_slots, replay, a_t[u], a_r[u])
+            for got, want in ((pair.k_ul[u], one.k_ul), (pair.k_dl[u], one.k_dl)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
     def test_slot_count_validation(self):
         macro = _single_ray_macro(1.0, 1.0)
         manifolds = _manifolds(macro, ArrayGeometry(2), ArrayGeometry(2))
         with pytest.raises(ValueError):
-            estimate_covariances(macro, 0, np.random.default_rng(0), *manifolds)
+            estimate_covariances(0, np.random.default_rng(0), *manifolds)
 
 
 class TestExtractPartialCsi:
@@ -351,8 +365,6 @@ class TestExtractPartialCsi:
             aod=np.array([0.5, 1.0]),
             aoa=np.array([0.4, 2.0]),
             magnitudes=np.array([1.5, 1.5]),
-            n_clusters=1,
-            rays_per_cluster=2,
         )
         _, _, powers = extract_partial_csi(macro, ArrayGeometry(4), ArrayGeometry(4))
         assert np.ptp(powers) == 0.0
@@ -362,8 +374,6 @@ class TestExtractPartialCsi:
             aod=np.array([0.9, 0.9]),
             aoa=np.array([1.2, 2.2]),
             magnitudes=np.array([1.0, 0.5]),
-            n_clusters=1,
-            rays_per_cluster=2,
         )
         a_t, _, _ = extract_partial_csi(macro, ArrayGeometry(8), ArrayGeometry(8))
         assert np.array_equal(a_t[:, 0], a_t[:, 1])
@@ -371,14 +381,15 @@ class TestExtractPartialCsi:
 
 class TestMacroStateInvariants:
     def test_ray_count_consistency(self):
-        with pytest.raises(ValueError):
-            MacroState(
-                aod=np.zeros(3),
-                aoa=np.zeros(3),
-                magnitudes=np.ones(3),
-                n_clusters=1,
-                rays_per_cluster=4,
-            )
+        # The arrays alone give the ray count, so they must agree on it and
+        # on the user axis.
+        for aoa, magnitudes in [
+            (np.zeros(4), np.ones(3)),
+            (np.zeros(3), np.ones(4)),
+            (np.zeros((2, 3)), np.ones((2, 3))),
+        ]:
+            with pytest.raises(ValueError, match="equal shapes"):
+                MacroState(aod=np.zeros(3), aoa=aoa, magnitudes=magnitudes)
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
@@ -386,8 +397,6 @@ class TestMacroStateInvariants:
                 aod=np.zeros(1),
                 aoa=np.zeros(1),
                 magnitudes=np.array([-1.0]),
-                n_clusters=1,
-                rays_per_cluster=1,
             )
 
     def test_arrays_are_read_only(self):

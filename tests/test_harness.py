@@ -412,6 +412,26 @@ class TestCli:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["x.csv", "missing_dir/x.csv"])
+    @pytest.mark.parametrize("override", [["--trials", "0"], ["--seed", "-1"]])
+    def test_invalid_override_fails_before_any_point_runs(
+        self, monkeypatch, tmp_path, override, target
+    ):
+        # A config error wins over an unwritable --out, as for a bad config file.
+        calls = []
+        monkeypatch.setattr(harness, "run_point", lambda cfg, seed=None: calls.append(cfg))
+        out = tmp_path / target
+        assert main(["run", "--preset", "outer_poor", *override, "--out", str(out)]) == 2
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_override_replaces_the_config_seed(self, tmp_path):
+        cfg = self._write_config(tmp_path)  # seed: 4
+        out = tmp_path / "s.csv"
+        assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == emit_csv(run_sweep(load_config(str(cfg)), seed=7)).encode()
+        assert out.read_bytes() != emit_csv(run_sweep(load_config(str(cfg)))).encode()
+
     def test_validate_good_and_bad(self, tmp_path):
         cfg = self._write_config(tmp_path)
         assert main(["validate", "--config", str(cfg)]) == 0

@@ -98,7 +98,7 @@ class TestCme:
         tx = rx = ArrayGeometry(16)
         macro = draw_macroscopic("poor", 1, np.random.default_rng(0))[0]
         a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
-        pair = estimate_covariances(macro, 50, np.random.default_rng(1), a_t, a_r)
+        pair = estimate_covariances(50, np.random.default_rng(1), a_t, a_r)
         filters = cme(pair, m_t=8, m_r=8)
         captured = np.trace(filters.f_o.conj().T @ pair.c_ul @ filters.f_o).real
         rng = np.random.default_rng(2)
@@ -144,7 +144,7 @@ class TestCmeMatchesDenseEigh:
         for seed in range(3):
             macro = draw_macroscopic(scenario, 1, np.random.default_rng(seed))[0]
             a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
-            yield estimate_covariances(macro, 100, np.random.default_rng(100 + seed), a_t, a_r)
+            yield estimate_covariances(100, np.random.default_rng(100 + seed), a_t, a_r)
 
     @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
     @pytest.mark.parametrize("m", [1, 4, "L"])
