@@ -133,10 +133,13 @@ def _cross_user_products(
     the stacked combined channels (U a, N_t) with the stacked precoders
     (N_t, U b); the result is (U, a, U, b). A factored channel is combined
     as (W_u^H A_r,u D_u) A_t,u^T, so no N_r x N_t matrix is formed. Channels
-    given as a list of matrices are stacked; all three must have U users.
+    given as a list of matrices are stacked; all three must be U-user stacks.
     """
     if not isinstance(channels, FactoredChannel):
         channels = np.asarray(channels)
+    shapes = (w.shape, channels.shape, f.shape)
+    if any(len(shape) != 3 for shape in shapes):
+        raise ValueError(f"expected (U, ...) stacks or per-user lists of matrices, got {shapes}")
     # Checked first: matmul would broadcast a stack of one user to all of them.
     if not w.shape[0] == channels.shape[0] == f.shape[0]:
         raise ValueError("combiners, channels and precoders must describe the same user set")
@@ -238,6 +241,10 @@ def realize_channel(
     factors hold no more entries than H, L (N_r + N_t) <= N_r N_t, and as
     the dense matrices otherwise (rich scattering on small arrays).
     """
+    if not a_t.shape[:-2] == a_r.shape[:-2] == macro.aod.shape[:-1]:
+        raise ValueError(
+            f"manifolds {a_t.shape}, {a_r.shape} do not match a state of {macro.aod.shape}"
+        )
     phases = np.asarray(phases, dtype=float)
     if phases.shape != macro.aod.shape:
         raise ValueError(f"expected phases of shape {macro.aod.shape}, got {phases.shape}")
@@ -269,6 +276,8 @@ def estimate_covariances(
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
+    if a_t.shape[:-2] != a_r.shape[:-2]:
+        raise ValueError(f"manifolds {a_t.shape} and {a_r.shape} have different user axes")
     *users, n_t, n_rays = a_t.shape
     scale = np.sqrt(n_t * a_r.shape[-2] / n_rays / 2.0)
     draws = rng.standard_normal((*users, 2, n_slots, n_rays))

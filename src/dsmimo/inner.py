@@ -107,6 +107,8 @@ def effective_channels(
     """
     if outers is None:
         channels = np.asarray(channels)
+        if channels.ndim != 3:
+            raise ValueError(f"expected a (U, N_r, N_t) stack or per-user list, got {channels.shape}")
         n_users, n_r, n_t = channels.shape
         return EffectiveChannelSet(
             h_eff=np.broadcast_to(channels[:, None], (n_users, n_users, n_r, n_t)),
@@ -123,11 +125,18 @@ def effective_channels(
 
 
 def _null_projector(matrix: np.ndarray, side: str) -> np.ndarray:
-    """Orthogonal projector onto null(matrix^H) ('left') or null(matrix) ('right')."""
+    """Projectors onto null(matrix^H) ('left') or null(matrix) ('right'), per matrix of a stack."""
     u, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    rank = int(np.count_nonzero(s > _RANK_RTOL * s[0])) if s.size else 0
-    basis = u[:, rank:] if side == "left" else vh[rank:].conj().T
-    return basis @ basis.conj().T
+    basis = u if side == "left" else _hermitian(vh)
+    # Zero each matrix's range directions, the leading singular vectors of its own rank.
+    basis[..., : s.shape[-1]] *= (s <= _RANK_RTOL * s[..., :1])[..., None, :]
+    return basis @ _hermitian(basis)
+
+
+def _other_users(blocks: np.ndarray) -> np.ndarray:
+    """blocks[u, j] for all j != u, ascending, stacked per u: (U, U, a, b) -> (U, (U - 1) a, b)."""
+    n_users, _, a, b = blocks.shape
+    return blocks[~np.eye(n_users, dtype=bool)].reshape(n_users, (n_users - 1) * a, b)
 
 
 def met_mer(h_eff_u: np.ndarray, n_s: int) -> InnerFilters:
@@ -151,14 +160,9 @@ def met_bd(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
             f"BD reception needs U*N_s <= M_r, got {n_users}*{n_s} > {m_r}"
         )
     svd = truncated_svd(effset.serving, n_s)
-    if n_users == 1:
-        return InnerFilters(f_i=svd.v_s, w_i=svd.u_s)
     steered = effset.h_eff @ svd.v_s  # [u, j] = h_eff[u, j] @ v_j
-    w_i = np.empty(svd.u_s.shape, dtype=complex)
-    for u in range(n_users):
-        interference = np.concatenate([steered[u, j] for j in range(n_users) if j != u], axis=1)
-        w_i[u] = _null_projector(interference, side="left") @ svd.u_s[u]
-    return InnerFilters(f_i=svd.v_s, w_i=w_i)
+    interference = _other_users(steered.swapaxes(-1, -2)).swapaxes(-1, -2)  # side by side
+    return InnerFilters(f_i=svd.v_s, w_i=_null_projector(interference, "left") @ svd.u_s)
 
 
 def bd_mer(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
@@ -175,14 +179,9 @@ def bd_mer(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
             f"BD transmission needs U*N_s <= M_t, got {n_users}*{n_s} > {m_t}"
         )
     svd = truncated_svd(effset.serving, n_s)
-    if n_users == 1:
-        return InnerFilters(f_i=svd.v_s, w_i=svd.u_s)
     received = _hermitian(svd.u_s)[:, None] @ effset.h_eff  # [j, u] = u_j^H h_eff[j, u]
-    f_i = np.empty(svd.v_s.shape, dtype=complex)
-    for u in range(n_users):
-        interference = np.concatenate([received[j, u] for j in range(n_users) if j != u], axis=0)
-        f_i[u] = _null_projector(interference, side="right") @ svd.v_s[u]
-    return InnerFilters(f_i=f_i, w_i=svd.u_s)
+    interference = _other_users(received.swapaxes(0, 1))  # [u] = received[j != u, u] stacked
+    return InnerFilters(f_i=_null_projector(interference, "right") @ svd.v_s, w_i=svd.u_s)
 
 
 def met_mmse(

@@ -4,8 +4,10 @@ Everything below ``# Per-user reference`` is the per-user pipeline that
 ``run_trial`` ran before every stage was batched over users: one user at a
 time through covariance estimation, CME, channel realization, effective
 channels, inner design, normalization and rate. It is kept here only as
-the oracle. Path selection (``pps``/``sps``) and ``_null_projector`` are
-per-user in the library itself and are imported unchanged.
+the oracle. Path selection (``pps``/``sps``) is per-user in the library
+itself and is imported unchanged; the block-diagonalizing schemes use the
+per-matrix null-space projector below, which slices each null-space basis
+to its rank, not the library's stacked one.
 
 The oracle realizes each user's channel densely, H_u = (A_r D) A_t^T, while
 the library's 2-layer path keeps that factor pair whenever it is no larger
@@ -57,7 +59,7 @@ from dsmimo.harness import (
     _SUBSTREAM_SLOTS,
     _substream,
 )
-from dsmimo.inner import _GAMMA_RTOL, _MMSE_MAX_CONDITION, _null_projector
+from dsmimo.inner import _GAMMA_RTOL, _MMSE_MAX_CONDITION, _RANK_RTOL
 from dsmimo.outer import _HERMITIAN_RTOL
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,13 @@ def _effective_channels(channels, outers):
         h_eff[u] = (compressed @ f_stack).reshape(m_r, n_users, m_t).transpose(1, 0, 2)
         w_o_gram[u] = outers[u].w_o.conj().T @ outers[u].w_o
     return EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram)
+
+
+def _null_projector(matrix, side):
+    u, s, vh = np.linalg.svd(matrix, full_matrices=True)
+    rank = int(np.count_nonzero(s > _RANK_RTOL * s[0])) if s.size else 0
+    basis = u[:, rank:] if side == "left" else vh[rank:].conj().T
+    return basis @ basis.conj().T
 
 
 def _met_mer(h_eff_u, n_s):

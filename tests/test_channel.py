@@ -232,6 +232,14 @@ class TestRealizeChannel:
         with pytest.raises(ValueError):
             realize_channel(macro, np.zeros(3), *manifolds)
 
+    @pytest.mark.parametrize("users_t,users_r", [(1, 2), (2, 1), (1, 1)])
+    def test_manifolds_must_cover_the_state_users(self, users_t, users_r):
+        # One user's manifold would otherwise broadcast to both users.
+        macro = draw_macroscopic("poor", 2, np.random.default_rng(17))
+        a_t, a_r = _manifolds(macro, ArrayGeometry(16), ArrayGeometry(16))
+        with pytest.raises(ValueError, match="do not match"):
+            realize_channel(macro, np.zeros(macro.aod.shape), a_t[:users_t], a_r[:users_r])
+
 
 class TestEstimateCovariances:
     def test_matches_brute_force_slot_average(self):
@@ -334,6 +342,13 @@ class TestEstimateCovariances:
             one = estimate_covariances(n_slots, replay, a_t[u], a_r[u])
             for got, want in ((pair.k_ul[u], one.k_ul), (pair.k_dl[u], one.k_dl)):
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+    def test_manifolds_must_have_the_same_users(self):
+        macro = draw_macroscopic("poor", 2, np.random.default_rng(18))
+        a_t, a_r = _manifolds(macro, ArrayGeometry(16), ArrayGeometry(16))
+        for pair in ((a_t, a_r[:1]), (a_t[:1], a_r), (a_t, a_r[0])):
+            with pytest.raises(ValueError, match="different user axes"):
+                estimate_covariances(10, np.random.default_rng(0), *pair)
 
     def test_slot_count_validation(self):
         macro = _single_ray_macro(1.0, 1.0)

@@ -4,6 +4,7 @@ import pytest
 from dsmimo import (
     EffectiveChannelSet,
     InfeasibleError,
+    LinkFilters,
     OuterFilters,
     SolverError,
     bd_mer,
@@ -12,9 +13,10 @@ from dsmimo import (
     met_mer,
     met_mmse,
     normalize_gamma,
+    sum_rate,
     truncated_svd,
 )
-from dsmimo.inner import _null_projector
+from dsmimo.inner import _RANK_RTOL, _null_projector
 
 
 def _random_complex(rng, shape):
@@ -95,6 +97,30 @@ class TestEffectiveChannels:
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
             effective_channels([_random_complex(rng, (4, 4))], [])
+
+    @pytest.mark.parametrize("call", ["two_layer", "one_layer", "sum_rate"])
+    def test_single_matrices_are_rejected_and_per_user_lists_kept(self, call):
+        # A 16 x 16 H with 16-row filters: the row counts alone read as 16 users.
+        rng = np.random.default_rng(32)
+        h = _random_complex(rng, (16, 16))
+        f, w = _random_complex(rng, (16, 4)), _random_complex(rng, (16, 4))
+        single, per_user = {
+            "two_layer": (
+                lambda: effective_channels(h, OuterFilters(f, w, "x")),
+                lambda: effective_channels([h], [OuterFilters(f, w, "x")]),
+            ),
+            "one_layer": (
+                lambda: effective_channels(h, None),
+                lambda: effective_channels([h], None),
+            ),
+            "sum_rate": (
+                lambda: sum_rate(h, LinkFilters(f=f, w=w), 1e-3, 4),
+                lambda: sum_rate([h], LinkFilters(f=[f], w=[w]), 1e-3, 4),
+            ),
+        }[call]
+        with pytest.raises(ValueError, match=r"\(U, .*\) stack.* or per-user list"):
+            single()
+        per_user()
 
 
 class TestTruncatedSvd:
@@ -240,6 +266,35 @@ class TestBdMer:
         rng = np.random.default_rng(16)
         with pytest.raises(InfeasibleError):
             bd_mer(_random_effset(rng, 5, 4, 4), 1)
+
+
+class TestNullProjector:
+    @staticmethod
+    def _oracle(matrix, side):
+        pinv = np.linalg.pinv(matrix, rcond=_RANK_RTOL)
+        if side == "left":
+            return np.eye(matrix.shape[0]) - matrix @ pinv
+        return np.eye(matrix.shape[1]) - pinv @ matrix
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_each_matrix_of_a_stack_gets_its_own_rank(self, side):
+        rng = np.random.default_rng(31)
+        full = _random_complex(rng, (6, 3))
+        deficient = _random_complex(rng, (6, 1)) @ _random_complex(rng, (1, 3))  # rank 1
+        stack = np.stack([full, deficient, np.zeros((6, 3))])
+        if side == "right":
+            stack = stack.swapaxes(-1, -2)
+        mine = _null_projector(stack, side)
+        assert mine.shape == (3, 6, 6)
+        for matrix, projector in zip(stack, mine):
+            assert np.allclose(projector, self._oracle(matrix, side), atol=1e-10)
+
+    @pytest.mark.parametrize("side,shape", [("left", (2, 6, 0)), ("right", (2, 0, 6))])
+    def test_empty_matrices_give_the_identity(self, side, shape):
+        mine = _null_projector(np.zeros(shape, dtype=complex), side)
+        for matrix, projector in zip(np.zeros(shape), mine):
+            assert np.array_equal(projector, self._oracle(matrix, side))
+            assert np.array_equal(projector, np.eye(6))
 
 
 class TestMetMmse:
