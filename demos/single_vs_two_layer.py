@@ -15,14 +15,14 @@ print(f"poor scattering, U=2, M=4, SNR=20 dB, {N_TRIALS} paired trials")
 print("inner      N_s   2-layer   1-layer   loss of 2-layer")
 for inner in ("met_mer", "met_bd", "met_mmse", "bd_mer"):
     for n_s in (1, 2):
-        two = run_point(
+        [two] = run_point(
             ExperimentConfig(
                 scenario="poor", m_t=4, m_r=4, n_s=n_s, n_users=2, snr_db=20.0,
                 outer="cme", inner=inner, layers=2, n_trials=N_TRIALS,
             ),
             seed=SEED,
         )
-        one = run_point(
+        [one] = run_point(
             ExperimentConfig(
                 scenario="poor", n_s=n_s, n_users=2, snr_db=20.0,
                 outer="none", inner=inner, layers=1, n_trials=N_TRIALS,

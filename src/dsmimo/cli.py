@@ -34,7 +34,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
     run.add_argument("--out", help="output CSV path (default: stdout)")
     run.add_argument("--trials", type=int, default=None, help="override n_trials for all points")
-    run.add_argument("--workers", type=int, default=1, help="thread workers over grid points")
+    run.add_argument(
+        "--workers", type=int, default=1,
+        help="thread workers over drop groups (the grid points that share each trial's draws)",
+    )
 
     sub.add_parser("list-presets", help="list the named figure presets")
 

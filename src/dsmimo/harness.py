@@ -1,9 +1,11 @@
 """Config-driven Monte Carlo sum-rate experiments with seeded reproducibility.
 
 A run is one sweep: :func:`run_sweep` takes every config of the run,
-expands each over its list-valued axes (scenario, SNR, number of users)
-and maps one worker pool over all of the resulting grid points, each of
-which runs independently.
+expands each over its list-valued axes (scenario, SNR, number of users),
+groups the resulting grid points by drop (the points whose draws agree)
+and maps one worker pool over the groups. A group runs trial by trial:
+each trial's drop, outer filters and SNR-free inner designs are made once
+and serve every point of the group that reads them.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -199,8 +201,110 @@ def _record(cfg: ExperimentConfig, status: str, rates: np.ndarray | None = None)
     )
 
 
-def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
-    """Execute one trial: CSI acquisition, both filter layers, rate evaluation.
+def _drop_key(cfg: ExperimentConfig, seed: int | None) -> tuple:
+    """Everything a point's draws depend on: points with equal keys share every trial's drop.
+
+    ``layers`` is part of it so that each group has one layer count, to
+    which per-layer timing attributes the stages the group shares.
+    """
+    return (
+        cfg.seed if seed is None else seed, cfg.scenario, cfg.n_users, cfg.n_t, cfg.n_r,
+        cfg.n_slots, cfg.sigma_c_deg, cfg.layers, cfg.n_trials,
+    )
+
+
+def _outer_key(cfg: ExperimentConfig) -> tuple | None:
+    return None if cfg.layers == 1 else (cfg.outer, cfg.m_t, cfg.m_r)
+
+
+def _design_key(cfg: ExperimentConfig) -> tuple[str, int]:
+    # MET-MMSE starts from the MET precoders, which MET-MER designs.
+    return ("met_mer" if cfg.inner == "met_mmse" else cfg.inner), cfg.n_s
+
+
+def _partition(indices, key) -> dict:
+    """Indices grouped by ``key(index)``, groups and members in first-seen order."""
+    groups: dict = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return groups
+
+
+def _trial_drops(points: Sequence[ExperimentConfig], seed: int, trial: int) -> Iterator[tuple]:
+    """Yield ``(index, drop)`` for each of ``points`` in one trial, sharing every stage.
+
+    A drop is what the point reads of the trial: (channels, outer filters
+    or None, effective channels, inner design), the design being its
+    MET-MER, MET-BD or BD-MER filters or the MET precoders that MET-MMSE
+    starts from. The points share one drop key. The drop is drawn, its
+    manifolds built and its channel realized once; each distinct outer
+    filter is built once, the covariances estimated once for all CME
+    widths, and each SNR-free inner design made once per outer filter,
+    design and n_s. The channel is realized after the first outer filter,
+    as a lone point does it. Each object is released after the last point
+    that reads it, so only one trial's drop is alive at a time. A stage
+    that raises yields its exception, in place of the drop, to exactly
+    the points that depend on it.
+    """
+    cfg = points[0]
+    point_key = (_SCENARIO_CODE[cfg.scenario], cfg.n_users, trial)
+    by_outer = _partition(range(len(points)), lambda i: _outer_key(points[i]))
+    last_cme = max((n for n, key in enumerate(by_outer) if key and key[0] == "cme"), default=-1)
+    try:
+        macro_rng = _substream(seed, *point_key, _SUBSTREAM_MACRO)
+        macro = draw_macroscopic(cfg.scenario, cfg.n_users, macro_rng, cfg.sigma_c_deg)
+        a_t, a_r, powers = extract_partial_csi(macro, ArrayGeometry(cfg.n_t), ArrayGeometry(cfg.n_r))
+    except Exception as exc:  # every point reads the drop
+        yield from ((i, exc) for i in range(len(points)))
+        return
+
+    cov = channels = None
+    for n, (key, members) in enumerate(by_outer.items()):
+        try:
+            if key is None:  # one layer: the inner stage works on the full channel
+                outers = None
+            elif key[0] == "cme":
+                if cov is None:
+                    slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
+                    cov = estimate_covariances(cfg.n_slots, slots_rng, a_t, a_r)
+                outers = cme(cov, key[1], key[2])
+                if n == last_cme:
+                    cov = None
+            else:
+                outers = path_outer_filters(a_t, a_r, powers, key[1], key[2], key[0])
+            if channels is None:
+                eval_rng = _substream(seed, *point_key, _SUBSTREAM_EVAL)
+                phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
+                channels = realize_channel(macro, phases, a_t, a_r)
+                if outers is None:
+                    # The 1-layer baseline designs on the dense channels; the
+                    # 2-layer path reads factored ones only through products
+                    # with filters.
+                    channels = np.asarray(channels)
+            if n == len(by_outer) - 1:
+                a_t = a_r = None  # what the channel needs of them, it holds
+            effset = effective_channels(channels, outers)
+        except Exception as exc:  # only this outer filter's points read it
+            yield from ((i, exc) for i in members)
+            continue
+        for (design, n_s), users in _partition(members, lambda i: _design_key(points[i])).items():
+            try:
+                if design == "met_bd":
+                    inners = met_bd(effset, n_s)
+                elif design == "bd_mer":
+                    inners = bd_mer(effset, n_s)
+                else:
+                    inners = met_mer(effset.serving, n_s)
+                drop = (channels, outers, effset, inners)
+            except Exception as exc:
+                drop = exc
+            yield from ((i, drop) for i in users)
+            inners = drop = None
+        outers = effset = None
+
+
+def run_trial(cfg: ExperimentConfig, seed: int, trial: int, drop: tuple | None = None) -> float:
+    """Execute one trial of one point: CSI acquisition, both filter layers, rate evaluation.
 
     The outer filters see only the drop's macroscopic state (via estimated
     covariances or exact path parameters); the rate is then evaluated on a
@@ -209,41 +313,21 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     are built once, by ``extract_partial_csi``; CME reads them only to
     simulate its training slots. Every stage works on all users at once,
     stacked on a leading (U, ...) axis.
+
+    ``drop`` is the point's share of a trial that :func:`run_point` draws
+    once for a group of points, as ``_trial_drops`` yields it: an exception
+    there is the shared stage's failure and is raised here. Without it the
+    trial draws and designs its own. Either way this runs the point's own
+    stages: power normalization, the MMSE combiner and the sum rate.
     """
-    tx = ArrayGeometry(cfg.n_t)
-    rx = ArrayGeometry(cfg.n_r)
+    if drop is None:
+        [(_, drop)] = _trial_drops([cfg], seed, trial)
+    if isinstance(drop, Exception):
+        raise drop
+    channels, outers, effset, inners = drop
+    del drop  # a lone trial then frees the MET combiners that MET-MMSE replaces
     p_t = snr_to_power(cfg.snr_db, cfg.sigma_n2)
-    n_users = cfg.n_users
-    point_key = (_SCENARIO_CODE[cfg.scenario], n_users, trial)
-
-    macro_rng = _substream(seed, *point_key, _SUBSTREAM_MACRO)
-    macro = draw_macroscopic(cfg.scenario, n_users, macro_rng, cfg.sigma_c_deg)
-    a_t, a_r, powers = extract_partial_csi(macro, tx, rx)
-
-    outers = None  # one layer: the inner stage works on the full channel
-    if cfg.layers == 2 and cfg.outer == "cme":
-        slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
-        outers = cme(estimate_covariances(cfg.n_slots, slots_rng, a_t, a_r), cfg.m_t, cfg.m_r)
-    elif cfg.layers == 2:
-        outers = path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer)
-
-    eval_rng = _substream(seed, *point_key, _SUBSTREAM_EVAL)
-    phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
-    channels = realize_channel(macro, phases, a_t, a_r)
-    del a_t, a_r  # what the channel needs of them, it holds
-    if outers is None:
-        # The 1-layer baseline designs on the dense channels; the 2-layer
-        # path reads factored ones only through products with filters.
-        channels = np.asarray(channels)
-    effset = effective_channels(channels, outers)
-
-    if cfg.inner == "met_bd":
-        inners = met_bd(effset, cfg.n_s)
-    elif cfg.inner == "bd_mer":
-        inners = bd_mer(effset, cfg.n_s)
-    else:
-        inners = met_mer(effset.serving, cfg.n_s)
-    gammas = normalize_gamma(None if outers is None else outers.f_o, inners.f_i, p_t, n_users)
+    gammas = normalize_gamma(None if outers is None else outers.f_o, inners.f_i, p_t, cfg.n_users)
     if cfg.inner == "met_mmse":
         inners = met_mmse(effset, gammas, cfg.sigma_n2, cfg.n_s, f_i=inners.f_i)
 
@@ -254,20 +338,50 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> float:
     return sum_rate(channels, LinkFilters(f=f, w=w), cfg.sigma_n2, cfg.n_s)
 
 
-def run_point(cfg: ExperimentConfig, seed: int | None = None) -> RateRecord:
-    """Run all trials of a single grid point and aggregate mean and stderr."""
-    cfg.validate()
-    points = cfg.grid()
-    if len(points) != 1:
-        raise ConfigError("run_point needs a single grid point; use run_sweep for lists")
-    cfg = points[0]
-    if seed is None:
-        seed = cfg.seed
-    m_t, m_r = cfg.effective_dims()
-    streams = cfg.n_users * cfg.n_s
-    if (cfg.inner == "met_bd" and streams > m_r) or (cfg.inner == "bd_mer" and streams > m_t):
-        return _record(cfg, "infeasible")
-    return _record(cfg, "ok", np.array([run_trial(cfg, seed, t) for t in range(cfg.n_trials)]))
+def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRecord]:
+    """Run all trials of grid points that share one drop, and aggregate each one's rates.
+
+    The points must agree on every field their draws depend on (seed,
+    scenario, n_users, array sizes, n_slots, sigma_c_deg, layers and
+    n_trials); :func:`run_sweep` groups a sweep's points so. They run trial
+    by trial, and each trial's drop and the designs the points agree on
+    are made once for all of them. A point whose trial raises becomes an
+    error row and runs no further trials; the others go on. The records
+    come back in argument order; ``[record] = run_point(cfg)`` runs one.
+    """
+    for cfg in points:
+        cfg.validate()
+        if len(cfg.grid()) != 1:
+            raise ConfigError("run_point needs single grid points; use run_sweep for lists")
+    points = [cfg.grid()[0] for cfg in points]
+    keys = {_drop_key(cfg, seed) for cfg in points}
+    if len(keys) != 1:
+        raise ConfigError("run_point needs points that share one drop; use run_sweep")
+    [key] = keys
+    seed, n_trials = key[0], key[-1]
+
+    records: list[RateRecord | None] = [None] * len(points)
+    for i, cfg in enumerate(points):
+        m_t, m_r = cfg.effective_dims()
+        streams = cfg.n_users * cfg.n_s
+        if (cfg.inner == "met_bd" and streams > m_r) or (cfg.inner == "bd_mer" and streams > m_t):
+            records[i] = _record(cfg, "infeasible")
+    rates = np.empty((len(points), n_trials))
+    for trial in range(n_trials):
+        live = [i for i, record in enumerate(records) if record is None]
+        if not live:
+            break
+        for j, drop in _trial_drops([points[i] for i in live], seed, trial):
+            i = live[j]
+            try:
+                rates[i, trial] = run_trial(points[i], seed, trial, drop)
+            except Exception as exc:  # per-row capture is part of the sweep contract
+                records[i] = _record(points[i], f"error:{type(exc).__name__.lower()}")
+            del drop  # so that the next outer filter is built after this one is freed
+    return [
+        _record(cfg, "ok", rates[i]) if record is None else record
+        for i, (cfg, record) in enumerate(zip(points, records))
+    ]
 
 
 def run_sweep(
@@ -277,25 +391,30 @@ def run_sweep(
 ) -> list[RateRecord]:
     """Run every grid point of every config, in config order, as one sweep.
 
-    All configs are validated before any point runs. Per-point failures
-    become error rows and never abort the sweep. Results are identical for
-    any ``workers`` count because every point's substreams are fixed by its
-    content.
+    All configs are validated before any point runs. The points are
+    grouped by drop (see :func:`run_point`), and the workers run over the
+    groups. Per-point failures become error rows and never abort the
+    sweep. Results are identical for any ``workers`` count because every
+    point's substreams are fixed by its content.
     """
     for cfg in configs:
         cfg.validate()
     points = [point for cfg in configs for point in cfg.grid()]
+    groups = list(_partition(range(len(points)), lambda i: _drop_key(points[i], seed)).values())
 
-    def one(point: ExperimentConfig) -> RateRecord:
-        try:
-            return run_point(point, seed)
-        except Exception as exc:  # per-row capture is part of the sweep contract
-            return _record(point, f"error:{type(exc).__name__.lower()}")
+    def one(group: list[int]) -> list[RateRecord]:
+        return run_point(*(points[i] for i in group), seed=seed)
 
     if workers <= 1:
-        return [one(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, points))
+        results = map(one, groups)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, groups))
+    records = [None] * len(points)
+    for group, group_records in zip(groups, results):
+        for i, record in zip(group, group_records):
+            records[i] = record
+    return records
 
 
 def _fmt(value: object) -> str:

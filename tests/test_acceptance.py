@@ -48,7 +48,7 @@ def _congested_config(snr_db, n_trials):
 
 def test_criterion_1_operating_point_reproduction():
     start = time.perf_counter()
-    record = run_point(_congested_config(0.0, 200), seed=ACCEPT_SEED)
+    [record] = run_point(_congested_config(0.0, 200), seed=ACCEPT_SEED)
     elapsed = time.perf_counter() - start
     target = 63.0
     ok = abs(record.mean_rate - target) <= 0.15 * target and elapsed <= 300.0
@@ -60,10 +60,9 @@ def test_criterion_1_operating_point_reproduction():
 
 
 def test_criterion_2_high_snr_saturation():
-    rates = {
-        snr: run_point(_congested_config(snr, 100), seed=ACCEPT_SEED).mean_rate
-        for snr in (0.0, 10.0, 20.0, 30.0)
-    }
+    snrs = (0.0, 10.0, 20.0, 30.0)
+    records = run_point(*(_congested_config(snr, 100) for snr in snrs), seed=ACCEPT_SEED)
+    rates = {snr: record.mean_rate for snr, record in zip(snrs, records)}
     increase = (rates[30.0] - rates[20.0]) / rates[20.0]
     _verdict(
         2, "interference-limited saturation", increase < 0.10,
@@ -73,20 +72,23 @@ def test_criterion_2_high_snr_saturation():
 
 
 def test_criterion_3_sps_pps_ordering():
-    def point(method, n_s, n_trials):
-        cfg = ExperimentConfig(
-            scenario="fair", m_t=n_s, m_r=n_s, n_s=n_s, n_users=1, snr_db=20.0,
-            outer=method, inner="met_mer", n_trials=n_trials,
-        )
-        return run_point(cfg, seed=ACCEPT_SEED).mean_rate
+    def sps_and_pps(n_s, n_trials):
+        cfgs = [
+            ExperimentConfig(
+                scenario="fair", m_t=n_s, m_r=n_s, n_s=n_s, n_users=1, snr_db=20.0,
+                outer=method, inner="met_mer", n_trials=n_trials,
+            )
+            for method in ("sps", "pps")
+        ]
+        return [record.mean_rate for record in run_point(*cfgs, seed=ACCEPT_SEED)]
 
     details = []
     ok = True
     for n_s, n_trials in ((4, 1000), (8, 500), (16, 500)):
-        sps_rate, pps_rate = point("sps", n_s, n_trials), point("pps", n_s, n_trials)
+        sps_rate, pps_rate = sps_and_pps(n_s, n_trials)
         ok = ok and sps_rate > pps_rate
         details.append(f"N_s/L={n_s / 32:.3f}: SPS {sps_rate:.2f} vs PPS {pps_rate:.2f}")
-    sps_full, pps_full = point("sps", 32, 300), point("pps", 32, 300)
+    sps_full, pps_full = sps_and_pps(32, 300)
     gap = abs(sps_full - pps_full) / pps_full
     ok = ok and gap <= 0.02
     details.append(f"N_s/L=1: |SPS-PPS| = {gap * 100:.3f}%")
@@ -185,14 +187,14 @@ def test_criterion_7_single_vs_two_layer_benchmark():
     ok = True
     for method in ("met_mer", "met_bd", "met_mmse", "bd_mer"):
         for n_s in (1, 2):
-            two = run_point(
+            [two] = run_point(
                 ExperimentConfig(
                     scenario="poor", m_t=4, m_r=4, n_s=n_s, n_users=2, snr_db=20.0,
                     outer="cme", inner=method, layers=2, n_trials=200,
                 ),
                 seed=ACCEPT_SEED,
             )
-            one = run_point(
+            [one] = run_point(
                 ExperimentConfig(
                     scenario="poor", n_s=n_s, n_users=2, snr_db=20.0,
                     outer="none", inner=method, layers=1, n_trials=200,

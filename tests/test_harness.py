@@ -86,8 +86,8 @@ class TestConfigValidation:
 
 class TestDeterminismAndPairing:
     def test_identical_seed_identical_record(self):
-        a = run_point(SMALL, seed=5)
-        b = run_point(SMALL, seed=5)
+        [a] = run_point(SMALL, seed=5)
+        [b] = run_point(SMALL, seed=5)
         assert a == b
 
     def test_trials_are_indexed_substreams(self):
@@ -100,8 +100,8 @@ class TestDeterminismAndPairing:
         # subspaces as the one-layer ones, so paired draws give equal rates.
         two = replace(SMALL, m_t=8, m_r=8, n_s=2, n_users=2, n_trials=4)
         one = replace(SMALL, layers=1, outer="none", n_s=2, n_users=2, n_trials=4)
-        r_two = run_point(two, seed=9)
-        r_one = run_point(one, seed=9)
+        [r_two] = run_point(two, seed=9)
+        [r_one] = run_point(one, seed=9)
         assert abs(r_two.mean_rate - r_one.mean_rate) <= 1e-9 * r_one.mean_rate
 
     def test_snr_points_share_channel_draws(self):
@@ -123,7 +123,7 @@ class TestDeterminismAndPairing:
 
     def test_stderr_scales_like_inverse_root_trials(self):
         records = {
-            n: run_point(replace(SMALL, n_trials=n), seed=7) for n in (100, 400, 1600)
+            n: run_point(replace(SMALL, n_trials=n), seed=7)[0] for n in (100, 400, 1600)
         }
         for small, big in ((100, 400), (400, 1600)):
             ratio = records[small].stderr / records[big].stderr
@@ -147,10 +147,10 @@ class TestMultiConfigSweep:
     def test_one_sweep_equals_concatenated_sweeps(self, monkeypatch, workers):
         real_trial = harness.run_trial
 
-        def failing_trial(cfg, seed, trial):
+        def failing_trial(cfg, seed, trial, drop=None):
             if cfg.inner == "met_mmse" and cfg.snr_db == 20.0:
                 raise RuntimeError("singular system")
-            return real_trial(cfg, seed, trial)
+            return real_trial(cfg, seed, trial, drop)
 
         monkeypatch.setattr(harness, "run_trial", failing_trial)
         together = run_sweep(*self.CONFIGS, seed=3, workers=workers)
@@ -163,7 +163,7 @@ class TestMultiConfigSweep:
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_bad_config_anywhere_fails_before_any_point_runs(self, monkeypatch, position):
         calls = []
-        monkeypatch.setattr(harness, "run_point", lambda cfg, seed=None: calls.append(cfg))
+        monkeypatch.setattr(harness, "run_point", lambda *points, seed=None: calls.append(points))
         configs = list(self.CONFIGS)
         configs[position] = replace(configs[position], outer="zf")
         with pytest.raises(ConfigError):
@@ -195,15 +195,120 @@ class TestTrialMemory:
         # array alive at any point would lift the peak above its size.
         assert self._heap_peak(self.CFG) < self.STACK_BYTES
 
+    def test_a_group_keeps_one_trials_drop_alive(self):
+        # Eight points (SNRs x inner schemes) share each trial's drop; the
+        # group's peak stays that of a lone point's trial.
+        points = [
+            replace(self.CFG, snr_db=snr, inner=inner, n_trials=2)
+            for snr in (-10.0, 0.0, 10.0, 20.0)
+            for inner in ("met_mer", "met_mmse")
+        ]
+        run_point(*points, seed=1)  # first-call allocations are not the group's
+        tracemalloc.start()
+        try:
+            run_point(*points, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self._heap_peak(self.CFG)
+
     def test_one_layer_trial_builds_the_dense_channel_stack(self):
         cfg = replace(self.CFG, outer="none", layers=1, inner="met_mer")
         assert self._heap_peak(cfg) >= self.STACK_BYTES
 
 
+# What the points of TestDropSharing share: their draws, and an SNR axis.
+SHARED_DROP = dict(
+    scenario="fair", n_t=16, n_r=12, n_users=2, snr_db=[-5.0, 10.0, 25.0], n_trials=3,
+    n_slots=10,
+)
+
+
+class TestDropSharing:
+    """A sweep's points that read the same drops run as one group, trial by trial."""
+
+    # Every outer method at two widths, every inner scheme at two stream
+    # counts (BD at m = 2, n_s = 2 is infeasible for two users) and both
+    # layer counts: two drop groups, of 144 and 24 points.
+    CONFIGS = [
+        ExperimentConfig(m_t=m, m_r=m, n_s=n_s, outer=outer, inner=inner, **SHARED_DROP)
+        for outer in ("cme", "pps", "sps")
+        for m in (2, 4)
+        for inner in harness.INNER_METHODS
+        for n_s in (1, 2)
+    ] + [
+        ExperimentConfig(n_s=n_s, outer="none", inner=inner, layers=1, **SHARED_DROP)
+        for inner in harness.INNER_METHODS
+        for n_s in (1, 2)
+    ]
+    RAISES_AT_TRIAL_1 = ExperimentConfig(
+        **{**SHARED_DROP, "snr_db": 10.0}, m_t=4, m_r=4, outer="sps", inner="met_mmse"
+    )
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_grouped_sweep_equals_each_point_alone(self, monkeypatch, workers):
+        real_trial = harness.run_trial
+
+        def failing_trial(cfg, seed, trial, drop=None):
+            if cfg == self.RAISES_AT_TRIAL_1 and trial == 1:
+                raise ArithmeticError("second trial fails")
+            return real_trial(cfg, seed, trial, drop)
+
+        monkeypatch.setattr(harness, "run_trial", failing_trial)
+        points = [point for cfg in self.CONFIGS for point in cfg.grid()]
+        grouped = run_sweep(*self.CONFIGS, seed=6, workers=workers)
+        alone = [record for point in points for record in run_point(point, seed=6)]
+        assert emit_csv(grouped) == emit_csv(alone)
+        statuses = [r.status for r in grouped]
+        assert statuses[points.index(self.RAISES_AT_TRIAL_1)] == "error:arithmeticerror"
+        assert {"ok", "infeasible"} <= set(statuses)
+        # Trial by trial, each drawn from scratch: nothing a group or a point
+        # keeps from one trial leaks into the next.
+        for point, record in zip(points, grouped):
+            if record.status == "ok":
+                trials = [real_trial(point, 6, t) for t in range(point.n_trials)]
+                assert record.mean_rate == float(np.mean(trials))
+
+    def test_outer_filter_failure_marks_only_its_points(self, monkeypatch):
+        configs = [
+            ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
+            for outer, m in (("cme", 2), ("cme", 4), ("sps", 2))
+            for inner in ("met_mer", "met_mmse")
+        ]
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        real_cme = harness.cme
+        wide_calls = []
+
+        def cme_failing_at_trial_1(cov, m_t, m_r):
+            if m_t == 4:
+                wide_calls.append(m_t)  # one filter per trial, shared by its points
+                if len(wide_calls) == 2:
+                    raise FloatingPointError("eigensolver failed")
+            return real_cme(cov, m_t, m_r)
+
+        monkeypatch.setattr(harness, "cme", cme_failing_at_trial_1)
+        records = run_sweep(*configs, seed=6)
+        for got, want in zip(records, clean):
+            if (got.outer, got.m_t) == ("cme", 4):
+                assert got.status == "error:floatingpointerror" and got.n_trials == 0
+            else:
+                assert got == want
+        assert len(wide_calls) == 2  # its points ran no trial after the failure
+
+    def test_run_point_rejects_points_of_different_drops(self):
+        for other in ({"n_users": 2}, {"n_trials": 4}, {"layers": 1, "outer": "none"}):
+            with pytest.raises(ConfigError):
+                run_point(SMALL, replace(SMALL, **other), seed=0)
+        with pytest.raises(ConfigError):
+            run_point(SMALL, replace(SMALL, seed=1))  # each point's own seed
+        assert len(run_point(SMALL, replace(SMALL, seed=1), seed=0)) == 2
+
+
 class TestFeasibilityHandling:
     def test_bd_infeasible_point_is_flagged(self):
         cfg = replace(SMALL, inner="met_bd", n_users=4)  # 4 > m_r = 2
-        record = run_point(cfg, seed=0)
+        [record] = run_point(cfg, seed=0)
         assert record.status == "infeasible"
         assert record.mean_rate is None and record.n_trials == 0
 
@@ -216,7 +321,8 @@ class TestFeasibilityHandling:
 
     def test_single_layer_uses_array_dimensions_for_feasibility(self):
         cfg = replace(SMALL, layers=1, outer="none", inner="met_bd", n_users=8, n_trials=1)
-        assert run_point(cfg, seed=0).status == "ok"  # 8 * 1 <= n_r = 8
+        [record] = run_point(cfg, seed=0)
+        assert record.status == "ok"  # 8 * 1 <= n_r = 8
 
 
 class TestErrorRows:
@@ -226,10 +332,10 @@ class TestErrorRows:
 
         real_trial = harness.run_trial
 
-        def flaky_trial(cfg, seed, trial):
+        def flaky_trial(cfg, seed, trial, drop=None):
             if cfg.snr_db == 10.0:
                 raise FlakySolve("singular system")
-            return real_trial(cfg, seed, trial)
+            return real_trial(cfg, seed, trial, drop)
 
         monkeypatch.setattr(harness, "run_trial", flaky_trial)
         records = run_sweep(replace(SMALL, snr_db=[0.0, 10.0, 20.0]), seed=2)
@@ -257,14 +363,14 @@ class TestErrorRows:
 
 class TestCsvEmission:
     def test_single_record_two_lines(self):
-        text = emit_csv([run_point(replace(SMALL, n_trials=1), seed=1)])
+        text = emit_csv(run_point(replace(SMALL, n_trials=1), seed=1))
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0].startswith("outer,inner,layers,scenario,snr_db")
         assert lines[0].split(",") == [f.name for f in fields(RateRecord)]
 
     def test_infeasible_row_has_empty_rate(self):
-        record = run_point(replace(SMALL, inner="met_bd", n_users=4), seed=0)
+        [record] = run_point(replace(SMALL, inner="met_bd", n_users=4), seed=0)
         row = emit_csv([record]).strip().split("\n")[1]
         fields = row.split(",")
         assert fields[-1] == "infeasible"
@@ -272,7 +378,7 @@ class TestCsvEmission:
 
     def test_single_trial_row_has_empty_stderr(self):
         # One sample has no standard error; the field is left empty, not 0.
-        record = run_point(replace(SMALL, n_trials=1), seed=1)
+        [record] = run_point(replace(SMALL, n_trials=1), seed=1)
         assert record.stderr is None
         row = next(csv.DictReader(io.StringIO(emit_csv([record]))))
         assert row["status"] == "ok" and row["n_trials"] == "1"
@@ -406,7 +512,7 @@ class TestCli:
     @pytest.mark.parametrize("target", ["missing_dir/x.csv", "."])
     def test_unwritable_output_fails_before_any_point_runs(self, monkeypatch, tmp_path, target):
         calls = []
-        monkeypatch.setattr(harness, "run_point", lambda cfg, seed=None: calls.append(cfg))
+        monkeypatch.setattr(harness, "run_point", lambda *points, seed=None: calls.append(points))
         out = tmp_path / target
         assert main(["run", "--preset", "outer_poor", "--out", str(out)]) == 3
         assert calls == []
@@ -419,7 +525,7 @@ class TestCli:
     ):
         # A config error wins over an unwritable --out, as for a bad config file.
         calls = []
-        monkeypatch.setattr(harness, "run_point", lambda cfg, seed=None: calls.append(cfg))
+        monkeypatch.setattr(harness, "run_point", lambda *points, seed=None: calls.append(points))
         out = tmp_path / target
         assert main(["run", "--preset", "outer_poor", *override, "--out", str(out)]) == 2
         assert calls == []

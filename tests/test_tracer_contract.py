@@ -3,10 +3,12 @@
 The tracer times dsmimo's layers from outside the package by swapping the
 module attributes of the functions it lists. A traced benchmark run then
 relies on those functions existing, on every stage call running inside
-``run_point`` and ``run_trial``, and on tracing leaving the CSV unchanged.
-This checks all three on a small sweep over every scheme, in seconds. The
-tracer's source is read and executed, never imported from its directory,
-so nothing is written there.
+``run_point`` (the stages a drop group shares run there, outside any one
+point's ``run_trial``; the rest inside ``run_trial``), on one ``run_point``
+call per drop group, whose first point's layer count is the group's, and
+on tracing leaving the CSV unchanged. This checks all of it on a small
+sweep over every scheme, in seconds. The tracer's source is read and
+executed, never imported from its directory, so nothing is written there.
 """
 
 import time
@@ -28,12 +30,15 @@ CONFIGS = [
     for inner in INNER_METHODS
 ] + [
     ExperimentConfig(
-        scenario="fair", n_t=16, n_r=12, m_t=4, m_r=4, n_s=1, n_users=2, snr_db=10.0,
+        scenario="fair", n_t=16, n_r=12, m_t=4, m_r=4, n_s=1, n_users=2, snr_db=snr_db,
         outer=outer, inner=inner, n_trials=2, n_slots=10,
     )
     for outer in ("cme", "pps", "sps")
     for inner in INNER_METHODS
+    for snr_db in (10.0, [0.0, 20.0])  # points that share each trial's drop
 ]
+# Every config draws from one of two drops: 1-layer poor or 2-layer fair.
+DROP_GROUPS = len({(p.scenario, p.layers) for cfg in CONFIGS for p in cfg.grid()})
 
 
 def _load_tracer():
@@ -73,6 +78,7 @@ def test_traced_sweep_writes_the_same_csv_and_splits_both_layer_counts():
         for stage in ("harness.run_trial", "channel", "inner", "metrics"):
             assert f"{stage}.per_trial_ms.{group}" in per_trial
     assert "outer.per_trial_ms.layers2" in per_trial
+    assert summary["calls"]["harness.run_point"] == DROP_GROUPS == 2
     called = {name for name, count in summary["calls"].items() if count}
     assert {fn for fn in tracing.FUNCTIONS if not fn.startswith("linalg.")} <= called
     tracing.combine_reps([summary])
