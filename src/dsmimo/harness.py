@@ -3,9 +3,9 @@
 A run is one sweep: :func:`run_sweep` takes every config of the run,
 expands each over its list-valued axes (scenario, SNR, number of users),
 groups the resulting grid points by drop (the points whose draws agree)
-and maps one worker pool over the groups. A group runs trial by trial:
-each trial's drop, outer filters and SNR-free inner designs are made once
-and serve every point of the group that reads them.
+and maps one worker pool over the groups. A group runs trial by trial,
+each point's whole pipeline in :func:`run_trial`; a per-trial cache builds
+the drop, outer filters and SNR-free inner designs once for all its points.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -213,97 +213,55 @@ def _drop_key(cfg: ExperimentConfig, seed: int | None) -> tuple:
     )
 
 
-def _outer_key(cfg: ExperimentConfig) -> tuple | None:
-    return None if cfg.layers == 1 else (cfg.outer, cfg.m_t, cfg.m_r)
+def _stage_keys(cfg: ExperimentConfig) -> tuple:
+    """(outer key, design key) of a point: a trial's points with equal keys share that stage."""
+    # The inner design is keyed under its outer filter; MET-MMSE starts from MET-MER's.
+    outer = None if cfg.layers == 1 else (cfg.outer, cfg.m_t, cfg.m_r)
+    return outer, (outer, "met_mer" if cfg.inner == "met_mmse" else cfg.inner, cfg.n_s)
 
 
-def _design_key(cfg: ExperimentConfig) -> tuple[str, int]:
-    # MET-MMSE starts from the MET precoders, which MET-MER designs.
-    return ("met_mer" if cfg.inner == "met_mmse" else cfg.inner), cfg.n_s
+class _TrialCache:
+    """The stages that one trial's points share, each holding its latest key's value.
 
-
-def _partition(indices, key) -> dict:
-    """Indices grouped by ``key(index)``, groups and members in first-seen order."""
-    groups: dict = {}
-    for i in indices:
-        groups.setdefault(key(i), []).append(i)
-    return groups
-
-
-def _trial_drops(points: Sequence[ExperimentConfig], seed: int, trial: int) -> Iterator[tuple]:
-    """Yield ``(index, drop)`` for each of ``points`` in one trial, sharing every stage.
-
-    A drop is what the point reads of the trial: (channels, outer filters
-    or None, effective channels, inner design), the design being its
-    MET-MER, MET-BD or BD-MER filters or the MET precoders that MET-MMSE
-    starts from. The points share one drop key. The drop is drawn, its
-    manifolds built and its channel realized once; each distinct outer
-    filter is built once, the covariances estimated once for all CME
-    widths, and each SNR-free inner design made once per outer filter,
-    design and n_s. The channel is realized after the first outer filter,
-    as a lone point does it. Each object is released after the last point
-    that reads it, so only one trial's drop is alive at a time. A stage
-    that raises yields its exception, in place of the drop, to exactly
-    the points that depend on it.
+    ``outer_keys`` are the outer keys of the points that will run, in run
+    order, equal keys back to back. From them the cache knows when a stage
+    is spent: the covariances once the last CME filter is built, the drop
+    and its partial CSI once the last outer filter is built and the channel
+    realized. So only one trial's drop is alive at a time.
     """
-    cfg = points[0]
-    point_key = (_SCENARIO_CODE[cfg.scenario], cfg.n_users, trial)
-    by_outer = _partition(range(len(points)), lambda i: _outer_key(points[i]))
-    last_cme = max((n for n, key in enumerate(by_outer) if key and key[0] == "cme"), default=-1)
-    try:
-        macro_rng = _substream(seed, *point_key, _SUBSTREAM_MACRO)
-        macro = draw_macroscopic(cfg.scenario, cfg.n_users, macro_rng, cfg.sigma_c_deg)
-        a_t, a_r, powers = extract_partial_csi(macro, ArrayGeometry(cfg.n_t), ArrayGeometry(cfg.n_r))
-    except Exception as exc:  # every point reads the drop
-        yield from ((i, exc) for i in range(len(points)))
-        return
 
-    cov = channels = None
-    for n, (key, members) in enumerate(by_outer.items()):
-        try:
-            if key is None:  # one layer: the inner stage works on the full channel
-                outers = None
-            elif key[0] == "cme":
-                if cov is None:
-                    slots_rng = _substream(seed, *point_key, _SUBSTREAM_SLOTS)
-                    cov = estimate_covariances(cfg.n_slots, slots_rng, a_t, a_r)
-                outers = cme(cov, key[1], key[2])
-                if n == last_cme:
-                    cov = None
-            else:
-                outers = path_outer_filters(a_t, a_r, powers, key[1], key[2], key[0])
-            if channels is None:
-                eval_rng = _substream(seed, *point_key, _SUBSTREAM_EVAL)
-                phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
-                channels = realize_channel(macro, phases, a_t, a_r)
-                if outers is None:
-                    # The 1-layer baseline designs on the dense channels; the
-                    # 2-layer path reads factored ones only through products
-                    # with filters.
-                    channels = np.asarray(channels)
-            if n == len(by_outer) - 1:
-                a_t = a_r = None  # what the channel needs of them, it holds
-            effset = effective_channels(channels, outers)
-        except Exception as exc:  # only this outer filter's points read it
-            yield from ((i, exc) for i in members)
-            continue
-        for (design, n_s), users in _partition(members, lambda i: _design_key(points[i])).items():
+    def __init__(self, outer_keys: Sequence[tuple | None]):
+        self._held: dict[str, tuple] = {}
+        self._last_outer = outer_keys[-1]
+        self._last_cme = next((k for k in reversed(outer_keys) if k and k[0] == "cme"), None)
+
+    def get(self, stage: str, key, build):
+        """The stage's value for ``key``, built unless held; the old value is freed first.
+
+        A build's exception is held like a value and raised to every point asking for its key.
+        """
+        held = self._held.get(stage)
+        if held is None or held[0] != key:
+            del held  # so that the old value is freed before the new one is built
+            self._held.pop(stage, None)
             try:
-                if design == "met_bd":
-                    inners = met_bd(effset, n_s)
-                elif design == "bd_mer":
-                    inners = bd_mer(effset, n_s)
-                else:
-                    inners = met_mer(effset.serving, n_s)
-                drop = (channels, outers, effset, inners)
+                held = (key, build(), None)
             except Exception as exc:
-                drop = exc
-            yield from ((i, drop) for i in users)
-            inners = drop = None
-        outers = effset = None
+                held = (key, None, exc)
+            self._held[stage] = held
+            outer = self._held.get("outer", (None,))[0]
+            if outer == self._last_cme:
+                self._held.pop("covariances", None)
+            if outer == self._last_outer and "channel" in self._held:
+                self._held.pop("drop", None)
+        if held[2] is not None:
+            raise held[2]
+        return held[1]
 
 
-def run_trial(cfg: ExperimentConfig, seed: int, trial: int, drop: tuple | None = None) -> float:
+def run_trial(
+    cfg: ExperimentConfig, seed: int, trial: int, shared: _TrialCache | None = None
+) -> float:
     """Execute one trial of one point: CSI acquisition, both filter layers, rate evaluation.
 
     The outer filters see only the drop's macroscopic state (via estimated
@@ -314,18 +272,56 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int, drop: tuple | None =
     simulate its training slots. Every stage works on all users at once,
     stacked on a leading (U, ...) axis.
 
-    ``drop`` is the point's share of a trial that :func:`run_point` draws
-    once for a group of points, as ``_trial_drops`` yields it: an exception
-    there is the shared stage's failure and is raised here. Without it the
-    trial draws and designs its own. Either way this runs the point's own
-    stages: power normalization, the MMSE combiner and the sum rate.
+    The stages up to the SNR-free inner design come from ``shared``, the
+    trial's cache that :func:`run_point` hands to each point of a group: each
+    is built once for the points that agree on it, and its failure is raised
+    to each of them. A lone trial makes a one-point cache. The point's own
+    stages follow: power normalization, the MMSE combiner and the sum rate.
     """
-    if drop is None:
-        [(_, drop)] = _trial_drops([cfg], seed, trial)
-    if isinstance(drop, Exception):
-        raise drop
-    channels, outers, effset, inners = drop
-    del drop  # a lone trial then frees the MET combiners that MET-MMSE replaces
+    outer_key, design_key = _stage_keys(cfg)
+    stages = _TrialCache([outer_key]) if shared is None else shared
+    stream = (_SCENARIO_CODE[cfg.scenario], cfg.n_users, trial)
+
+    def draw():  # the drop and its partial CSI
+        macro_rng = _substream(seed, *stream, _SUBSTREAM_MACRO)
+        macro = draw_macroscopic(cfg.scenario, cfg.n_users, macro_rng, cfg.sigma_c_deg)
+        return macro, *extract_partial_csi(macro, ArrayGeometry(cfg.n_t), ArrayGeometry(cfg.n_r))
+
+    def outer_filters():
+        if outer_key is None:  # one layer: the inner stage works on the full channel
+            return None
+        _, a_t, a_r, powers = stages.get("drop", trial, draw)
+        if cfg.outer != "cme":
+            return path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer)
+
+        def slots():  # shared by every CME width
+            rng = _substream(seed, *stream, _SUBSTREAM_SLOTS)
+            return estimate_covariances(cfg.n_slots, rng, a_t, a_r)
+
+        return cme(stages.get("covariances", trial, slots), cfg.m_t, cfg.m_r)
+
+    def channel():
+        macro, a_t, a_r, _ = stages.get("drop", trial, draw)
+        eval_rng = _substream(seed, *stream, _SUBSTREAM_EVAL)
+        phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
+        channels = realize_channel(macro, phases, a_t, a_r)
+        # The 1-layer baseline designs on the dense channels; the 2-layer path
+        # reads factored ones only through products with filters.
+        return channels if outer_key else np.asarray(channels)
+
+    def design():
+        if cfg.inner == "met_bd":
+            return met_bd(effset, cfg.n_s)
+        if cfg.inner == "bd_mer":
+            return bd_mer(effset, cfg.n_s)
+        return met_mer(effset.serving, cfg.n_s)
+
+    # The channel is realized after the first outer filter, so CME's covariances are freed first.
+    outers = stages.get("outer", outer_key, outer_filters)
+    channels = stages.get("channel", trial, channel)
+    effset = stages.get("effective", outer_key, lambda: effective_channels(channels, outers))
+    inners = stages.get("design", design_key, design)
+
     p_t = snr_to_power(cfg.snr_db, cfg.sigma_n2)
     gammas = normalize_gamma(None if outers is None else outers.f_o, inners.f_i, p_t, cfg.n_users)
     if cfg.inner == "met_mmse":
@@ -344,21 +340,23 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     The points must agree on every field their draws depend on (seed,
     scenario, n_users, array sizes, n_slots, sigma_c_deg, layers and
     n_trials); :func:`run_sweep` groups a sweep's points so. They run trial
-    by trial, and each trial's drop and the designs the points agree on
-    are made once for all of them. A point whose trial raises becomes an
-    error row and runs no further trials; the others go on. The records
-    come back in argument order; ``[record] = run_point(cfg)`` runs one.
+    by trial, sorted so that points with equal stage keys run back to back,
+    through one cache per trial: each trial's drop and the stages the
+    points agree on are made once for all of them. The order does not
+    change any result. A point whose trial raises becomes an error row and
+    runs no further trials; the others go on. The records come back in
+    argument order; ``[record] = run_point(cfg)`` runs one.
     """
     for cfg in points:
         cfg.validate()
         if len(cfg.grid()) != 1:
             raise ConfigError("run_point needs single grid points; use run_sweep for lists")
     points = [cfg.grid()[0] for cfg in points]
-    keys = {_drop_key(cfg, seed) for cfg in points}
-    if len(keys) != 1:
+    drop_keys = {_drop_key(cfg, seed) for cfg in points}
+    if len(drop_keys) != 1:
         raise ConfigError("run_point needs points that share one drop; use run_sweep")
-    [key] = keys
-    seed, n_trials = key[0], key[-1]
+    [drop_key] = drop_keys
+    seed, n_trials = drop_key[0], drop_key[-1]
 
     records: list[RateRecord | None] = [None] * len(points)
     for i, cfg in enumerate(points):
@@ -366,18 +364,19 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
         streams = cfg.n_users * cfg.n_s
         if (cfg.inner == "met_bd" and streams > m_r) or (cfg.inner == "bd_mer" and streams > m_t):
             records[i] = _record(cfg, "infeasible")
+    keys = [_stage_keys(cfg) for cfg in points]
+    order = sorted(range(len(points)), key=keys.__getitem__)
     rates = np.empty((len(points), n_trials))
     for trial in range(n_trials):
-        live = [i for i, record in enumerate(records) if record is None]
+        live = [i for i in order if records[i] is None]
         if not live:
             break
-        for j, drop in _trial_drops([points[i] for i in live], seed, trial):
-            i = live[j]
+        stages = _TrialCache([keys[i][0] for i in live])
+        for i in live:
             try:
-                rates[i, trial] = run_trial(points[i], seed, trial, drop)
+                rates[i, trial] = run_trial(points[i], seed, trial, stages)
             except Exception as exc:  # per-row capture is part of the sweep contract
                 records[i] = _record(points[i], f"error:{type(exc).__name__.lower()}")
-            del drop  # so that the next outer filter is built after this one is freed
     return [
         _record(cfg, "ok", rates[i]) if record is None else record
         for i, (cfg, record) in enumerate(zip(points, records))
@@ -400,7 +399,10 @@ def run_sweep(
     for cfg in configs:
         cfg.validate()
     points = [point for cfg in configs for point in cfg.grid()]
-    groups = list(_partition(range(len(points)), lambda i: _drop_key(points[i], seed)).values())
+    by_drop: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        by_drop.setdefault(_drop_key(point, seed), []).append(i)
+    groups = list(by_drop.values())
 
     def one(group: list[int]) -> list[RateRecord]:
         return run_point(*(points[i] for i in group), seed=seed)

@@ -116,8 +116,7 @@ def effective_channels(
         )
     if not isinstance(outers, OuterFilters):  # one pair per user
         outers = OuterFilters(
-            f_o=np.array([o.f_o for o in outers]), w_o=np.array([o.w_o for o in outers]),
-            method="per-user",
+            f_o=np.array([o.f_o for o in outers]), w_o=np.array([o.w_o for o in outers])
         )
     w_o_gram = _hermitian(outers.w_o) @ outers.w_o
     h_eff = _cross_user_products(outers.w_o, channels, outers.f_o).transpose(0, 2, 1, 3)

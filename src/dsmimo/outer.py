@@ -36,7 +36,6 @@ class OuterFilters:
 
     f_o: np.ndarray
     w_o: np.ndarray
-    method: str
 
 
 def _top_eigenvectors(manifold: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray:
@@ -72,7 +71,6 @@ def cme(cov: CovariancePair, m_t: int, m_r: int) -> OuterFilters:
     return OuterFilters(
         f_o=_top_eigenvectors(cov.b_ul, cov.k_ul, m_t),
         w_o=_top_eigenvectors(cov.b_dl, cov.k_dl, m_r),
-        method="cme",
     )
 
 
@@ -165,4 +163,4 @@ def path_outer_filters(
     for user in np.ndindex(powers.shape[:-1]):
         f_o[user] = select(a_t[user], powers[user], m_t)
         w_o[user] = select(a_r[user], powers[user], m_r)
-    return OuterFilters(f_o=f_o, w_o=w_o, method=method)
+    return OuterFilters(f_o=f_o, w_o=w_o)

@@ -216,9 +216,7 @@ def test_criterion_8_brute_force_oracle_equivalence():
         # effective channels vs entrywise triple product
         channels = [_random_complex(rng, (n, n)) for _ in range(2)]
         outers = [
-            OuterFilters(
-                f_o=_random_complex(rng, (n, 2)), w_o=_random_complex(rng, (n, 2)), method="x"
-            )
+            OuterFilters(f_o=_random_complex(rng, (n, 2)), w_o=_random_complex(rng, (n, 2)))
             for _ in range(2)
         ]
         effset = effective_channels(channels, outers)

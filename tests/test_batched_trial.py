@@ -151,13 +151,12 @@ def _cme(cov, m_t, m_r):
     return OuterFilters(
         f_o=_top_eigenvectors(cov.b_ul, cov.k_ul, m_t),
         w_o=_top_eigenvectors(cov.b_dl, cov.k_dl, m_r),
-        method="cme",
     )
 
 
 def _path_outer_filters(a_t, a_r, powers, m_t, m_r, method):
     select = {"pps": pps, "sps": sps}[method]
-    return OuterFilters(f_o=select(a_t, powers, m_t), w_o=select(a_r, powers, m_r), method=method)
+    return OuterFilters(f_o=select(a_t, powers, m_t), w_o=select(a_r, powers, m_r))
 
 
 def _truncated_svd(h, n_s):
@@ -303,7 +302,7 @@ def reference_trial(cfg, seed, trial, factored=False):
 
     if cfg.layers == 1:
         shared = OuterFilters(
-            f_o=np.eye(cfg.n_t, dtype=complex), w_o=np.eye(cfg.n_r, dtype=complex), method="none"
+            f_o=np.eye(cfg.n_t, dtype=complex), w_o=np.eye(cfg.n_r, dtype=complex)
         )
         outers = [shared] * n_users
     elif cfg.outer == "cme":
@@ -446,8 +445,7 @@ def test_factored_products_match_dense(scenario, n_users):
     dense = [_realize_channel(macro[u], phases[u], tx, rx) for u in range(n_users)]
     a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
     outers = cme(estimate_covariances(20, rng, a_t, a_r), 8, 8)
-    per_user = [OuterFilters(f_o=outers.f_o[u], w_o=outers.w_o[u], method="cme")
-                for u in range(n_users)]
+    per_user = [OuterFilters(f_o=outers.f_o[u], w_o=outers.w_o[u]) for u in range(n_users)]
 
     got = effective_channels(channels, outers)
     want = _effective_channels(dense, per_user)
@@ -481,6 +479,6 @@ def test_user_count_mismatch_is_rejected(form, n_h, n_w, n_f):
     channels = {"dense": factored.dense(), "factored": factored, "list": list(factored.dense())}
     w, f = cplx(n_w, 6, 2), cplx(n_f, 5, 2)
     with pytest.raises(ValueError):
-        effective_channels(channels[form], OuterFilters(f_o=f, w_o=w, method="test"))
+        effective_channels(channels[form], OuterFilters(f_o=f, w_o=w))
     with pytest.raises(ValueError):
         sum_rate(channels[form], LinkFilters(f=f, w=w), 1e-2, 2)

@@ -296,6 +296,49 @@ class TestDropSharing:
                 assert got == want
         assert len(wide_calls) == 2  # its points ran no trial after the failure
 
+    @staticmethod
+    def _failing_at_second_call(monkeypatch, name):
+        """Make ``harness.<name>`` raise on its second call; return its calls so far."""
+        real_stage, calls = getattr(harness, name), []
+
+        def stage_failing_at_second_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError(f"{name} failed")
+            return real_stage(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, stage_failing_at_second_call)
+        return calls
+
+    def test_drop_failure_marks_every_point_of_the_group(self, monkeypatch):
+        configs = [
+            ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
+            for outer, m in (("cme", 2), ("cme", 4), ("sps", 2))
+            for inner in ("met_mer", "met_mmse")
+        ]
+        draws = self._failing_at_second_call(monkeypatch, "draw_macroscopic")
+        records = run_sweep(*configs, seed=6)
+        assert len(records) == 18
+        for record in records:  # the second draw is trial 1's, and all 18 points read it
+            assert record.status == "error:floatingpointerror" and record.n_trials == 0
+        assert len(draws) == 2  # one draw per trial
+
+    def test_design_failure_marks_only_its_points(self, monkeypatch):
+        configs = [
+            ExperimentConfig(m_t=4, m_r=4, outer="cme", inner=inner, **SHARED_DROP)
+            for inner in harness.INNER_METHODS
+        ]
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        designs = self._failing_at_second_call(monkeypatch, "met_bd")
+        records = run_sweep(*configs, seed=6)
+        for got, want in zip(records, clean):
+            if got.inner == "met_bd":  # all three SNRs read trial 1's design
+                assert got.status == "error:floatingpointerror" and got.n_trials == 0
+            else:
+                assert got == want
+        assert len(designs) == 2  # one design per trial
+
     def test_run_point_rejects_points_of_different_drops(self):
         for other in ({"n_users": 2}, {"n_trials": 4}, {"layers": 1, "outer": "none"}):
             with pytest.raises(ConfigError):

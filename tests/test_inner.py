@@ -66,7 +66,7 @@ class TestEffectiveChannels:
         rng = np.random.default_rng(0)
         channels = [_random_complex(rng, (4, 4)) for _ in range(2)]
         outers = [
-            OuterFilters(f_o=_random_complex(rng, (4, 3)), w_o=_random_complex(rng, (4, 2)), method="x")
+            OuterFilters(f_o=_random_complex(rng, (4, 3)), w_o=_random_complex(rng, (4, 2)))
             for _ in range(2)
         ]
         effset = effective_channels(channels, outers)
@@ -88,7 +88,7 @@ class TestEffectiveChannels:
         rng = np.random.default_rng(1)
         h = _random_complex(rng, (6, 6))
         q, _ = np.linalg.qr(_random_complex(rng, (6, 4)))
-        outer = OuterFilters(f_o=q, w_o=q, method="cme")
+        outer = OuterFilters(f_o=q, w_o=q)
         effset = effective_channels([h], [outer])
         assert np.allclose(effset.h_eff[0, 0], q.conj().T @ h @ q, atol=1e-12)
         assert np.allclose(effset.w_o_gram[0], np.eye(4), atol=1e-12)
@@ -106,8 +106,8 @@ class TestEffectiveChannels:
         f, w = _random_complex(rng, (16, 4)), _random_complex(rng, (16, 4))
         single, per_user = {
             "two_layer": (
-                lambda: effective_channels(h, OuterFilters(f, w, "x")),
-                lambda: effective_channels([h], [OuterFilters(f, w, "x")]),
+                lambda: effective_channels(h, OuterFilters(f, w)),
+                lambda: effective_channels([h], [OuterFilters(f, w)]),
             ),
             "one_layer": (
                 lambda: effective_channels(h, None),

@@ -329,7 +329,6 @@ class TestPathOuterFilters:
             filters = path_outer_filters(a_t, a_r, powers, 3, 2, method)
             assert filters.f_o.shape == (8, 3)
             assert filters.w_o.shape == (6, 2)
-            assert filters.method == method
 
     def test_unknown_method(self):
         rng = np.random.default_rng(14)
