@@ -29,7 +29,9 @@ from .channel import (
     extract_partial_csi,
     realize_channel,
 )
-from .inner import bd_mer, effective_channels, met_bd, met_mer, met_mmse, normalize_gamma
+from .inner import (
+    InfeasibleError, bd_mer, effective_channels, met_bd, met_mer, met_mmse, normalize_gamma,
+)
 from .metrics import LinkFilters, snr_to_power, sum_rate
 from .outer import cme, path_outer_filters
 
@@ -151,8 +153,8 @@ class RateRecord:
     ``m_t``/``m_r`` are the effective inner-layer dimensions (the array
     sizes themselves for 1-layer runs). ``mean_rate``/``stderr`` are None
     unless the status is ``ok``, and ``stderr`` is also None for a single
-    trial, whose standard error is undefined; ``n_trials`` counts executed
-    trials.
+    trial, whose standard error is undefined. ``n_trials`` is the number of
+    trials averaged into ``mean_rate``: 0 unless ``ok``, even if some ran.
     """
 
     outer: str
@@ -186,18 +188,17 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _record(cfg: ExperimentConfig, status: str, rates: np.ndarray | None = None) -> RateRecord:
-    """The CSV row of a single-point config; ``rates`` only for ``ok`` rows."""
+def _record(cfg: ExperimentConfig, status: str, rates: np.ndarray) -> RateRecord:
+    """The CSV row of a single-point config; its ``rates`` are read only if ``ok``."""
     m_t, m_r = cfg.effective_dims()
-    mean_rate = stderr = None
-    if rates is not None:
-        mean_rate = float(rates.mean())
+    n_trials, mean_rate, stderr = 0, None, None
+    if status == "ok":
+        n_trials, mean_rate = rates.size, float(rates.mean())
         stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
     return RateRecord(
         outer=cfg.outer, inner=cfg.inner, layers=cfg.layers, scenario=cfg.scenario,
         snr_db=cfg.snr_db, n_users=cfg.n_users, n_streams=cfg.n_s, m_t=m_t, m_r=m_r,
-        n_trials=0 if rates is None else rates.size, mean_rate=mean_rate, stderr=stderr,
-        status=status,
+        n_trials=n_trials, mean_rate=mean_rate, stderr=stderr, status=status,
     )
 
 
@@ -343,9 +344,13 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     by trial, sorted so that points with equal stage keys run back to back,
     through one cache per trial: each trial's drop and the stages the
     points agree on are made once for all of them. The order does not
-    change any result. A point whose trial raises becomes an error row and
-    runs no further trials; the others go on. The records come back in
-    argument order; ``[record] = run_point(cfg)`` runs one.
+    change any result. A point whose trial raises runs no further trials;
+    the others go on. Its row reads ``infeasible`` for a BD design's
+    :class:`InfeasibleError` (raised in trial 0, before any SVD), else
+    ``error:<name>``, also when a shared stage fails before the design.
+    A caught exception loses its traceback, whose frames hold the cache
+    that may hold it. The records come back in argument order;
+    ``[record] = run_point(cfg)`` runs one.
     """
     for cfg in points:
         cfg.validate()
@@ -358,17 +363,12 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     [drop_key] = drop_keys
     seed, n_trials = drop_key[0], drop_key[-1]
 
-    records: list[RateRecord | None] = [None] * len(points)
-    for i, cfg in enumerate(points):
-        m_t, m_r = cfg.effective_dims()
-        streams = cfg.n_users * cfg.n_s
-        if (cfg.inner == "met_bd" and streams > m_r) or (cfg.inner == "bd_mer" and streams > m_t):
-            records[i] = _record(cfg, "infeasible")
     keys = [_stage_keys(cfg) for cfg in points]
     order = sorted(range(len(points)), key=keys.__getitem__)
     rates = np.empty((len(points), n_trials))
+    statuses: dict[int, str] = {}
     for trial in range(n_trials):
-        live = [i for i in order if records[i] is None]
+        live = [i for i in order if i not in statuses]
         if not live:
             break
         stages = _TrialCache([keys[i][0] for i in live])
@@ -376,11 +376,10 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
             try:
                 rates[i, trial] = run_trial(points[i], seed, trial, stages)
             except Exception as exc:  # per-row capture is part of the sweep contract
-                records[i] = _record(points[i], f"error:{type(exc).__name__.lower()}")
-    return [
-        _record(cfg, "ok", rates[i]) if record is None else record
-        for i, (cfg, record) in enumerate(zip(points, records))
-    ]
+                exc.__traceback__ = None  # else a held exc's frames keep its trial's cache alive
+                error = f"error:{type(exc).__name__.lower()}"
+                statuses[i] = "infeasible" if isinstance(exc, InfeasibleError) else error
+    return [_record(cfg, statuses.get(i, "ok"), rates[i]) for i, cfg in enumerate(points)]
 
 
 def run_sweep(

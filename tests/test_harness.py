@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from dsmimo import (
     ConfigError,
     ExperimentConfig,
+    InfeasibleError,
     PRESETS,
     RateRecord,
     emit_csv,
@@ -355,12 +357,52 @@ class TestFeasibilityHandling:
         assert record.status == "infeasible"
         assert record.mean_rate is None and record.n_trials == 0
 
-    def test_congestion_sweep_marks_only_oversubscribed_rows(self):
-        cfg = replace(
-            SMALL, inner="bd_mer", m_t=4, m_r=4, n_users=[2, 4, 5, 8], n_trials=1
-        )
-        records = run_sweep(cfg, seed=0)
-        assert [r.status for r in records] == ["ok", "ok", "infeasible", "infeasible"]
+    def test_congestion_sweep_marks_only_oversubscribed_rows(self, monkeypatch):
+        # Feasibility is the BD designs' own rule: each infeasible design
+        # runs once, in trial 0, and raises before any SVD.
+        configs = [
+            replace(SMALL, inner=inner, m_t=4, m_r=4, n_users=[2, 4, 5, 8], n_trials=2)
+            for inner in ("met_mer", "met_bd", "bd_mer")
+        ]
+        real_trial, trials, designs = harness.run_trial, [], {}
+
+        def tracking_trial(cfg, seed, trial, drop=None):
+            trials.append(trial)
+            return real_trial(cfg, seed, trial, drop)
+
+        def counting(name):
+            real_design = getattr(harness, name)
+
+            def design(effset, n_s):
+                designs.setdefault((name, effset.n_users), []).append(trials[-1])
+                try:
+                    return real_design(effset, n_s)
+                except InfeasibleError:
+                    designs[name, effset.n_users].append("infeasible")
+                    raise
+
+            monkeypatch.setattr(harness, name, design)
+
+        monkeypatch.setattr(harness, "run_trial", tracking_trial)
+        counting("met_bd")
+        counting("bd_mer")
+        records = run_sweep(*configs, seed=0)
+        bd_statuses = ["ok", "ok", "infeasible", "infeasible"]
+        assert [r.status for r in records] == ["ok"] * 4 + bd_statuses * 2
+        for record in records[4:]:
+            infeasible = record.n_users * record.n_streams > 4
+            assert (record.status == "infeasible") == infeasible
+            assert record.n_trials == (0 if infeasible else 2)
+            calls = designs[record.inner, record.n_users]
+            assert calls == ([0, "infeasible"] if infeasible else [0, 1])
+
+    def test_a_shared_stage_failing_first_decides_an_infeasible_row(self, monkeypatch):
+        def failing_draw(*args, **kwargs):
+            raise FloatingPointError("drop failed")
+
+        monkeypatch.setattr(harness, "draw_macroscopic", failing_draw)
+        [record] = run_point(replace(SMALL, inner="met_bd", n_users=4), seed=0)  # 4 > m_r = 2
+        assert record.status == "error:floatingpointerror" and record.n_trials == 0
 
     def test_single_layer_uses_array_dimensions_for_feasibility(self):
         cfg = replace(SMALL, layers=1, outer="none", inner="met_bd", n_users=8, n_trials=1)
@@ -402,6 +444,39 @@ class TestErrorRows:
         [record] = run_sweep(cfg, seed=1)
         assert record.status == "error:solvererror"
         assert record.n_trials == 0 and record.mean_rate is None
+
+    def test_a_held_failure_keeps_no_trial_alive(self, monkeypatch):
+        # The cache holds a failed design's exception for the points that
+        # share it; its traceback must not hold the trial's arrays (through
+        # the frames, the cache) until the cyclic GC happens to run.
+        points = [
+            ExperimentConfig(
+                scenario="fair", n_t=32, n_r=32, m_t=8, m_r=8, n_users=8, outer="cme",
+                inner=inner, n_trials=3, n_slots=20,
+            )
+            for inner in ("met_mer", "met_bd")
+        ]
+
+        def heap_peak():
+            gc.disable()
+            tracemalloc.start()
+            try:
+                records = run_point(*points, seed=1)
+                return tracemalloc.get_traced_memory()[1], records
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        run_point(*points, seed=1)  # first-call allocations are not the group's
+        clean, _ = heap_peak()
+
+        def failing_design(effset, n_s):
+            raise FloatingPointError("design failed")
+
+        monkeypatch.setattr(harness, "met_bd", failing_design)
+        failing, records = heap_peak()
+        assert [r.status for r in records] == ["ok", "error:floatingpointerror"]
+        assert failing <= 1.02 * clean
 
 
 class TestCsvEmission:

@@ -278,6 +278,20 @@ class TestSps:
         with pytest.raises(ValueError):
             sps_indices(manifold, [1.0, 1.0, 1.0], 4)
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="sps_indices repeats directions at zero spread; ROADMAP item 2",
+    )
+    def test_picks_independent_directions_at_zero_spread(self):
+        # Eight clusters of four identical rays: at most 8 independent paths.
+        macro = draw_macroscopic("fair", 1, np.random.default_rng(25), sigma_c_deg=0.0)[0]
+        a_t, _, powers = extract_partial_csi(macro, ArrayGeometry(64), ArrayGeometry(64))
+        try:
+            columns = sps(a_t, powers, 16)
+        except RankDeficiencyError:
+            return
+        assert np.linalg.matrix_rank(columns) == 16
+
 
 class TestSpsMatchesReprojection:
     """The incremental residual update against the re-projection it replaced,

@@ -1,9 +1,12 @@
 """Property tests over small random configurations."""
 
+import csv
+import io
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from dsmimo import (
     snr_to_power,
 )
 from dsmimo import harness
+from dsmimo.cli import main
 
 
 @st.composite
@@ -68,5 +72,75 @@ def test_every_composite_precoder_meets_its_power_budget(inner, layers):
         powers = np.sum(np.abs(captured[0]) ** 2, axis=(1, 2))
         assert powers.shape == (cfg.n_users,)
         np.testing.assert_allclose(powers, budget, rtol=1e-12, atol=0.0)
+
+    check()
+
+
+# Values of the wrong type or range for most config fields.
+_JUNK = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.one_of(st.integers(-2, 3), st.text(max_size=2), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 3), max_size=2),
+    st.integers(-5, 0),
+    st.floats(-10.0, -0.1),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+)
+
+
+def _axis(values):
+    """A sweep axis: one value or a short list of them."""
+    return st.one_of(values, st.lists(values, min_size=1, max_size=3))
+
+
+@st.composite
+def _config_files(draw):
+    """A flat config mapping: mostly small legal values, a few replaced by junk."""
+    layers = draw(st.sampled_from([1, 2, 2]))
+    n_t, n_r = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    data = {
+        "scenario": draw(st.sampled_from(sorted(SCENARIOS))),
+        "n_t": n_t,
+        "n_r": n_r,
+        "m_t": draw(st.integers(1, min(n_t, 4))),
+        "m_r": draw(st.integers(1, min(n_r, 4))),
+        "n_s": draw(st.integers(1, 2)),
+        "n_users": draw(_axis(st.integers(1, 4))),
+        "snr_db": draw(_axis(st.floats(-20.0, 40.0))),
+        "outer": "none" if layers == 1 else draw(st.sampled_from(["cme", "pps", "sps"])),
+        "inner": draw(st.sampled_from(harness.INNER_METHODS)),
+        "layers": layers,
+        "n_trials": draw(st.integers(1, 2)),
+        "n_slots": draw(st.integers(1, 4)),
+        "sigma_n2": draw(st.floats(1e-4, 1.0)),
+        "sigma_c_deg": draw(st.floats(0.0, 10.0)),
+        "seed": draw(st.integers(0, 100)),
+    }
+    keys = sorted(data) + ["n_antennas"]  # the last one is unknown
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        data[key] = draw(st.one_of(_JUNK, st.sampled_from(["poor", "none", "cme", "met_bd"])))
+    return data
+
+
+def test_cli_exits_with_a_documented_code_on_any_config(tmp_path):
+    """validate and run exit 0, 2 or 3 and raise nothing; a 0 run writes a well-formed CSV."""
+    config, out = tmp_path / "config.yaml", tmp_path / "out.csv"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=_config_files())
+    def check(data):
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        checked = main(["validate", "--config", str(config)])
+        assert checked in (0, 2)
+        out.unlink(missing_ok=True)
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        assert code in (0, 2, 3) and (code == 2) == (checked == 2)
+        if code == 0:
+            rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+            assert rows
+            for row in rows:
+                status = row["status"]
+                assert status in ("ok", "infeasible") or status.startswith("error:")
 
     check()
