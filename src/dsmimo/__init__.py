@@ -33,6 +33,7 @@ from .inner import (
     SolverError,
     TruncatedSvd,
     bd_mer,
+    composite_precoder,
     effective_channels,
     met_bd,
     met_mer,
@@ -40,7 +41,7 @@ from .inner import (
     normalize_gamma,
     truncated_svd,
 )
-from .metrics import EvaluationError, LinkFilters, snr_to_power, sum_rate
+from .metrics import EvaluationError, LinkFilters, ReceiveSide, receive_side, snr_to_power, sum_rate
 from .outer import (
     OuterFilters,
     RankDeficiencyError,

@@ -30,9 +30,10 @@ from .channel import (
     realize_channel,
 )
 from .inner import (
-    InfeasibleError, bd_mer, effective_channels, met_bd, met_mer, met_mmse, normalize_gamma,
+    InfeasibleError, bd_mer, composite_precoder, effective_channels, met_bd, met_mer, met_mmse,
+    normalize_gamma,
 )
-from .metrics import LinkFilters, snr_to_power, sum_rate
+from .metrics import LinkFilters, receive_side, snr_to_power, sum_rate
 from .outer import cme, path_outer_filters
 
 OUTER_METHODS = ("cme", "pps", "sps", "none")
@@ -215,10 +216,11 @@ def _drop_key(cfg: ExperimentConfig, seed: int | None) -> tuple:
 
 
 def _stage_keys(cfg: ExperimentConfig) -> tuple:
-    """(outer key, design key) of a point: a trial's points with equal keys share that stage."""
+    """(outer, design, rate) keys of a point: a trial's points with equal keys share that stage."""
     # The inner design is keyed under its outer filter; MET-MMSE starts from MET-MER's.
     outer = None if cfg.layers == 1 else (cfg.outer, cfg.m_t, cfg.m_r)
-    return outer, (outer, "met_mer" if cfg.inner == "met_mmse" else cfg.inner, cfg.n_s)
+    design = (outer, "met_mer" if cfg.inner == "met_mmse" else cfg.inner, cfg.n_s)
+    return outer, design, (outer, cfg.inner, cfg.n_s)
 
 
 class _TrialCache:
@@ -273,13 +275,15 @@ def run_trial(
     simulate its training slots. Every stage works on all users at once,
     stacked on a leading (U, ...) axis.
 
-    The stages up to the SNR-free inner design come from ``shared``, the
-    trial's cache that :func:`run_point` hands to each point of a group: each
-    is built once for the points that agree on it, and its failure is raised
-    to each of them. A lone trial makes a one-point cache. The point's own
-    stages follow: power normalization, the MMSE combiner and the sum rate.
+    The SNR-free stages, up to the inner design and its rate factors (the
+    composite precoder, its norm and, but for MMSE, the sum rate's receive
+    side), come from ``shared``, the trial's cache that :func:`run_point`
+    hands to each point of a group: each is built once for the points that
+    agree on it, and its failure is raised to each of them. A lone trial
+    makes a one-point cache. The point's own stages follow: power
+    normalization, the MMSE combiner and the sum rate.
     """
-    outer_key, design_key = _stage_keys(cfg)
+    outer_key, design_key, rate_key = _stage_keys(cfg)
     stages = _TrialCache([outer_key]) if shared is None else shared
     stream = (_SCENARIO_CODE[cfg.scenario], cfg.n_users, trial)
 
@@ -317,22 +321,26 @@ def run_trial(
             return bd_mer(effset, cfg.n_s)
         return met_mer(effset.serving, cfg.n_s)
 
+    def receiving(w_i):  # the sum rate's receive side for composite combiners W_o @ w_i
+        return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
+
+    def rate_factors():  # composite precoder, its norm, and the receive side unless MMSE's
+        f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
+        return f, norm, None if cfg.inner == "met_mmse" else receiving(inners.w_i)
+
     # The channel is realized after the first outer filter, so CME's covariances are freed first.
     outers = stages.get("outer", outer_key, outer_filters)
     channels = stages.get("channel", trial, channel)
     effset = stages.get("effective", outer_key, lambda: effective_channels(channels, outers))
     inners = stages.get("design", design_key, design)
+    f, norm, received = stages.get("rate", rate_key, rate_factors)
 
     p_t = snr_to_power(cfg.snr_db, cfg.sigma_n2)
-    gammas = normalize_gamma(None if outers is None else outers.f_o, inners.f_i, p_t, cfg.n_users)
-    if cfg.inner == "met_mmse":
-        inners = met_mmse(effset, gammas, cfg.sigma_n2, cfg.n_s, f_i=inners.f_i)
-
-    f, w = inners.f_i, inners.w_i
-    if outers is not None:
-        f, w = outers.f_o @ f, outers.w_o @ w
-    f = gammas[:, None, None] * f  # rebound, so no unscaled copy stays alive
-    return sum_rate(channels, LinkFilters(f=f, w=w), cfg.sigma_n2, cfg.n_s)
+    gammas = normalize_gamma(norm, p_t, cfg.n_users)
+    if received is None:  # the MMSE combiner depends on the SNR
+        received = receiving(met_mmse(effset, gammas, cfg.sigma_n2, cfg.n_s, f_i=inners.f_i).w_i)
+    f = gammas[:, None, None] * f
+    return sum_rate(received, LinkFilters(f=f, w=None), cfg.sigma_n2, cfg.n_s)
 
 
 def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRecord]:

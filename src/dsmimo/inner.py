@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FactoredChannel, _cross_user_products, _hermitian
+from .channel import FactoredChannel, _combine, _cross_products, _hermitian
 from .outer import OuterFilters
 
 # Singular values below this fraction of the largest are treated as zero
@@ -119,7 +119,7 @@ def effective_channels(
             f_o=np.array([o.f_o for o in outers]), w_o=np.array([o.w_o for o in outers])
         )
     w_o_gram = _hermitian(outers.w_o) @ outers.w_o
-    h_eff = _cross_user_products(outers.w_o, channels, outers.f_o).transpose(0, 2, 1, 3)
+    h_eff = _cross_products(_combine(outers.w_o, channels), outers.f_o).transpose(0, 2, 1, 3)
     return EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram)
 
 
@@ -223,22 +223,26 @@ def met_mmse(
     return InnerFilters(f_i=f_i, w_i=w_i)
 
 
-def normalize_gamma(
-    f_o: np.ndarray | None, f_i: np.ndarray, p_t: float, n_users: int
-) -> np.ndarray:
-    """Scaling that gives each composite precoder F_o @ F_i its power budget P_t / U.
+def composite_precoder(f_o: np.ndarray | None, f_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's composite precoder F_o @ F_i and its Frobenius norm, the SNR-free half of gamma.
 
-    Stacked (..., N_t, M_t) and (..., M_t, N_s) filters give one gamma per
-    user; without outer filters (``None``, one layer) the composite is F_i.
-    A composite whose norm has cancelled to below ``_GAMMA_RTOL`` times
-    ||F_o|| ||F_i|| carries no reliable direction, so it is rejected like a
-    zero one instead of being scaled up.
+    Stacked (..., N_t, M_t) and (..., M_t, N_s) filters give one composite
+    and one norm per user; without outer filters (``None``, one layer) the
+    composite is F_i. A composite whose norm has cancelled to below
+    ``_GAMMA_RTOL`` times ||F_o|| ||F_i|| carries no reliable direction, so
+    it is rejected like a zero one instead of being scaled up.
     """
     f_i_norm = np.linalg.norm(f_i, axis=(-2, -1))
-    norm, floor = f_i_norm, 0.0
+    composite, norm, floor = f_i, f_i_norm, 0.0
     if f_o is not None:
-        norm = np.linalg.norm(f_o @ f_i, axis=(-2, -1))
+        composite = f_o @ f_i
+        norm = np.linalg.norm(composite, axis=(-2, -1))
         floor = _GAMMA_RTOL * np.linalg.norm(f_o, axis=(-2, -1)) * f_i_norm
     if np.any(norm <= floor):
         raise ValueError("composite precoder F_o @ F_i has zero or cancelled Frobenius norm")
+    return composite, norm
+
+
+def normalize_gamma(norm: np.ndarray, p_t: float, n_users: int) -> np.ndarray:
+    """Scaling that gives composite precoders of norms ``norm`` (see above) the budget P_t / U."""
     return np.sqrt(p_t / n_users) / norm

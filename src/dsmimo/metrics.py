@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FactoredChannel, _cross_user_products, _hermitian
+from .channel import FactoredChannel, _combine, _cross_products, _hermitian
 
 _LN2 = np.log(2.0)
 
@@ -19,10 +19,18 @@ class EvaluationError(RuntimeError):
 @dataclass(frozen=True)
 class LinkFilters:
     """Full per-user filters: f[u] is (N_t, N_s) with ||f[u]||_F^2 = P_t / U,
-    w[u] is (N_r, N_s). Either a stacked (U, ...) array or one matrix per user."""
+    w[u] is (N_r, N_s). Either a stacked (U, ...) array or one matrix per user;
+    ``w`` is None where :func:`sum_rate` gets the combiners' :class:`ReceiveSide`."""
 
     f: np.ndarray | Sequence[np.ndarray]
-    w: np.ndarray | Sequence[np.ndarray]
+    w: np.ndarray | Sequence[np.ndarray] | None
+
+
+@dataclass(frozen=True)
+class ReceiveSide:
+    """Q_u^H H_u (U, a, N_t), each channel through an orthonormal basis of its combiner."""
+
+    combined: np.ndarray
 
 
 def snr_to_power(snr_db: float, sigma_n2: float) -> float:
@@ -50,6 +58,11 @@ def _combiner_basis(w: np.ndarray) -> np.ndarray:
     return u * keep[..., None, :]
 
 
+def receive_side(channels: FactoredChannel | np.ndarray | Sequence[np.ndarray], w) -> ReceiveSide:
+    """The combiners' half of :func:`sum_rate`: free of the precoders and so of the SNR."""
+    return ReceiveSide(_combine(_combiner_basis(np.asarray(w)), channels))
+
+
 def _logdet_hermitian(a: np.ndarray) -> np.ndarray:
     """log det of each Hermitian positive definite matrix via Cholesky."""
     try:
@@ -60,7 +73,7 @@ def _logdet_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def sum_rate(
-    channels: FactoredChannel | np.ndarray | Sequence[np.ndarray],
+    channels: ReceiveSide | FactoredChannel | np.ndarray | Sequence[np.ndarray],
     filters: LinkFilters,
     sigma_n2: float,
     n_s: int,
@@ -75,17 +88,20 @@ def sum_rate(
     C_u positive definite when combiner columns become nearly parallel.
     All users are evaluated as one stack: channels (U, N_r, N_t), dense or
     factored, every user's combined channel in one product with the stacked
-    precoders.
+    precoders. Channels given as the combiners' :class:`ReceiveSide` (see
+    :func:`receive_side`) skip the combining, and ``filters.w`` is not read.
     """
     f = np.asarray(filters.f)
-    w = np.asarray(filters.w)
-    received = _cross_user_products(_combiner_basis(w), channels, f) / np.sqrt(n_s)
+    if not isinstance(channels, ReceiveSide):
+        channels = receive_side(channels, filters.w)
+    received = _cross_products(channels.combined, f) / np.sqrt(n_s)
     n_users = f.shape[0]
     blocks = received.reshape(n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
     users = np.arange(n_users)
     signal = received[users, :, users, :]
     r = signal @ _hermitian(signal)
     c = sigma_n2 * np.eye(n_s) + (blocks @ _hermitian(blocks) - r)
+    del received, blocks, signal  # else alive through the log-dets, a trial's heap peak at U = 1
     # det(C+R) >= det(C) holds exactly; the max() only absorbs roundoff.
     rates = np.maximum(0.0, _logdet_hermitian(c + r) - _logdet_hermitian(c))
     return float(sum(rates.tolist())) / _LN2

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from dsmimo import (
     run_sweep,
     run_trial,
 )
-from dsmimo import harness
+from dsmimo import harness, metrics
 from dsmimo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -214,6 +215,24 @@ class TestTrialMemory:
             tracemalloc.stop()
         assert peak <= 1.1 * self._heap_peak(self.CFG)
 
+    def test_a_group_over_snr_keeps_one_points_rate_factors(self):
+        # U = 1 with m = n_s = 64 makes every rate factor a 64 x 64 matrix:
+        # the group holds one design's composite precoder and receive side
+        # at a time, so its peak stays that of a lone point's trial.
+        cfg = replace(
+            self.CFG, scenario="rich", n_t=64, n_r=64, m_t=64, m_r=64, n_s=64, n_users=1,
+            inner="met_mer",
+        )
+        points = [replace(cfg, snr_db=snr, n_trials=2) for snr in (-10.0, 0.0, 10.0, 20.0, 30.0)]
+        run_point(*points, seed=1)  # first-call allocations are not the group's
+        tracemalloc.start()
+        try:
+            run_point(*points, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self._heap_peak(cfg)
+
     def test_one_layer_trial_builds_the_dense_channel_stack(self):
         cfg = replace(self.CFG, outer="none", layers=1, inner="met_mer")
         assert self._heap_peak(cfg) >= self.STACK_BYTES
@@ -340,6 +359,108 @@ class TestDropSharing:
             else:
                 assert got == want
         assert len(designs) == 2  # one design per trial
+
+    def test_rate_factors_are_built_once_per_design(self, monkeypatch):
+        # Each trial builds a design's composite precoder F_o F_i once for
+        # all its SNRs, and its combiner basis too unless the combiner is
+        # MMSE, whose basis each point builds; every point still scales and
+        # evaluates its own rate.
+        configs = [
+            ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
+            for outer, m in (("cme", 4), ("pps", 2))
+            for inner in harness.INNER_METHODS
+        ]
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        calls = Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((harness, "composite_precoder"), (metrics, "_combiner_basis"),
+                             (harness, "normalize_gamma"), (harness, "sum_rate")):
+            counting(module, name)
+        assert run_sweep(*configs, seed=6) == clean
+        n_trials, n_snrs, n_mmse = 3, 3, 2
+        assert calls["composite_precoder"] == n_trials * len(configs)
+        assert calls["_combiner_basis"] == n_trials * (len(configs) - n_mmse + n_mmse * n_snrs)
+        assert calls["normalize_gamma"] == calls["sum_rate"] == n_trials * len(configs) * n_snrs
+
+    @staticmethod
+    def _rate_factors_failing(monkeypatch, at_design):
+        """Make the rate factors of met_bd's ``at_design``-th design (1-based) raise; None: all.
+
+        Returns, per build of met_bd's rate factors, how many met_bd designs had run.
+        """
+        real_design, real_composite = harness.met_bd, harness.composite_precoder
+        precoders, builds = [], []
+
+        def design(effset, n_s):
+            filters = real_design(effset, n_s)
+            precoders.append(filters.f_i)
+            return filters
+
+        def composite(f_o, f_i):
+            if precoders and f_i is precoders[-1]:
+                builds.append(len(precoders))
+                if at_design in (None, len(precoders)):
+                    raise FloatingPointError("rate factors failed")
+            return real_composite(f_o, f_i)
+
+        monkeypatch.setattr(harness, "met_bd", design)
+        monkeypatch.setattr(harness, "composite_precoder", composite)
+        return builds
+
+    def test_rate_factor_failure_marks_only_its_design_points(self, monkeypatch):
+        configs = [
+            ExperimentConfig(m_t=4, m_r=4, outer="cme", inner=inner, **SHARED_DROP)
+            for inner in harness.INNER_METHODS
+        ]
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        builds = self._rate_factors_failing(monkeypatch, at_design=2)
+        records = run_sweep(*configs, seed=6)
+        for got, want in zip(records, clean):
+            if got.inner == "met_bd":  # all three SNRs read trial 1's rate factors
+                assert got.status == "error:floatingpointerror" and got.n_trials == 0
+            else:
+                assert got == want
+        assert builds == [1, 2]  # one build per trial, and no trial after the failure
+
+    def test_a_held_rate_factor_failure_keeps_no_trial_alive(self, monkeypatch):
+        # As for a held design failure: the exception that every SNR point
+        # of the design reads must not keep the trial's arrays alive.
+        points = [
+            ExperimentConfig(
+                scenario="fair", n_t=32, n_r=32, m_t=8, m_r=8, n_users=8, outer="cme",
+                inner=inner, snr_db=snr, n_trials=3, n_slots=20,
+            )
+            for inner in ("met_mer", "met_bd")
+            for snr in (0.0, 10.0, 20.0)
+        ]
+
+        def heap_peak():
+            gc.disable()
+            tracemalloc.start()
+            try:
+                records = run_point(*points, seed=1)
+                return tracemalloc.get_traced_memory()[1], records
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        run_point(*points, seed=1)  # first-call allocations are not the group's
+        clean, _ = heap_peak()
+        self._rate_factors_failing(monkeypatch, at_design=None)
+        failing, records = heap_peak()
+        assert [r.status for r in records] == ["ok"] * 3 + ["error:floatingpointerror"] * 3
+        assert failing <= 1.02 * clean
 
     def test_run_point_rejects_points_of_different_drops(self):
         for other in ({"n_users": 2}, {"n_trials": 4}, {"layers": 1, "outer": "none"}):

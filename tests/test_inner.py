@@ -8,6 +8,7 @@ from dsmimo import (
     OuterFilters,
     SolverError,
     bd_mer,
+    composite_precoder,
     effective_channels,
     met_bd,
     met_mer,
@@ -413,26 +414,31 @@ class TestSingleUserSubspaceAgreement:
 
 
 class TestNormalizeGamma:
+    @staticmethod
+    def _gamma(f_o, f_i, p_t, n_users):
+        """normalize_gamma on the norm of the composite precoder F_o @ F_i."""
+        return normalize_gamma(composite_precoder(f_o, f_i)[1], p_t, n_users)
+
     def test_unit_norm_product(self):
         rng = np.random.default_rng(25)
         f_o, _ = np.linalg.qr(_random_complex(rng, (6, 2)))
         f_i = np.zeros((2, 1), dtype=complex)
         f_i[0, 0] = 1.0
-        assert abs(normalize_gamma(f_o, f_i, p_t=3.0, n_users=3) - 1.0) < 1e-12
+        assert abs(self._gamma(f_o, f_i, p_t=3.0, n_users=3) - 1.0) < 1e-12
 
     def test_homogeneity(self):
         rng = np.random.default_rng(26)
         f_o = _random_complex(rng, (6, 3))
         f_i = _random_complex(rng, (3, 2))
-        gamma = normalize_gamma(f_o, f_i, 2.0, 4)
-        assert abs(normalize_gamma(f_o, 5.0 * f_i, 2.0, 4) - gamma / 5.0) < 1e-12
+        gamma = self._gamma(f_o, f_i, 2.0, 4)
+        assert abs(self._gamma(f_o, 5.0 * f_i, 2.0, 4) - gamma / 5.0) < 1e-12
 
     def test_power_contract(self):
         rng = np.random.default_rng(27)
         f_o = _random_complex(rng, (8, 4))
         f_i = _random_complex(rng, (4, 2))
         p_t, n_users = 0.1, 5
-        gamma = normalize_gamma(f_o, f_i, p_t, n_users)
+        gamma = self._gamma(f_o, f_i, p_t, n_users)
         assert abs(np.linalg.norm(gamma * f_o @ f_i) ** 2 - p_t / n_users) <= 1e-12 * p_t
 
     def test_total_power_across_users(self):
@@ -442,13 +448,13 @@ class TestNormalizeGamma:
         for _ in range(n_users):
             f_o = _random_complex(rng, (8, 3))
             f_i = _random_complex(rng, (3, 2))
-            gamma = normalize_gamma(f_o, f_i, p_t, n_users)
+            gamma = self._gamma(f_o, f_i, p_t, n_users)
             total += np.linalg.norm(gamma * f_o @ f_i) ** 2
         assert abs(total - p_t) <= 1e-10 * p_t
 
     def test_zero_product_rejected(self):
         with pytest.raises(ValueError):
-            normalize_gamma(np.zeros((4, 2)), np.ones((2, 1)), 1.0, 1)
+            self._gamma(np.zeros((4, 2)), np.ones((2, 1)), 1.0, 1)
 
     @pytest.mark.parametrize("offset,rejected", [(1e-8, True), (1e-4, False)])
     def test_cancelled_product_rejected(self, offset, rejected):
@@ -459,12 +465,12 @@ class TestNormalizeGamma:
         f_i = np.array([[1.0], [-1.0]])
         if rejected:
             with pytest.raises(ValueError, match="cancelled"):
-                normalize_gamma(f_o, f_i, 1.0, 1)
+                self._gamma(f_o, f_i, 1.0, 1)
         else:
-            assert np.isfinite(normalize_gamma(f_o, f_i, 1.0, 1))
+            assert np.isfinite(self._gamma(f_o, f_i, 1.0, 1))
 
     def test_one_layer_gamma_uses_the_inner_precoder_alone(self):
         rng = np.random.default_rng(30)
         f_i = _random_complex(rng, (3, 8, 2))
         eye = np.broadcast_to(np.eye(8), (3, 8, 8))
-        assert np.array_equal(normalize_gamma(None, f_i, 0.3, 3), normalize_gamma(eye, f_i, 0.3, 3))
+        assert np.array_equal(self._gamma(None, f_i, 0.3, 3), self._gamma(eye, f_i, 0.3, 3))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from dsmimo import EvaluationError, LinkFilters, snr_to_power, sum_rate
+from dsmimo import (
+    EvaluationError, FactoredChannel, LinkFilters, ReceiveSide, receive_side, snr_to_power,
+    sum_rate,
+)
 
 
 def _random_complex(rng, shape):
@@ -152,3 +155,32 @@ class TestSumRate:
         channels, filters = _random_link(rng, 2, 3, 3, 1, p_t=1.0)
         with pytest.raises(ValueError):
             sum_rate(channels[:1], filters, 0.1, 1)
+
+    @pytest.mark.parametrize("form", ["dense", "factored", "list"])
+    def test_receive_side_gives_the_same_rate(self, form):
+        # The SNR-free half, built once and fed back for several precoder
+        # scalings as an SNR sweep does, runs the same operations as the
+        # whole evaluation: the rates are equal, not merely close.
+        rng = np.random.default_rng(10)
+        factored = FactoredChannel(
+            rx_gains=_random_complex(rng, (3, 6, 4)), a_t=_random_complex(rng, (3, 5, 4))
+        )
+        channels = {"dense": factored.dense(), "factored": factored, "list": list(factored.dense())}
+        _, filters = _random_link(rng, 3, 5, 6, 2, p_t=1.0)
+        received = receive_side(channels[form], filters.w)
+        assert isinstance(received, ReceiveSide) and received.combined.shape == (3, 2, 5)
+        for scale in (0.1, 1.0, 30.0):
+            f = [scale * f_u for f_u in filters.f]
+            whole = sum_rate(channels[form], LinkFilters(f=f, w=filters.w), 0.05, 2)
+            assert sum_rate(received, LinkFilters(f=f, w=None), 0.05, 2) == whole
+
+    def test_receive_side_checks_its_users(self):
+        rng = np.random.default_rng(11)
+        channels, filters = _random_link(rng, 2, 3, 3, 1, p_t=1.0)
+        with pytest.raises(ValueError):
+            receive_side(channels[:1], filters.w)
+        received = receive_side(channels, filters.w)
+        with pytest.raises(ValueError):
+            sum_rate(received, LinkFilters(f=filters.f[:1], w=None), 0.1, 1)
+        with pytest.raises(ValueError):  # precoders for another transmit array
+            sum_rate(received, LinkFilters(f=[np.ones((4, 1))] * 2, w=None), 0.1, 1)
