@@ -46,11 +46,14 @@ from .outer import (
     OuterFilters,
     RankDeficiencyError,
     cme,
+    cme_basis,
+    path_orders,
     path_outer_filters,
     pps,
     pps_indices,
     sps,
     sps_indices,
+    sps_order,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ expands each over its list-valued axes (scenario, SNR, number of users),
 groups the resulting grid points by drop (the points whose draws agree)
 and maps one worker pool over the groups. A group runs trial by trial,
 each point's whole pipeline in :func:`run_trial`; a per-trial cache builds
-the drop, outer filters and SNR-free inner designs once for all its points.
+the drop, the outer layer's width-free work (CME's eigenbasis, a path
+selection's order), each outer filter and each SNR-free inner design once
+for all its points.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -34,7 +36,7 @@ from .inner import (
     normalize_gamma,
 )
 from .metrics import LinkFilters, receive_side, snr_to_power, sum_rate
-from .outer import cme, path_outer_filters
+from .outer import cme, cme_basis, path_orders, path_outer_filters
 
 OUTER_METHODS = ("cme", "pps", "sps", "none")
 INNER_METHODS = ("met_mer", "met_bd", "met_mmse", "bd_mer")
@@ -227,16 +229,25 @@ class _TrialCache:
     """The stages that one trial's points share, each holding its latest key's value.
 
     ``outer_keys`` are the outer keys of the points that will run, in run
-    order, equal keys back to back. From them the cache knows when a stage
-    is spent: the covariances once the last CME filter is built, the drop
-    and its partial CSI once the last outer filter is built and the channel
-    realized. So only one trial's drop is alive at a time.
+    order, each method's keys back to back and equal keys together. From
+    them the cache knows ``widest``, each outer method's widest (m_t, m_r),
+    for which its width-free stage is built, and when a stage is spent: a
+    method's width-free stage once its last filter is built, the drop and
+    its partial CSI once every build that reads them is done (the channel,
+    each method's width-free stage and each PPS/SPS filter). So only one
+    trial's drop is alive at a time. A new outer key makes the stages
+    keyed under the old one stale.
     """
 
     def __init__(self, outer_keys: Sequence[tuple | None]):
         self._held: dict[str, tuple] = {}
-        self._last_outer = outer_keys[-1]
-        self._last_cme = next((k for k in reversed(outer_keys) if k and k[0] == "cme"), None)
+        self._last = {key[0]: key for key in outer_keys if key}  # each method's last key
+        self.widest: dict[str, tuple[int, int]] = {}
+        for method, m_t, m_r in filter(None, set(outer_keys)):
+            widest_t, widest_r = self.widest.get(method, (0, 0))
+            self.widest[method] = (max(widest_t, m_t), max(widest_r, m_r))
+        path_keys = sum(1 for key in set(outer_keys) if key and key[0] != "cme")
+        self._drop_reads = 1 + len(self.widest) + path_keys
 
     def get(self, stage: str, key, build):
         """The stage's value for ``key``, built unless held; the old value is freed first.
@@ -247,19 +258,36 @@ class _TrialCache:
         if held is None or held[0] != key:
             del held  # so that the old value is freed before the new one is built
             self._held.pop(stage, None)
+            if stage == "outer":
+                for stale in ("effective", "design", "rate"):
+                    self._held.pop(stale, None)
             try:
                 held = (key, build(), None)
             except Exception as exc:
                 held = (key, None, exc)
             self._held[stage] = held
-            outer = self._held.get("outer", (None,))[0]
-            if outer == self._last_cme:
-                self._held.pop("covariances", None)
-            if outer == self._last_outer and "channel" in self._held:
-                self._held.pop("drop", None)
+            if stage in _SPENDING_STAGES:
+                self._spend(stage, key)
         if held[2] is not None:
             raise held[2]
         return held[1]
+
+    def _spend(self, stage: str, key) -> None:
+        """Free what the build of ``stage`` for ``key`` was the last to read."""
+        if stage == "outer":
+            if key is None:
+                return
+            if key == self._last[key[0]]:
+                self._held.pop("width_free", None)
+            if key[0] == "cme":  # CME's filters read only its eigenbasis
+                return
+        self._drop_reads -= 1
+        if not self._drop_reads:
+            self._held.pop("drop", None)
+
+
+# The stages whose builds can spend another: see _TrialCache._spend.
+_SPENDING_STAGES = frozenset(("outer", "channel", "width_free"))
 
 
 def run_trial(
@@ -279,9 +307,13 @@ def run_trial(
     composite precoder, its norm and, but for MMSE, the sum rate's receive
     side), come from ``shared``, the trial's cache that :func:`run_point`
     hands to each point of a group: each is built once for the points that
-    agree on it, and its failure is raised to each of them. A lone trial
-    makes a one-point cache. The point's own stages follow: power
-    normalization, the MMSE combiner and the sum rate.
+    agree on it, and its failure is raised to each of them. Before its
+    filters, an outer method builds its width-free work once for the
+    group's widest filters: CME the eigenbasis of each side's estimated
+    covariances, PPS/SPS each user's selection order per side. Each width
+    then makes its own eigenvector product or takes a prefix of the order.
+    A lone trial makes a one-point cache. The point's own stages follow:
+    power normalization, the MMSE combiner and the sum rate.
     """
     outer_key, design_key, rate_key = _stage_keys(cfg)
     stages = _TrialCache([outer_key]) if shared is None else shared
@@ -295,15 +327,19 @@ def run_trial(
     def outer_filters():
         if outer_key is None:  # one layer: the inner stage works on the full channel
             return None
+        shared_work = stages.get("width_free", cfg.outer, width_free)
+        if cfg.outer == "cme":
+            return cme(shared_work, cfg.m_t, cfg.m_r)
+        _, a_t, a_r, powers = stages.get("drop", trial, draw)
+        return path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer, shared_work)
+
+    def width_free():  # built for the widest filters of the method; the covariances die here
+        m_t, m_r = stages.widest[cfg.outer]
         _, a_t, a_r, powers = stages.get("drop", trial, draw)
         if cfg.outer != "cme":
-            return path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer)
-
-        def slots():  # shared by every CME width
-            rng = _substream(seed, *stream, _SUBSTREAM_SLOTS)
-            return estimate_covariances(cfg.n_slots, rng, a_t, a_r)
-
-        return cme(stages.get("covariances", trial, slots), cfg.m_t, cfg.m_r)
+            return path_orders(a_t, a_r, powers, m_t, m_r, cfg.outer)
+        rng = _substream(seed, *stream, _SUBSTREAM_SLOTS)
+        return cme_basis(estimate_covariances(cfg.n_slots, rng, a_t, a_r), m_t, m_r)
 
     def channel():
         macro, a_t, a_r, _ = stages.get("drop", trial, draw)
@@ -328,7 +364,8 @@ def run_trial(
         f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
         return f, norm, None if cfg.inner == "met_mmse" else receiving(inners.w_i)
 
-    # The channel is realized after the first outer filter, so CME's covariances are freed first.
+    # The channel is realized after the first outer filter, so a lone CME width's eigenbasis
+    # is freed first.
     outers = stages.get("outer", outer_key, outer_filters)
     channels = stages.get("channel", trial, channel)
     effset = stages.get("effective", outer_key, lambda: effective_channels(channels, outers))
@@ -349,8 +386,8 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     The points must agree on every field their draws depend on (seed,
     scenario, n_users, array sizes, n_slots, sigma_c_deg, layers and
     n_trials); :func:`run_sweep` groups a sweep's points so. They run trial
-    by trial, sorted so that points with equal stage keys run back to back,
-    through one cache per trial: each trial's drop and the stages the
+    by trial, sorted so that points with equal stage keys run back to back
+    and CME's points last, through one cache per trial: each trial's drop and the stages the
     points agree on are made once for all of them. The order does not
     change any result. A point whose trial raises runs no further trials;
     the others go on. Its row reads ``infeasible`` for a BD design's
@@ -372,7 +409,8 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     seed, n_trials = drop_key[0], drop_key[-1]
 
     keys = [_stage_keys(cfg) for cfg in points]
-    order = sorted(range(len(points)), key=keys.__getitem__)
+    # CME's points last: once its eigenbasis is built, no later point reads the drop.
+    order = sorted(range(len(points)), key=lambda i: (points[i].outer == "cme", keys[i]))
     rates = np.empty((len(points), n_trials))
     statuses: dict[int, str] = {}
     for trial in range(n_trials):

@@ -38,14 +38,16 @@ class OuterFilters:
     w_o: np.ndarray
 
 
-def _top_eigenvectors(manifold: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray:
-    """Leading m eigenvectors of each B K B^H without forming the N x N matrix.
+def _eigenbasis(manifold: np.ndarray, weight: np.ndarray, m: int) -> tuple:
+    """The width-free part of CME for each B K B^H, for up to m leading eigenvectors.
 
     With B = QR, B K B^H = Q (R K R^H) Q^H, so the eigenvectors are Q times
-    those of the p x p matrix R K R^H, p = min(N, L). Beyond p the
-    covariance is null; those columns come from the complete QR, which
-    spans the orthogonal complement of range(B). B (..., N, L) and
-    K (..., L, L) may stack users on leading axes.
+    those of the p x p matrix R K R^H, p = min(N, L): no N x N matrix is
+    formed. Returns (q, vecs, complement): the reduced QR's Q (..., N, p),
+    the eigenvectors of R K R^H (..., p, p) in descending eigenvalue order
+    and, if m > p, the complete QR's basis (..., N, N - p) of the orthogonal
+    complement of range(B), where the covariance is null (else None).
+    B (..., N, L) and K (..., L, L) may stack users on leading axes.
     """
     n, n_paths = manifold.shape[-2:]
     if m > n:
@@ -55,23 +57,55 @@ def _top_eigenvectors(manifold: np.ndarray, weight: np.ndarray, m: int) -> np.nd
     if np.any(hermitian_gap > _HERMITIAN_RTOL * scale):
         raise ValueError("covariance weight matrix is not Hermitian")
     p = min(n, n_paths)
-    q, r = np.linalg.qr(manifold, mode="complete" if m > p else "reduced")
-    r = r[..., :p, :]
+    q, r = np.linalg.qr(manifold)
     _, vecs = np.linalg.eigh(r @ weight @ _hermitian(r))  # eigenvalues ascending
-    return np.concatenate([q[..., :p] @ vecs[..., ::-1][..., :m], q[..., p:m]], axis=-1)
+    complement = np.linalg.qr(manifold, mode="complete")[0][..., p:] if m > p else None
+    return q, vecs[..., ::-1], complement
 
 
-def cme(cov: CovariancePair, m_t: int, m_r: int) -> OuterFilters:
+def _leading(basis: tuple, m: int) -> np.ndarray:
+    """The m leading eigenvectors from an :func:`_eigenbasis`: Q times those of R K R^H.
+
+    Each width makes its own product: the first columns of a wider product
+    need not match a narrower one bit for bit.
+    """
+    q, vecs, complement = basis
+    p = q.shape[-1]
+    held = p if complement is None else p + complement.shape[-1]
+    if m > held:
+        raise ValueError(f"cannot extract {m} eigenvectors from a basis of {held}")
+    head = q @ vecs[..., :m]
+    return head if m <= p else np.concatenate([head, complement[..., : m - p]], axis=-1)
+
+
+def cme_basis(cov: CovariancePair, m_t: int, m_r: int) -> tuple[tuple, tuple]:
+    """CME's width-free work for filters up to m_t/m_r wide: the (uplink, downlink) eigenbases."""
+    b_dl, k_dl = cov.b_dl, cov.k_dl
+    uplink = _eigenbasis(cov.b_ul, cov.k_ul, m_t)
+    del cov  # a pair that only this call holds frees its uplink factors before the downlink QR
+    return uplink, _eigenbasis(b_dl, k_dl, m_r)
+
+
+def cme(cov: CovariancePair | tuple[tuple, tuple], m_t: int, m_r: int) -> OuterFilters:
     """Covariance matrix eigenfilter: dominant eigenvectors of each covariance.
 
     f_o holds the m_t leading eigenvectors of the uplink covariance and w_o
     the m_r leading eigenvectors of the downlink covariance, in descending
     eigenvalue order, for every user at once. Columns are orthonormal.
+    ``cov`` is the covariance pair or, so that several widths share one
+    eigendecomposition, its :func:`cme_basis` for widths at least as wide.
     """
-    return OuterFilters(
-        f_o=_top_eigenvectors(cov.b_ul, cov.k_ul, m_t),
-        w_o=_top_eigenvectors(cov.b_dl, cov.k_dl, m_r),
-    )
+    ul, dl = cme_basis(cov, m_t, m_r) if isinstance(cov, CovariancePair) else cov
+    return OuterFilters(f_o=_leading(ul, m_t), w_o=_leading(dl, m_r))
+
+
+def _prefix(order: np.ndarray, m: int) -> np.ndarray:
+    """The first m picks of a selection order; too short an order ran out of independent paths."""
+    if order.shape[0] < m:
+        raise RankDeficiencyError(
+            f"only {order.shape[0]} of {m} requested paths are linearly independent"
+        )
+    return order[:m]
 
 
 def pps_indices(powers: np.ndarray, m: int) -> np.ndarray:
@@ -83,24 +117,31 @@ def pps_indices(powers: np.ndarray, m: int) -> np.ndarray:
     return order[:m]
 
 
-def pps(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
-    """Power-dominant path selection: manifold columns of the m strongest paths."""
-    return manifold[:, pps_indices(powers, m)]
+def pps(
+    manifold: np.ndarray, powers: np.ndarray, m: int, order: np.ndarray | None = None
+) -> np.ndarray:
+    """Power-dominant path selection: manifold columns of the m strongest paths.
+
+    ``order``, the same powers' :func:`pps_indices` at least m deep, spares the sort.
+    """
+    return manifold[:, pps_indices(powers, m) if order is None else _prefix(order, m)]
 
 
-def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
-    """Greedy semi-orthogonal path selection.
+def sps_order(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
+    """Greedy semi-orthogonal selection order, m picks deep or up to the last independent path.
 
     At step i every remaining power-weighted steering vector is projected
     onto the orthogonal complement of the directions picked so far, and the
-    path with the largest residual norm wins. The picked residuals are
-    mutually orthogonal, so the complement projection is a sum of rank-1
-    terms: one residual matrix is kept across steps, and each pick g
-    subtracts g (g^H W) / ||g||^2 once, for O(m N L) work in total
+    path with the largest residual norm wins. No step depends on m, so the
+    picks for any narrower width are a prefix of these. The picked
+    residuals are mutually orthogonal, so the complement projection is a
+    sum of rank-1 terms: one residual matrix is kept across steps, and each
+    pick g subtracts g (g^H W) / ||g||^2 once, for O(m N L) work in total
     (Yoo & Goldsmith, JSAC 2006). Every term projects the original weighted
     manifold W (classical Gram-Schmidt), never the running residual: the
     two differ at rounding level, and on clustered manifolds the late picks
-    are decided at that level.
+    are decided at that level. The order stops short, without raising,
+    once no remaining path has a residual above rounding level.
     """
     powers = np.asarray(powers, dtype=float)
     n_paths = manifold.shape[1]
@@ -123,9 +164,7 @@ def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
         norms2 = np.sum(np.abs(residual) ** 2, axis=0)
         usable = remaining & (norms2 > _SPS_DEGENERATE_RTOL * init_norms2)
         if not np.any(usable):
-            raise RankDeficiencyError(
-                f"only {len(selected)} of {m} requested paths are linearly independent"
-            )
+            break
         norms2[~usable] = -1.0
         pick = int(np.argmax(norms2))
         selected.append(pick)
@@ -133,9 +172,42 @@ def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
     return np.asarray(selected, dtype=int)
 
 
-def sps(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
-    """Semi-orthogonal path selection: manifold columns in selection order."""
-    return manifold[:, sps_indices(manifold, powers, m)]
+def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
+    """Greedy semi-orthogonal path selection: the first m picks of :func:`sps_order`.
+
+    Raises :class:`RankDeficiencyError` when fewer than m paths are linearly independent.
+    """
+    return _prefix(sps_order(manifold, powers, m), m)
+
+
+def sps(
+    manifold: np.ndarray, powers: np.ndarray, m: int, order: np.ndarray | None = None
+) -> np.ndarray:
+    """Semi-orthogonal path selection: manifold columns in selection order.
+
+    ``order``, the same paths' :func:`sps_order` at least m deep, spares the greedy run.
+    """
+    return manifold[:, sps_indices(manifold, powers, m) if order is None else _prefix(order, m)]
+
+
+def path_orders(
+    a_t: np.ndarray, a_r: np.ndarray, powers: np.ndarray, m_t: int, m_r: int, method: str
+) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """Each user's (transmit, receive) selection order by ``pps`` or ``sps``, m_t/m_r picks deep.
+
+    Manifolds (..., N, L) and powers (..., L) may stack users on leading
+    axes; the keys are the users' indices on those axes, and the greedy
+    selection runs user by user. A filter of any width up to the depth
+    takes a prefix of its user's order.
+    """
+    select = {"pps": lambda _, p, m: pps_indices(p, m), "sps": sps_order}.get(method)
+    if select is None:
+        raise ValueError(f"unknown path-selection method {method!r}")
+    powers = np.asarray(powers, dtype=float)
+    return {
+        user: (select(a_t[user], powers[user], m_t), select(a_r[user], powers[user], m_r))
+        for user in np.ndindex(powers.shape[:-1])
+    }
 
 
 def path_outer_filters(
@@ -145,11 +217,14 @@ def path_outer_filters(
     m_t: int,
     m_r: int,
     method: str,
+    orders: dict[tuple, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> OuterFilters:
     """Build both outer filters from partial CSI with ``pps`` or ``sps``.
 
     Manifolds (..., N, L) and powers (..., L) may stack users on leading
-    axes; the greedy selection runs user by user.
+    axes; the greedy selection runs user by user. ``orders``, the method's
+    :func:`path_orders` at least m_t/m_r deep, which several widths may
+    share, spares the selection: each filter takes a prefix of its order.
     """
     select = {"pps": pps, "sps": sps}.get(method)
     if select is None:
@@ -161,6 +236,7 @@ def path_outer_filters(
     f_o = np.empty((*a_t.shape[:-2], m_t, a_t.shape[-2]), dtype=a_t.dtype).swapaxes(-1, -2)
     w_o = np.empty((*a_r.shape[:-2], m_r, a_r.shape[-2]), dtype=a_r.dtype).swapaxes(-1, -2)
     for user in np.ndindex(powers.shape[:-1]):
-        f_o[user] = select(a_t[user], powers[user], m_t)
-        w_o[user] = select(a_r[user], powers[user], m_r)
+        order_t, order_r = (None, None) if orders is None else orders[user]
+        f_o[user] = select(a_t[user], powers[user], m_t, order_t)
+        w_o[user] = select(a_r[user], powers[user], m_r, order_r)
     return OuterFilters(f_o=f_o, w_o=w_o)

@@ -25,7 +25,7 @@ from dsmimo import (
     run_sweep,
     run_trial,
 )
-from dsmimo import harness, metrics
+from dsmimo import harness, metrics, outer
 from dsmimo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -232,6 +232,34 @@ class TestTrialMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * self._heap_peak(cfg)
+
+    def test_a_width_sweep_holds_the_eigenbasis_in_place_of_the_drop(self):
+        # U = 1, 64 x 64, rich: every stage is a 64 x 64 matrix or near it.
+        # CME's points run last, so its eigenbasis is held without the drop
+        # (which its last reader, the eigenbasis build, has spent) next to
+        # the 56-wide point's stages. CME first, holding both, read 1.18
+        # times a lone widest trial's peak; this order reads 1.13.
+        cfg = replace(
+            self.CFG, scenario="rich", n_t=64, n_r=64, n_users=1, snr_db=20.0,
+            inner="met_mer", n_trials=2,
+        )
+        points = [
+            replace(cfg, outer=method, m_t=m, m_r=m, n_s=m)
+            for method in ("cme", "pps", "sps")
+            for m in (56, 64)
+        ]
+        run_point(*points, seed=1)  # first-call allocations are not the group's
+        tracemalloc.start()
+        try:
+            run_point(*points, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lone = max(
+            self._heap_peak(replace(cfg, outer=method, m_t=64, m_r=64, n_s=64))
+            for method in ("cme", "sps")
+        )
+        assert peak <= 1.15 * lone
 
     def test_one_layer_trial_builds_the_dense_channel_stack(self):
         cfg = replace(self.CFG, outer="none", layers=1, inner="met_mer")
@@ -461,6 +489,83 @@ class TestDropSharing:
         failing, records = heap_peak()
         assert [r.status for r in records] == ["ok"] * 3 + ["error:floatingpointerror"] * 3
         assert failing <= 1.02 * clean
+
+    def test_width_free_outer_work_is_built_once_per_trial(self, monkeypatch):
+        # Each trial decomposes each side's covariance once for both CME
+        # widths, and runs one selection order per method, user and side,
+        # as deep as the widest width; each width still builds its filters.
+        configs = [
+            ExperimentConfig(m_t=m, m_r=m, outer=method, inner=inner, **SHARED_DROP)
+            for method in ("cme", "pps", "sps")
+            for m in (2, 4)
+            for inner in ("met_mer", "met_bd")
+        ]
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        calls = Counter()
+        depths = []
+
+        def counting(module, name, record=None):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                if record is not None:
+                    record.append(args[-1])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(np.linalg, "eigh")
+        counting(outer, "sps_order", depths)
+        counting(outer, "pps_indices")
+        for name in ("draw_macroscopic", "cme", "path_outer_filters"):
+            counting(harness, name)
+        assert run_sweep(*configs, seed=6) == clean
+        n_trials, n_users, sides = 3, 2, 2
+        assert calls["eigh"] == n_trials * sides
+        assert calls["sps_order"] == calls["pps_indices"] == n_trials * n_users * sides
+        assert depths == [4] * len(depths)  # the widest width, never L = 32
+        assert calls["draw_macroscopic"] == n_trials  # no build read a spent drop
+        assert calls["cme"] == n_trials * 2 and calls["path_outer_filters"] == n_trials * 4
+
+        depths.clear()
+        [narrow] = run_point(replace(configs[-1], m_t=2, m_r=2, snr_db=10.0), seed=6)
+        assert narrow.status == "ok"
+        assert depths == [2] * n_trials * n_users * sides  # a lone point's own width
+
+    def test_a_short_selection_order_fails_only_the_wider_widths(self, monkeypatch):
+        # Zero angle spread repeats each cluster's steering vector: the
+        # group's one SPS order per trial runs out of independent paths, and
+        # exactly the widths beyond its length become error rows, as each
+        # width alone does.
+        configs = [
+            ExperimentConfig(
+                scenario="fair", n_t=16, n_r=16, m_t=m, m_r=m, outer=outer, sigma_c_deg=0.0,
+                n_trials=3, n_slots=10, snr_db=[0.0, 20.0],
+            )
+            for outer in ("cme", "sps")
+            for m in (4, 8, 16)
+        ]
+        points = [point for cfg in configs for point in cfg.grid()]
+        alone = [record for point in points for record in run_point(point, seed=2)]
+        real_orders, lengths = harness.path_orders, []
+
+        def path_orders(*args):
+            orders = real_orders(*args)
+            lengths.extend(order.size for pair in orders.values() for order in pair)
+            return orders
+
+        monkeypatch.setattr(harness, "path_orders", path_orders)
+        records = run_sweep(*configs, seed=2)
+        assert records == alone
+        shortest = min(lengths)
+        for record in records:
+            if record.outer == "sps" and record.m_t > shortest:
+                assert record.status == "error:rankdeficiencyerror" and record.n_trials == 0
+            else:
+                assert record.status == "ok"
+        assert {r.status for r in records} == {"ok", "error:rankdeficiencyerror"}
 
     def test_run_point_rejects_points_of_different_drops(self):
         for other in ({"n_users": 2}, {"n_trials": 4}, {"layers": 1, "outer": "none"}):

@@ -7,14 +7,17 @@ from dsmimo import (
     CovariancePair,
     RankDeficiencyError,
     cme,
+    cme_basis,
     draw_macroscopic,
     estimate_covariances,
     extract_partial_csi,
+    path_orders,
     path_outer_filters,
     pps,
     pps_indices,
     sps,
     sps_indices,
+    sps_order,
 )
 from dsmimo.outer import _SPS_DEGENERATE_RTOL
 
@@ -181,6 +184,70 @@ class TestCmeMatchesDenseEigh:
                 assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(cov)
 
 
+def _one_qr_top_eigenvectors(manifold, weight, m):
+    """CME's leading eigenvectors from one QR, complete only when m > p: the
+    form that built every width on its own before widths shared a basis."""
+    p = min(manifold.shape[-2:])
+    q, r = np.linalg.qr(manifold, mode="complete" if m > p else "reduced")
+    _, vecs = np.linalg.eigh(r[..., :p, :] @ weight @ r[..., :p, :].conj().swapaxes(-1, -2))
+    return np.concatenate([q[..., :p] @ vecs[..., ::-1][..., :m], q[..., p:m]], axis=-1)
+
+
+class TestCmeSharedBasis:
+    """Every CME width from one eigenbasis per side, against each width built alone."""
+
+    @staticmethod
+    def _pairs(scenario, n_users=1, n_drops=3):
+        tx = rx = ArrayGeometry(64)
+        for seed in range(n_drops):
+            macro = draw_macroscopic(scenario, n_users, np.random.default_rng(seed))
+            if n_users == 1:
+                macro = macro[0]
+            a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
+            yield estimate_covariances(100, np.random.default_rng(100 + seed), a_t, a_r)
+
+    @pytest.mark.parametrize("n_users", [1, 3])
+    @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+    def test_every_width_up_to_p_equals_a_lone_cme(self, scenario, n_users):
+        p = min(64, SCENARIOS[scenario][1])
+        for pair in self._pairs(scenario, n_users, n_drops=3 if n_users == 1 else 1):
+            basis = cme_basis(pair, p, p)
+            for m in range(1, p + 1):
+                shared, lone = cme(basis, m, m), cme(pair, m, m)
+                assert np.array_equal(shared.f_o, lone.f_o)
+                assert np.array_equal(shared.w_o, lone.w_o)
+                # and the one-QR form each width used on its own before
+                assert np.array_equal(shared.f_o, _one_qr_top_eigenvectors(pair.b_ul, pair.k_ul, m))
+                assert np.array_equal(shared.w_o, _one_qr_top_eigenvectors(pair.b_dl, pair.k_dl, m))
+
+    @pytest.mark.parametrize("scenario", ["poor", "fair"])
+    def test_widths_beyond_p_continue_into_the_complement(self, scenario):
+        # p = L < N: a basis built for N serves every width; beyond p the
+        # eigenvectors come from the reduced QR and the complement from the
+        # complete one, where the one-QR form took both from the complete QR.
+        p = SCENARIOS[scenario][1]
+        for pair in self._pairs(scenario):
+            basis = cme_basis(pair, 64, 64)
+            for m in range(1, 65):
+                shared, lone = cme(basis, m, m), cme(pair, m, m)
+                assert np.array_equal(shared.f_o, lone.f_o)
+                assert np.array_equal(shared.w_o, lone.w_o)
+                for got, (b, k) in ((shared.f_o, (pair.b_ul, pair.k_ul)),
+                                    (shared.w_o, (pair.b_dl, pair.k_dl))):
+                    old = _one_qr_top_eigenvectors(b, k, m)
+                    if m <= p:
+                        assert np.array_equal(got, old)
+                    else:
+                        np.testing.assert_allclose(got, old, rtol=0, atol=1e-12)
+
+    def test_a_basis_serves_no_width_beyond_its_own(self):
+        pair = next(self._pairs("poor"))
+        with pytest.raises(ValueError):
+            cme(cme_basis(pair, 8, 8), 9, 9)  # built without the complement
+        with pytest.raises(ValueError):
+            cme_basis(pair, 65, 8)
+
+
 class TestPps:
     def test_descending_power_order(self):
         manifold = np.arange(12, dtype=complex).reshape(4, 3)
@@ -331,6 +398,58 @@ class TestSpsMatchesReprojection:
         # the same ones.
         outcomes = self._compare(scenario, sigma_c_deg=0.0)
         assert outcomes["picks"] > 0 and outcomes["rank_deficient"] > 0
+
+
+class TestPathOrders:
+    """Every width's selection as a prefix of one order per user and side."""
+
+    @staticmethod
+    def _drops(scenario, sigma_c_deg=5.0, n_users=1, n_drops=10):
+        array = ArrayGeometry(64)
+        for seed in range(n_drops):
+            macro = draw_macroscopic(scenario, n_users, np.random.default_rng(seed), sigma_c_deg)
+            yield extract_partial_csi(macro[0] if n_users == 1 else macro, array, array)
+
+    @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+    def test_each_width_is_a_prefix_equal_to_a_lone_selection(self, scenario):
+        n_paths = SCENARIOS[scenario][1]
+        for a_t, a_r, powers in self._drops(scenario, n_users=2, n_drops=3):
+            for method, indices in (("pps", lambda a, p, m: pps_indices(p, m)),
+                                    ("sps", sps_indices)):
+                orders = path_orders(a_t, a_r, powers, n_paths, n_paths, method)
+                for m in range(1, n_paths + 1):
+                    shared = path_outer_filters(a_t, a_r, powers, m, m, method, orders)
+                    lone = path_outer_filters(a_t, a_r, powers, m, m, method)
+                    assert np.array_equal(shared.f_o, lone.f_o)
+                    assert np.array_equal(shared.w_o, lone.w_o)
+                    for u in range(2):
+                        order_t, order_r = orders[(u,)]
+                        assert np.array_equal(order_t[:m], indices(a_t[u], powers[u], m))
+                        assert np.array_equal(order_r[:m], indices(a_r[u], powers[u], m))
+                        assert np.array_equal(shared.f_o[u], a_t[u][:, order_t[:m]])
+
+    @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
+    def test_a_short_order_fails_only_the_wider_widths(self, scenario):
+        # Zero angle spread repeats each cluster's steering vector, so the
+        # greedy order stops where the paths' span runs out; narrower widths
+        # read their prefix, wider ones raise as a lone selection does.
+        n_paths = SCENARIOS[scenario][1]
+        short = 0
+        for a_t, _, powers in self._drops(scenario, sigma_c_deg=0.0):
+            order = sps_order(a_t, powers, n_paths)
+            short += order.size < n_paths
+            orders = path_orders(a_t, a_t, powers, n_paths, n_paths, "sps")
+            for m in range(1, n_paths + 1):
+                if m <= order.size:
+                    assert np.array_equal(sps_indices(a_t, powers, m), order[:m])
+                    filters = path_outer_filters(a_t, a_t, powers, m, m, "sps", orders)
+                    assert np.array_equal(filters.f_o, a_t[:, order[:m]])
+                    continue
+                with pytest.raises(RankDeficiencyError, match=f"only {order.size} of {m}"):
+                    sps_indices(a_t, powers, m)
+                with pytest.raises(RankDeficiencyError, match=f"only {order.size} of {m}"):
+                    path_outer_filters(a_t, a_t, powers, m, m, "sps", orders)
+        assert short > 0
 
 
 class TestPathOuterFilters:
