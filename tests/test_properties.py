@@ -16,6 +16,7 @@ from dsmimo import (
     RankDeficiencyError,
     SolverError,
     run_trial,
+    run_point,
     snr_to_power,
 )
 from dsmimo import harness
@@ -142,5 +143,42 @@ def test_cli_exits_with_a_documented_code_on_any_config(tmp_path):
             for row in rows:
                 status = row["status"]
                 assert status in ("ok", "infeasible") or status.startswith("error:")
+
+    check()
+
+
+@st.composite
+def _drop_groups(draw):
+    """2-8 two-layer points of one drop: CME/PPS/SPS at widths up to 8 (CME up to the
+    array, beyond L = 8 at poor scattering), every inner scheme, 1-2 streams, two SNRs."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    n_t, n_r = draw(st.integers(8, 12)), draw(st.integers(8, 12))
+    drop = dict(
+        scenario=scenario, n_t=n_t, n_r=n_r, n_users=draw(st.integers(1, 3)),
+        n_trials=draw(st.integers(1, 2)), n_slots=draw(st.integers(1, 10)),
+        sigma_c_deg=draw(st.sampled_from([0.0, 5.0])), seed=draw(st.integers(0, 2**16)),
+    )
+    snrs = draw(st.lists(st.sampled_from([-10.0, 0.0, 10.0, 30.0]), min_size=2, max_size=2,
+                         unique=True))
+    group = []
+    for _ in range(draw(st.integers(2, 8))):
+        outer = draw(st.sampled_from(["cme", "pps", "sps"]))
+        cap = 12 if outer == "cme" else min(8, SCENARIOS[scenario][1])
+        m_t = draw(st.integers(1, min(n_t, cap)))
+        m_r = draw(st.integers(1, min(n_r, cap)))
+        group.append(ExperimentConfig(
+            **drop, outer=outer, m_t=m_t, m_r=m_r, n_s=draw(st.integers(1, min(2, m_t, m_r))),
+            inner=draw(st.sampled_from(harness.INNER_METHODS)), snr_db=draw(st.sampled_from(snrs)),
+        ))
+    return group
+
+
+def test_a_group_writes_the_records_of_its_points_run_alone():
+    """run_point(*group) shares each trial's stages; every row equals its point's lone run."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(group=_drop_groups())
+    def check(group):
+        assert run_point(*group) == [run_point(point)[0] for point in group]
 
     check()
