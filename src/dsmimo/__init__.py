@@ -47,7 +47,7 @@ from .outer import (
     RankDeficiencyError,
     cme,
     cme_basis,
-    path_orders,
+    path_columns,
     path_outer_filters,
     pps,
     pps_indices,

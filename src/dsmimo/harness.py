@@ -5,9 +5,10 @@ expands each over its list-valued axes (scenario, SNR, number of users),
 groups the resulting grid points by drop (the points whose draws agree)
 and maps one worker pool over the groups. A group runs trial by trial,
 each point's whole pipeline in :func:`run_trial`; a per-trial cache builds
-the drop, the outer layer's width-free work (CME's eigenbasis, a path
-selection's order), each outer filter and each SNR-free inner design once
-for all its points.
+the drop, each outer method's width-free work (CME's eigenbasis, the
+manifold columns a path selection picks), each outer filter and each
+SNR-free inner design once for all its points. Only the channel and the
+width-free builds read the drop.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -36,7 +37,7 @@ from .inner import (
     normalize_gamma,
 )
 from .metrics import LinkFilters, receive_side, snr_to_power, sum_rate
-from .outer import cme, cme_basis, path_orders, path_outer_filters
+from .outer import cme, cme_basis, path_columns, path_outer_filters
 
 OUTER_METHODS = ("cme", "pps", "sps", "none")
 INNER_METHODS = ("met_mer", "met_bd", "met_mmse", "bd_mer")
@@ -233,10 +234,9 @@ class _TrialCache:
     them the cache knows ``widest``, each outer method's widest (m_t, m_r),
     for which its width-free stage is built, and when a stage is spent: a
     method's width-free stage once its last filter is built, the drop and
-    its partial CSI once every build that reads them is done (the channel,
-    each method's width-free stage and each PPS/SPS filter). So only one
-    trial's drop is alive at a time. A new outer key makes the stages
-    keyed under the old one stale.
+    its partial CSI once the channel and each method's width-free stage,
+    their only readers, are built. So only one trial's drop is alive at a
+    time. A build for a new key frees its stage's old value first.
     """
 
     def __init__(self, outer_keys: Sequence[tuple | None]):
@@ -246,8 +246,7 @@ class _TrialCache:
         for method, m_t, m_r in filter(None, set(outer_keys)):
             widest_t, widest_r = self.widest.get(method, (0, 0))
             self.widest[method] = (max(widest_t, m_t), max(widest_r, m_r))
-        path_keys = sum(1 for key in set(outer_keys) if key and key[0] != "cme")
-        self._drop_reads = 1 + len(self.widest) + path_keys
+        self._drop_reads = 1 + len(self.widest)  # the channel and each width-free build
 
     def get(self, stage: str, key, build):
         """The stage's value for ``key``, built unless held; the old value is freed first.
@@ -258,9 +257,6 @@ class _TrialCache:
         if held is None or held[0] != key:
             del held  # so that the old value is freed before the new one is built
             self._held.pop(stage, None)
-            if stage == "outer":
-                for stale in ("effective", "design", "rate"):
-                    self._held.pop(stale, None)
             try:
                 held = (key, build(), None)
             except Exception as exc:
@@ -274,16 +270,12 @@ class _TrialCache:
 
     def _spend(self, stage: str, key) -> None:
         """Free what the build of ``stage`` for ``key`` was the last to read."""
-        if stage == "outer":
-            if key is None:
-                return
-            if key == self._last[key[0]]:
-                self._held.pop("width_free", None)
-            if key[0] == "cme":  # CME's filters read only its eigenbasis
-                return
-        self._drop_reads -= 1
-        if not self._drop_reads:
-            self._held.pop("drop", None)
+        if stage != "outer":  # the channel or a width-free stage: a read of the drop
+            self._drop_reads -= 1
+            if not self._drop_reads:
+                self._held.pop("drop", None)
+        elif key is not None and key == self._last[key[0]]:
+            self._held.pop("width_free", None)
 
 
 # The stages whose builds can spend another: see _TrialCache._spend.
@@ -310,8 +302,9 @@ def run_trial(
     agree on it, and its failure is raised to each of them. Before its
     filters, an outer method builds its width-free work once for the
     group's widest filters: CME the eigenbasis of each side's estimated
-    covariances, PPS/SPS each user's selection order per side. Each width
-    then makes its own eigenvector product or takes a prefix of the order.
+    covariances, PPS/SPS each user's manifold columns per side, gathered
+    in selection order. Each width then makes its own eigenvector product
+    or reads a prefix of the columns, so no filter reads the drop.
     A lone trial makes a one-point cache. The point's own stages follow:
     power normalization, the MMSE combiner and the sum rate.
     """
@@ -327,17 +320,16 @@ def run_trial(
     def outer_filters():
         if outer_key is None:  # one layer: the inner stage works on the full channel
             return None
-        shared_work = stages.get("width_free", cfg.outer, width_free)
+        work = stages.get("width_free", cfg.outer, width_free)
         if cfg.outer == "cme":
-            return cme(shared_work, cfg.m_t, cfg.m_r)
-        _, a_t, a_r, powers = stages.get("drop", trial, draw)
-        return path_outer_filters(a_t, a_r, powers, cfg.m_t, cfg.m_r, cfg.outer, shared_work)
+            return cme(work, cfg.m_t, cfg.m_r)
+        return path_outer_filters(work, cfg.m_t, cfg.m_r, cfg.outer)
 
     def width_free():  # built for the widest filters of the method; the covariances die here
         m_t, m_r = stages.widest[cfg.outer]
         _, a_t, a_r, powers = stages.get("drop", trial, draw)
         if cfg.outer != "cme":
-            return path_orders(a_t, a_r, powers, m_t, m_r, cfg.outer)
+            return path_columns(a_t, a_r, powers, m_t, m_r, cfg.outer)
         rng = _substream(seed, *stream, _SUBSTREAM_SLOTS)
         return cme_basis(estimate_covariances(cfg.n_slots, rng, a_t, a_r), m_t, m_r)
 
@@ -387,15 +379,17 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     scenario, n_users, array sizes, n_slots, sigma_c_deg, layers and
     n_trials); :func:`run_sweep` groups a sweep's points so. They run trial
     by trial, sorted so that points with equal stage keys run back to back
-    and CME's points last, through one cache per trial: each trial's drop and the stages the
-    points agree on are made once for all of them. The order does not
-    change any result. A point whose trial raises runs no further trials;
-    the others go on. Its row reads ``infeasible`` for a BD design's
-    :class:`InfeasibleError` (raised in trial 0, before any SVD), else
-    ``error:<name>``, also when a shared stage fails before the design.
-    A caught exception loses its traceback, whose frames hold the cache
-    that may hold it. The records come back in argument order;
-    ``[record] = run_point(cfg)`` runs one.
+    and CME's points last, through one cache per trial: each trial's drop
+    and the stages the points agree on are made once for all of them. The
+    order does not change any result, only the heap peak: the drop lives
+    until the last method's width-free build, and CME's eigenbasis, the
+    largest width-free work, is then held without it. A point whose trial
+    raises runs no further trials; the others go on. Its row reads
+    ``infeasible`` for a BD design's :class:`InfeasibleError` (raised in
+    trial 0, before any SVD), else ``error:<name>``, also when a shared
+    stage fails before the design. A caught exception loses its traceback,
+    whose frames hold the cache that may hold it. The records come back in
+    argument order; ``[record] = run_point(cfg)`` runs one.
     """
     for cfg in points:
         cfg.validate()
@@ -409,7 +403,8 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     seed, n_trials = drop_key[0], drop_key[-1]
 
     keys = [_stage_keys(cfg) for cfg in points]
-    # CME's points last: once its eigenbasis is built, no later point reads the drop.
+    # CME's points last, so its eigenbasis, the largest width-free work, never waits
+    # beside the drop for another method's build.
     order = sorted(range(len(points)), key=lambda i: (points[i].outer == "cme", keys[i]))
     rates = np.empty((len(points), n_trials))
     statuses: dict[int, str] = {}

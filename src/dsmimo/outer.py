@@ -86,26 +86,26 @@ def cme_basis(cov: CovariancePair, m_t: int, m_r: int) -> tuple[tuple, tuple]:
     return uplink, _eigenbasis(b_dl, k_dl, m_r)
 
 
-def cme(cov: CovariancePair | tuple[tuple, tuple], m_t: int, m_r: int) -> OuterFilters:
+def cme(basis: tuple[tuple, tuple], m_t: int, m_r: int) -> OuterFilters:
     """Covariance matrix eigenfilter: dominant eigenvectors of each covariance.
 
     f_o holds the m_t leading eigenvectors of the uplink covariance and w_o
     the m_r leading eigenvectors of the downlink covariance, in descending
     eigenvalue order, for every user at once. Columns are orthonormal.
-    ``cov`` is the covariance pair or, so that several widths share one
-    eigendecomposition, its :func:`cme_basis` for widths at least as wide.
+    ``basis`` is the covariances' :func:`cme_basis` for widths at least as
+    wide, which several widths may share: ``cme(cme_basis(pair, m, m), m, m)``.
     """
-    ul, dl = cme_basis(cov, m_t, m_r) if isinstance(cov, CovariancePair) else cov
+    ul, dl = basis
     return OuterFilters(f_o=_leading(ul, m_t), w_o=_leading(dl, m_r))
 
 
-def _prefix(order: np.ndarray, m: int) -> np.ndarray:
-    """The first m picks of a selection order; too short an order ran out of independent paths."""
-    if order.shape[0] < m:
+def _prefix(picks: np.ndarray, m: int) -> np.ndarray:
+    """The first m picks on the last axis; fewer picks ran out of independent paths."""
+    if picks.shape[-1] < m:
         raise RankDeficiencyError(
-            f"only {order.shape[0]} of {m} requested paths are linearly independent"
+            f"only {picks.shape[-1]} of {m} requested paths are linearly independent"
         )
-    return order[:m]
+    return picks[..., :m]
 
 
 def pps_indices(powers: np.ndarray, m: int) -> np.ndarray:
@@ -117,14 +117,9 @@ def pps_indices(powers: np.ndarray, m: int) -> np.ndarray:
     return order[:m]
 
 
-def pps(
-    manifold: np.ndarray, powers: np.ndarray, m: int, order: np.ndarray | None = None
-) -> np.ndarray:
-    """Power-dominant path selection: manifold columns of the m strongest paths.
-
-    ``order``, the same powers' :func:`pps_indices` at least m deep, spares the sort.
-    """
-    return manifold[:, pps_indices(powers, m) if order is None else _prefix(order, m)]
+def pps(columns: np.ndarray, m: int) -> np.ndarray:
+    """Power-dominant path selection of width m: the first m of one side's :func:`path_columns`."""
+    return _prefix(columns, m)
 
 
 def sps_order(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
@@ -180,63 +175,58 @@ def sps_indices(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
     return _prefix(sps_order(manifold, powers, m), m)
 
 
-def sps(
-    manifold: np.ndarray, powers: np.ndarray, m: int, order: np.ndarray | None = None
-) -> np.ndarray:
-    """Semi-orthogonal path selection: manifold columns in selection order.
-
-    ``order``, the same paths' :func:`sps_order` at least m deep, spares the greedy run.
-    """
-    return manifold[:, sps_indices(manifold, powers, m) if order is None else _prefix(order, m)]
+def sps(columns: np.ndarray, m: int) -> np.ndarray:
+    """Semi-orthogonal path selection of width m: the first m of one side's :func:`path_columns`."""
+    return _prefix(columns, m)
 
 
-def path_orders(
+def path_columns(
     a_t: np.ndarray, a_r: np.ndarray, powers: np.ndarray, m_t: int, m_r: int, method: str
 ) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """Each user's (transmit, receive) selection order by ``pps`` or ``sps``, m_t/m_r picks deep.
+    """Each user's (transmit, receive) manifold columns in ``pps`` or ``sps`` selection order.
 
     Manifolds (..., N, L) and powers (..., L) may stack users on leading
-    axes; the keys are the users' indices on those axes, and the greedy
-    selection runs user by user. A filter of any width up to the depth
-    takes a prefix of its user's order.
+    axes; the keys are the users' indices on those axes, in ``np.ndindex``
+    order, and the greedy selection runs user by user. Each block is
+    gathered m_t/m_r picks deep, or as deep as an SPS order runs before the
+    paths' span runs out. The gather copies without arithmetic, so a
+    filter of any width up to the depth, a prefix of its block, equals the
+    manifold's columns at that width's own selection.
     """
     select = {"pps": lambda _, p, m: pps_indices(p, m), "sps": sps_order}.get(method)
     if select is None:
         raise ValueError(f"unknown path-selection method {method!r}")
     powers = np.asarray(powers, dtype=float)
-    return {
-        user: (select(a_t[user], powers[user], m_t), select(a_r[user], powers[user], m_r))
-        for user in np.ndindex(powers.shape[:-1])
-    }
+    columns = {}
+    for user in np.ndindex(powers.shape[:-1]):
+        t, r, p = a_t[user], a_r[user], powers[user]
+        columns[user] = (t[:, select(t, p, m_t)], r[:, select(r, p, m_r)])
+    return columns
 
 
 def path_outer_filters(
-    a_t: np.ndarray,
-    a_r: np.ndarray,
-    powers: np.ndarray,
-    m_t: int,
-    m_r: int,
-    method: str,
-    orders: dict[tuple, tuple[np.ndarray, np.ndarray]] | None = None,
+    columns: dict[tuple, tuple[np.ndarray, np.ndarray]], m_t: int, m_r: int, method: str
 ) -> OuterFilters:
-    """Build both outer filters from partial CSI with ``pps`` or ``sps``.
+    """Both outer filters of widths m_t/m_r from the method's :func:`path_columns`.
 
-    Manifolds (..., N, L) and powers (..., L) may stack users on leading
-    axes; the greedy selection runs user by user. ``orders``, the method's
-    :func:`path_orders` at least m_t/m_r deep, which several widths may
-    share, spares the selection: each filter takes a prefix of its order.
+    ``columns``, at least m_t/m_r deep, may serve several widths: each
+    filter is a prefix of its user's block, read by ``pps`` or ``sps``.
+    A lone width composes the two calls:
+    ``path_outer_filters(path_columns(a_t, a_r, powers, m, m, method), m, m, method)``.
     """
     select = {"pps": pps, "sps": sps}.get(method)
     if select is None:
         raise ValueError(f"unknown path-selection method {method!r}")
-    powers = np.asarray(powers, dtype=float)
+    *_, last = columns  # the users in np.ndindex order: the last one bounds the leading axes
+    users = tuple(i + 1 for i in last)
     # Column-major per user, as ``manifold[:, idx]`` is: products with F_o
     # then run the same BLAS kernel for every user count, which matters
     # where an inner filter (BD-MER) nulls F_o F_i down to rounding level.
-    f_o = np.empty((*a_t.shape[:-2], m_t, a_t.shape[-2]), dtype=a_t.dtype).swapaxes(-1, -2)
-    w_o = np.empty((*a_r.shape[:-2], m_r, a_r.shape[-2]), dtype=a_r.dtype).swapaxes(-1, -2)
-    for user in np.ndindex(powers.shape[:-1]):
-        order_t, order_r = (None, None) if orders is None else orders[user]
-        f_o[user] = select(a_t[user], powers[user], m_t, order_t)
-        w_o[user] = select(a_r[user], powers[user], m_r, order_r)
+    f_o, w_o = (
+        np.empty((*users, m, cols.shape[0]), dtype=cols.dtype).swapaxes(-1, -2)
+        for m, cols in zip((m_t, m_r), columns[last])
+    )
+    for user, (cols_t, cols_r) in columns.items():
+        f_o[user] = select(cols_t, m_t)
+        w_o[user] = select(cols_r, m_r)
     return OuterFilters(f_o=f_o, w_o=w_o)

@@ -4,8 +4,9 @@ Everything below ``# Per-user reference`` is the per-user pipeline that
 ``run_trial`` ran before every stage was batched over users: one user at a
 time through covariance estimation, CME, channel realization, effective
 channels, inner design, normalization and rate. It is kept here only as
-the oracle. Path selection (``pps``/``sps``) is per-user in the library
-itself and is imported unchanged; the block-diagonalizing schemes use the
+the oracle. Path selection's indices (``pps_indices``/``sps_indices``) are
+per-user in the library itself and are imported unchanged; the oracle
+slices each manifold with them. The block-diagonalizing schemes use the
 per-matrix null-space projector below, which slices each null-space basis
 to its rank, not the library's stacked one.
 
@@ -40,15 +41,16 @@ from dsmimo import (
     SolverError,
     TruncatedSvd,
     cme,
+    cme_basis,
     draw_macroscopic,
     effective_channels,
     estimate_covariances,
     extract_partial_csi,
     met_mer,
-    pps,
+    pps_indices,
     run_trial,
     snr_to_power,
-    sps,
+    sps_indices,
     sum_rate,
 )
 from dsmimo.channel import RAYS_PER_CLUSTER, SCENARIOS, _fold_azimuth_deg
@@ -155,8 +157,12 @@ def _cme(cov, m_t, m_r):
 
 
 def _path_outer_filters(a_t, a_r, powers, m_t, m_r, method):
-    select = {"pps": pps, "sps": sps}[method]
-    return OuterFilters(f_o=select(a_t, powers, m_t), w_o=select(a_r, powers, m_r))
+    def select(manifold, m):
+        if method == "pps":
+            return manifold[:, pps_indices(powers, m)]
+        return manifold[:, sps_indices(manifold, powers, m)]
+
+    return OuterFilters(f_o=select(a_t, m_t), w_o=select(a_r, m_r))
 
 
 def _truncated_svd(h, n_s):
@@ -444,7 +450,7 @@ def test_factored_products_match_dense(scenario, n_users):
     )
     dense = [_realize_channel(macro[u], phases[u], tx, rx) for u in range(n_users)]
     a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
-    outers = cme(estimate_covariances(20, rng, a_t, a_r), 8, 8)
+    outers = cme(cme_basis(estimate_covariances(20, rng, a_t, a_r), 8, 8), 8, 8)
     per_user = [OuterFilters(f_o=outers.f_o[u], w_o=outers.w_o[u]) for u in range(n_users)]
 
     got = effective_channels(channels, outers)

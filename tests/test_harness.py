@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -235,10 +236,12 @@ class TestTrialMemory:
 
     def test_a_width_sweep_holds_the_eigenbasis_in_place_of_the_drop(self):
         # U = 1, 64 x 64, rich: every stage is a 64 x 64 matrix or near it.
-        # CME's points run last, so its eigenbasis is held without the drop
-        # (which its last reader, the eigenbasis build, has spent) next to
-        # the 56-wide point's stages. CME first, holding both, read 1.18
-        # times a lone widest trial's peak; this order reads 1.13.
+        # The drop lives until the last method's width-free build, and CME's
+        # eigenbasis is the largest width-free work. CME's points run last,
+        # so the eigenbasis build is the drop's last reader and the
+        # eigenbasis is held without the drop next to the 56-wide point's
+        # stages. CME first, holding both, read 1.18 times a lone widest
+        # trial's peak; this order reads 1.13.
         cfg = replace(
             self.CFG, scenario="rich", n_t=64, n_r=64, n_users=1, snr_db=20.0,
             inner="met_mer", n_trials=2,
@@ -534,6 +537,55 @@ class TestDropSharing:
         assert narrow.status == "ok"
         assert depths == [2] * n_trials * n_users * sides  # a lone point's own width
 
+    @pytest.mark.parametrize("name, method", [("path_columns", "sps"), ("cme_basis", "cme")])
+    def test_a_width_free_failure_marks_only_its_methods_points(self, monkeypatch, name, method):
+        # The method's width-free build fails in trial 1: its rows become
+        # error rows with no trial, every other row reads as in a clean run,
+        # and the failed build still spends its read of the drop. So each
+        # trial draws the drop once, and it is gone by the time CME's
+        # filters, which run last, are built.
+        configs = [
+            ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
+            for outer in ("cme", "pps", "sps")
+            for m in (2, 4)
+            for inner in ("met_mer", "met_bd")
+        ]
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        real_build, builds = getattr(harness, name), []
+
+        def build_failing_at_trial_1(*args):
+            if name == "cme_basis" or args[-1] == method:
+                builds.append(args)
+                if len(builds) == 2:
+                    raise FloatingPointError(f"{name} failed")
+            return real_build(*args)
+
+        monkeypatch.setattr(harness, name, build_failing_at_trial_1)
+        drops, drop_alive_at_cme = [], []
+        real_draw, real_cme = harness.draw_macroscopic, harness.cme
+
+        def draw(*args):
+            macro = real_draw(*args)
+            drops.append(weakref.ref(macro))
+            return macro
+
+        def cme(*args):
+            drop_alive_at_cme.append(drops[-1]() is not None)
+            return real_cme(*args)
+
+        monkeypatch.setattr(harness, "draw_macroscopic", draw)
+        monkeypatch.setattr(harness, "cme", cme)
+        records = run_sweep(*configs, seed=6)
+        for got, want in zip(records, clean):
+            if got.outer == method:
+                assert got.status == "error:floatingpointerror" and got.n_trials == 0
+            else:
+                assert got == want
+        assert len(builds) == 2  # one build per trial, and none after the failure
+        assert len(drops) == SHARED_DROP["n_trials"]
+        assert drop_alive_at_cme and not any(drop_alive_at_cme)
+
     def test_a_short_selection_order_fails_only_the_wider_widths(self, monkeypatch):
         # Zero angle spread repeats each cluster's steering vector: the
         # group's one SPS order per trial runs out of independent paths, and
@@ -549,14 +601,14 @@ class TestDropSharing:
         ]
         points = [point for cfg in configs for point in cfg.grid()]
         alone = [record for point in points for record in run_point(point, seed=2)]
-        real_orders, lengths = harness.path_orders, []
+        real_columns, lengths = harness.path_columns, []
 
-        def path_orders(*args):
-            orders = real_orders(*args)
-            lengths.extend(order.size for pair in orders.values() for order in pair)
-            return orders
+        def path_columns(*args):
+            columns = real_columns(*args)
+            lengths.extend(block.shape[1] for pair in columns.values() for block in pair)
+            return columns
 
-        monkeypatch.setattr(harness, "path_orders", path_orders)
+        monkeypatch.setattr(harness, "path_columns", path_columns)
         records = run_sweep(*configs, seed=2)
         assert records == alone
         shortest = min(lengths)

@@ -11,7 +11,7 @@ from dsmimo import (
     draw_macroscopic,
     estimate_covariances,
     extract_partial_csi,
-    path_orders,
+    path_columns,
     path_outer_filters,
     pps,
     pps_indices,
@@ -25,6 +25,11 @@ from dsmimo.outer import _SPS_DEGENERATE_RTOL
 def _random_manifold(rng, n, n_paths):
     cols = rng.standard_normal((n, n_paths)) + 1j * rng.standard_normal((n, n_paths))
     return cols / np.linalg.norm(cols, axis=0)
+
+
+def _lone_path_filters(a_t, a_r, powers, m_t, m_r, method):
+    """One width's path-selection filters on their own: the two calls composed."""
+    return path_outer_filters(path_columns(a_t, a_r, powers, m_t, m_r, method), m_t, m_r, method)
 
 
 def _sps_reference(manifold, powers, m):
@@ -88,12 +93,12 @@ class TestCme:
 
     def test_identity_covariance_gives_semi_unitary_filters(self):
         # Fully degenerate spectrum: any orthonormal basis is acceptable.
-        filters = cme(self._pair(np.eye(6)), m_t=3, m_r=2)
+        filters = cme(cme_basis(self._pair(np.eye(6)), 3, 2), m_t=3, m_r=2)
         assert np.allclose(filters.f_o.conj().T @ filters.f_o, np.eye(3), atol=1e-10)
         assert np.allclose(filters.w_o.conj().T @ filters.w_o, np.eye(2), atol=1e-10)
 
     def test_diagonal_covariance_picks_leading_axis(self):
-        filters = cme(self._pair(np.diag([4.0, 1.0, 0.0, 0.0])), m_t=1, m_r=1)
+        filters = cme(cme_basis(self._pair(np.diag([4.0, 1.0, 0.0, 0.0])), 1, 1), m_t=1, m_r=1)
         assert abs(abs(filters.f_o[0, 0]) - 1.0) < 1e-12
         assert np.allclose(np.abs(filters.f_o[1:, 0]), 0.0, atol=1e-12)
 
@@ -102,7 +107,7 @@ class TestCme:
         macro = draw_macroscopic("poor", 1, np.random.default_rng(0))[0]
         a_t, a_r, _ = extract_partial_csi(macro, tx, rx)
         pair = estimate_covariances(50, np.random.default_rng(1), a_t, a_r)
-        filters = cme(pair, m_t=8, m_r=8)
+        filters = cme(cme_basis(pair, 8, 8), m_t=8, m_r=8)
         captured = np.trace(filters.f_o.conj().T @ pair.c_ul @ filters.f_o).real
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -114,7 +119,7 @@ class TestCme:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         cov = a @ a.conj().T
-        filters = cme(self._pair(cov), m_t=5, m_r=5)
+        filters = cme(cme_basis(self._pair(cov), 5, 5), m_t=5, m_r=5)
         energies = [
             (filters.f_o[:, k].conj() @ cov @ filters.f_o[:, k]).real for k in range(5)
         ]
@@ -123,11 +128,11 @@ class TestCme:
     def test_rejects_non_hermitian_covariance(self):
         bad = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
-            cme(self._pair(bad), m_t=1, m_r=1)
+            cme(cme_basis(self._pair(bad), 1, 1), m_t=1, m_r=1)
 
     def test_rejects_oversized_request(self):
         with pytest.raises(ValueError):
-            cme(self._pair(np.eye(4)), m_t=5, m_r=1)
+            cme(cme_basis(self._pair(np.eye(4)), 5, 1), m_t=5, m_r=1)
 
 
 def _dense_top_eigenvectors(cov, m):
@@ -154,7 +159,7 @@ class TestCmeMatchesDenseEigh:
     def test_same_subspace_and_energies(self, scenario, m):
         m = SCENARIOS[scenario][1] if m == "L" else m
         for pair in self._drops(scenario):
-            filters = cme(pair, m_t=m, m_r=m)
+            filters = cme(cme_basis(pair, m, m), m_t=m, m_r=m)
             for fast, cov in ((filters.f_o, pair.c_ul), (filters.w_o, pair.c_dl)):
                 dense = _dense_top_eigenvectors(cov, m)
                 eigs = np.append(np.linalg.eigvalsh(cov)[::-1], 0.0)
@@ -176,7 +181,7 @@ class TestCmeMatchesDenseEigh:
 
     def test_request_beyond_path_count_completes_basis(self):
         for pair in self._drops("poor"):
-            filters = cme(pair, m_t=16, m_r=16)
+            filters = cme(cme_basis(pair, 16, 16), m_t=16, m_r=16)
             for basis, cov in ((filters.f_o, pair.c_ul), (filters.w_o, pair.c_dl)):
                 assert basis.shape == (64, 16)
                 assert np.allclose(basis.conj().T @ basis, np.eye(16), atol=1e-12)
@@ -213,7 +218,7 @@ class TestCmeSharedBasis:
         for pair in self._pairs(scenario, n_users, n_drops=3 if n_users == 1 else 1):
             basis = cme_basis(pair, p, p)
             for m in range(1, p + 1):
-                shared, lone = cme(basis, m, m), cme(pair, m, m)
+                shared, lone = cme(basis, m, m), cme(cme_basis(pair, m, m), m, m)
                 assert np.array_equal(shared.f_o, lone.f_o)
                 assert np.array_equal(shared.w_o, lone.w_o)
                 # and the one-QR form each width used on its own before
@@ -229,7 +234,7 @@ class TestCmeSharedBasis:
         for pair in self._pairs(scenario):
             basis = cme_basis(pair, 64, 64)
             for m in range(1, 65):
-                shared, lone = cme(basis, m, m), cme(pair, m, m)
+                shared, lone = cme(basis, m, m), cme(cme_basis(pair, m, m), m, m)
                 assert np.array_equal(shared.f_o, lone.f_o)
                 assert np.array_equal(shared.w_o, lone.w_o)
                 for got, (b, k) in ((shared.f_o, (pair.b_ul, pair.k_ul)),
@@ -251,7 +256,7 @@ class TestCmeSharedBasis:
 class TestPps:
     def test_descending_power_order(self):
         manifold = np.arange(12, dtype=complex).reshape(4, 3)
-        selected = pps(manifold, [3.0, 1.0, 2.0], 2)
+        selected = _lone_path_filters(manifold, manifold, [3.0, 1.0, 2.0], 2, 2, "pps").f_o
         assert np.array_equal(selected[:, 0], manifold[:, 0])
         assert np.array_equal(selected[:, 1], manifold[:, 2])
 
@@ -313,7 +318,7 @@ class TestSps:
             manifold = np.exp(
                 -1j * np.pi * np.arange(64)[:, None] * np.cos(macro.aod)[None, :]
             ) / 8.0
-            selection = sps(manifold, macro.magnitudes**2, 16)
+            selection = manifold[:, sps_indices(manifold, macro.magnitudes**2, 16)]
             svals = np.linalg.svd(selection, compute_uv=False)
             assert svals[-1] > 1e-8 * svals[0]
 
@@ -321,7 +326,8 @@ class TestSps:
         rng = np.random.default_rng(9)
         manifold = _random_manifold(rng, 8, 5)
         powers = rng.uniform(0.1, 2.0, 5)
-        picked = sps(manifold, powers, 3)
+        [(columns, _)] = path_columns(manifold, manifold, powers, 3, 3, "sps").values()
+        picked = sps(columns, 3)
         idx = sps_indices(manifold, powers, 3)
         for k, col in enumerate(idx):
             assert np.array_equal(picked[:, k], manifold[:, col])
@@ -354,7 +360,7 @@ class TestSps:
         macro = draw_macroscopic("fair", 1, np.random.default_rng(25), sigma_c_deg=0.0)[0]
         a_t, _, powers = extract_partial_csi(macro, ArrayGeometry(64), ArrayGeometry(64))
         try:
-            columns = sps(a_t, powers, 16)
+            columns = a_t[:, sps_indices(a_t, powers, 16)]
         except RankDeficiencyError:
             return
         assert np.linalg.matrix_rank(columns) == 16
@@ -401,7 +407,7 @@ class TestSpsMatchesReprojection:
 
 
 class TestPathOrders:
-    """Every width's selection as a prefix of one order per user and side."""
+    """Every width's selection as a prefix of one gathered block per user and side."""
 
     @staticmethod
     def _drops(scenario, sigma_c_deg=5.0, n_users=1, n_drops=10):
@@ -414,41 +420,46 @@ class TestPathOrders:
     def test_each_width_is_a_prefix_equal_to_a_lone_selection(self, scenario):
         n_paths = SCENARIOS[scenario][1]
         for a_t, a_r, powers in self._drops(scenario, n_users=2, n_drops=3):
-            for method, indices in (("pps", lambda a, p, m: pps_indices(p, m)),
-                                    ("sps", sps_indices)):
-                orders = path_orders(a_t, a_r, powers, n_paths, n_paths, method)
+            for method, indices, read in (("pps", lambda a, p, m: pps_indices(p, m), pps),
+                                          ("sps", sps_indices, sps)):
+                columns = path_columns(a_t, a_r, powers, n_paths, n_paths, method)
                 for m in range(1, n_paths + 1):
-                    shared = path_outer_filters(a_t, a_r, powers, m, m, method, orders)
-                    lone = path_outer_filters(a_t, a_r, powers, m, m, method)
+                    shared = path_outer_filters(columns, m, m, method)
+                    lone = _lone_path_filters(a_t, a_r, powers, m, m, method)
                     assert np.array_equal(shared.f_o, lone.f_o)
                     assert np.array_equal(shared.w_o, lone.w_o)
                     for u in range(2):
-                        order_t, order_r = orders[(u,)]
-                        assert np.array_equal(order_t[:m], indices(a_t[u], powers[u], m))
-                        assert np.array_equal(order_r[:m], indices(a_r[u], powers[u], m))
-                        assert np.array_equal(shared.f_o[u], a_t[u][:, order_t[:m]])
+                        cols_t, cols_r = columns[(u,)]
+                        want_t = a_t[u][:, indices(a_t[u], powers[u], m)]
+                        want_r = a_r[u][:, indices(a_r[u], powers[u], m)]
+                        assert np.array_equal(read(cols_t, m), want_t)
+                        assert np.array_equal(read(cols_r, m), want_r)
+                        assert np.array_equal(shared.f_o[u], want_t)
+                        assert np.array_equal(shared.w_o[u], want_r)
 
     @pytest.mark.parametrize("scenario", ["poor", "fair", "rich"])
     def test_a_short_order_fails_only_the_wider_widths(self, scenario):
         # Zero angle spread repeats each cluster's steering vector, so the
-        # greedy order stops where the paths' span runs out; narrower widths
-        # read their prefix, wider ones raise as a lone selection does.
+        # greedy order stops where the paths' span runs out and the gathered
+        # block keeps its length; narrower widths read their prefix, wider
+        # ones raise as a lone selection does.
         n_paths = SCENARIOS[scenario][1]
         short = 0
         for a_t, _, powers in self._drops(scenario, sigma_c_deg=0.0):
             order = sps_order(a_t, powers, n_paths)
             short += order.size < n_paths
-            orders = path_orders(a_t, a_t, powers, n_paths, n_paths, "sps")
+            columns = path_columns(a_t, a_t, powers, n_paths, n_paths, "sps")
+            assert all(block.shape == (64, order.size) for block in columns[()])
             for m in range(1, n_paths + 1):
                 if m <= order.size:
                     assert np.array_equal(sps_indices(a_t, powers, m), order[:m])
-                    filters = path_outer_filters(a_t, a_t, powers, m, m, "sps", orders)
+                    filters = path_outer_filters(columns, m, m, "sps")
                     assert np.array_equal(filters.f_o, a_t[:, order[:m]])
                     continue
                 with pytest.raises(RankDeficiencyError, match=f"only {order.size} of {m}"):
                     sps_indices(a_t, powers, m)
                 with pytest.raises(RankDeficiencyError, match=f"only {order.size} of {m}"):
-                    path_outer_filters(a_t, a_t, powers, m, m, "sps", orders)
+                    path_outer_filters(columns, m, m, "sps")
         assert short > 0
 
 
@@ -459,7 +470,7 @@ class TestPathOuterFilters:
         a_r = _random_manifold(rng, 6, 5)
         powers = rng.uniform(0.1, 2.0, 5)
         for method in ("pps", "sps"):
-            filters = path_outer_filters(a_t, a_r, powers, 3, 2, method)
+            filters = _lone_path_filters(a_t, a_r, powers, 3, 2, method)
             assert filters.f_o.shape == (8, 3)
             assert filters.w_o.shape == (6, 2)
 
@@ -467,4 +478,6 @@ class TestPathOuterFilters:
         rng = np.random.default_rng(14)
         a = _random_manifold(rng, 4, 2)
         with pytest.raises(ValueError):
-            path_outer_filters(a, a, [1.0, 1.0], 1, 1, "zf")
+            path_columns(a, a, [1.0, 1.0], 1, 1, "zf")
+        with pytest.raises(ValueError):
+            path_outer_filters(path_columns(a, a, [1.0, 1.0], 1, 1, "pps"), 1, 1, "zf")
