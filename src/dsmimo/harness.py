@@ -236,7 +236,8 @@ class _TrialCache:
     method's width-free stage once its last filter is built, the drop and
     its partial CSI once the channel and each method's width-free stage,
     their only readers, are built. So only one trial's drop is alive at a
-    time. A build for a new key frees its stage's old value first.
+    time. A new outer key frees the stages keyed under the old one before
+    its filters are built.
     """
 
     def __init__(self, outer_keys: Sequence[tuple | None]):
@@ -257,6 +258,9 @@ class _TrialCache:
         if held is None or held[0] != key:
             del held  # so that the old value is freed before the new one is built
             self._held.pop(stage, None)
+            if stage == "outer":  # the stages keyed under the old outer key are stale
+                for stale in ("effective", "design", "rate"):
+                    self._held.pop(stale, None)
             try:
                 held = (key, build(), None)
             except Exception as exc:
