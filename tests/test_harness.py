@@ -19,12 +19,14 @@ from dsmimo import (
     InfeasibleError,
     PRESETS,
     RateRecord,
+    SolverError,
     emit_csv,
     load_config,
     preset_configs,
     run_point,
     run_sweep,
     run_trial,
+    snr_to_power,
 )
 from dsmimo import harness, metrics, outer
 from dsmimo.cli import main
@@ -513,6 +515,51 @@ class TestDropSharing:
         failing, records = heap_peak()
         assert [r.status for r in records] == ["ok"] * 3 + ["error:floatingpointerror"] * 3
         assert failing <= 1.02 * clean
+
+    def test_a_failing_snr_level_marks_only_its_point(self, monkeypatch):
+        # The MMSE combiner raises at 10 dB from trial 1 on, wherever that
+        # level's gammas reach it. Only its row fails, with no trial; the
+        # other SNRs read as in a clean run, and no later trial evaluates
+        # the failed level again.
+        configs = [ExperimentConfig(m_t=4, m_r=4, outer="cme", inner="met_mmse", **SHARED_DROP)]
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        n_users, sigma_n2 = SHARED_DROP["n_users"], configs[0].sigma_n2
+        failing = np.sqrt(snr_to_power(10.0, sigma_n2) / n_users)
+        real_trial, real_composite, real_mmse = (
+            harness.run_trial, harness.composite_precoder, harness.met_mmse
+        )
+        trial, norms, seen = [None], [], {True: set(), False: set()}
+
+        def run_trial(cfg, seed, t, shared=None):
+            trial[0] = t
+            return real_trial(cfg, seed, t, shared)
+
+        def composite(f_o, f_i):
+            f, norm = real_composite(f_o, f_i)
+            norms.append(norm)
+            return f, norm
+
+        def mmse(effset, gammas, *args, **kwargs):
+            # gamma = sqrt(P_t / U) / ||F_o F_i||: a row of gammas times the norms is its level's
+            levels = np.reshape(np.asarray(gammas) * norms[-1], (-1, n_users))
+            hit = np.isclose(levels, failing, rtol=1e-9, atol=0.0).all(axis=-1)
+            seen[True].update([trial[0]] * int(hit.sum()))
+            seen[False].update([trial[0]] * int((~hit).sum()))
+            if hit.any() and trial[0] >= 1:
+                raise SolverError("received-signal covariance is numerically singular")
+            return real_mmse(effset, gammas, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        monkeypatch.setattr(harness, "composite_precoder", composite)
+        monkeypatch.setattr(harness, "met_mmse", mmse)
+        records = run_sweep(*configs, seed=6)
+        for got, want in zip(records, clean):
+            if got.snr_db == 10.0:
+                assert got.status == "error:solvererror" and got.n_trials == 0
+            else:
+                assert got == want
+        assert seen == {True: {0, 1}, False: {0, 1, 2}}
 
     def test_width_free_outer_work_is_built_once_per_trial(self, monkeypatch):
         # Each trial decomposes each side's covariance once for both CME

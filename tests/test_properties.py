@@ -150,7 +150,8 @@ def test_cli_exits_with_a_documented_code_on_any_config(tmp_path):
 @st.composite
 def _drop_groups(draw):
     """2-8 two-layer points of one drop: CME/PPS/SPS at widths up to 8 (CME up to the
-    array, beyond L = 8 at poor scattering), every inner scheme, 1-2 streams, two SNRs."""
+    array, beyond L = 8 at poor scattering), every inner scheme, 1-2 streams, two SNRs and
+    two noise variances, so that two points can share an SNR but not a noise."""
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
     n_t, n_r = draw(st.integers(8, 12)), draw(st.integers(8, 12))
     drop = dict(
@@ -169,6 +170,7 @@ def _drop_groups(draw):
         group.append(ExperimentConfig(
             **drop, outer=outer, m_t=m_t, m_r=m_r, n_s=draw(st.integers(1, min(2, m_t, m_r))),
             inner=draw(st.sampled_from(harness.INNER_METHODS)), snr_db=draw(st.sampled_from(snrs)),
+            sigma_n2=draw(st.sampled_from([1e-3, 1e-2])),
         ))
     return group
 
