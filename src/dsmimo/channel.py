@@ -123,20 +123,24 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _check_user_stacks(a, b) -> None:
-    """Reject two operands that are not (U, ...) matrix stacks of one user count."""
-    shapes = (a.shape, b.shape)
-    if len(shapes[0]) != 3 or len(shapes[1]) != 3:
+def _check_user_stacks(filters, channels) -> None:
+    """Reject operands that are not matrix stacks of one user count on axis -3.
+
+    ``filters`` may carry leading level axes (..., U, ...), which the
+    products broadcast; ``channels`` carries no more of them.
+    """
+    shapes = (filters.shape, channels.shape)
+    if not 3 <= len(shapes[1]) <= len(shapes[0]):
         raise ValueError(f"expected (U, ...) stacks or per-user lists of matrices, got {shapes}")
     # Checked before any product: matmul would broadcast a stack of one user to all of them.
-    if shapes[0][0] != shapes[1][0]:
+    if shapes[0][-3] != shapes[1][-3]:
         raise ValueError(f"filters and channels must describe the same user set, got {shapes}")
 
 
 def _combine(w: np.ndarray, channels: FactoredChannel | np.ndarray) -> np.ndarray:
-    """Each user's channel seen through its own combiner, W_u^H H_u: (U, a, N_t).
+    """Each user's channel seen through its own combiner, W_u^H H_u: (..., U, a, N_t).
 
-    From combiners (U, N_r, a) and channels (U, N_r, N_t) or their
+    From combiners (..., U, N_r, a) and channels (U, N_r, N_t) or their
     :class:`FactoredChannel`; a factored channel is combined as
     (W_u^H A_r,u D_u) A_t,u^T, so no N_r x N_t matrix is formed. Channels
     given as a list of matrices are stacked.
@@ -150,18 +154,20 @@ def _combine(w: np.ndarray, channels: FactoredChannel | np.ndarray) -> np.ndarra
 
 
 def _cross_products(combined: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """All (combiner owner, precoder owner) products, out[u, :, j, :] = (W_u^H H_u) F_j.
+    """All (combiner owner, precoder owner) products, out[..., u, :, j, :] = (W_u^H H_u) F_j.
 
-    From combined channels (U, a, N_t), as :func:`_combine` makes them, and
-    precoders (U, N_t, b), as one product of the stacked combined channels
-    (U a, N_t) with the stacked precoders (N_t, U b): (U, a, U, b).
+    From combined channels (..., U, a, N_t), as :func:`_combine` makes them,
+    and precoders (..., U, N_t, b), as one product per level of the stacked
+    combined channels (U a, N_t) with the stacked precoders (N_t, U b):
+    (..., U, a, U, b).
     """
-    _check_user_stacks(combined, f)
-    n_users, n_t, b = f.shape
+    _check_user_stacks(f, combined)
+    *_, n_users, n_t, b = f.shape
     if combined.shape[-1] != n_t:
         raise ValueError(f"combined channels {combined.shape} do not match precoders {f.shape}")
-    products = combined.reshape(-1, n_t) @ f.transpose(1, 0, 2).reshape(n_t, n_users * b)
-    return products.reshape(n_users, -1, n_users, b)
+    stacked = combined.reshape(*combined.shape[:-3], -1, n_t)
+    products = stacked @ f.swapaxes(-3, -2).reshape(*f.shape[:-3], n_t, n_users * b)
+    return products.reshape(*products.shape[:-2], n_users, -1, n_users, b)
 
 
 def ula_response(geometry: ArrayGeometry, azimuth: float) -> np.ndarray:

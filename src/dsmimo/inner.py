@@ -186,7 +186,7 @@ def bd_mer(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
 def met_mmse(
     effset: EffectiveChannelSet,
     gammas: np.ndarray,
-    sigma_n2: float,
+    sigma_n2: float | np.ndarray,
     n_s: int,
     f_i: np.ndarray | None = None,
 ) -> InnerFilters:
@@ -200,18 +200,20 @@ def met_mmse(
     R_yy = sigma_n2 * W_o^H W_o + sum_j (gamma_j^2 / N_s) * (H_eff,u,j f_j)(...)^H,
     and the combiner is w_i = (gamma_u / N_s) * R_yy^{-1} H_eff,u f_u.
     Unlike BD this does not constrain U * N_s. All users' covariances are
-    formed, checked and solved as one stack.
+    formed, checked and solved as one stack. Gammas (..., U) and
+    ``sigma_n2`` (...,) with leading level axes give combiners
+    (..., U, M_r, N_s), one per level, from the same stacked operations;
+    one singular covariance in any level raises for all of them.
     """
     n_users = effset.n_users
     gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape != (n_users,):
+    if gammas.shape[-1:] != (n_users,):
         raise ValueError(f"expected {n_users} gammas, got shape {gammas.shape}")
     if f_i is None:
         f_i = truncated_svd(effset.serving, n_s).v_s
     steered = effset.h_eff @ f_i  # [u, j] = h_eff[u, j] @ f_j
-    r_yy = sigma_n2 * effset.w_o_gram + np.einsum(
-        "j,ujik,ujlk->uil", gammas**2 / n_s, steered, steered.conj()
-    )
+    noise = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram
+    r_yy = noise + np.einsum("...j,ujik,ujlk->...uil", gammas**2 / n_s, steered, steered.conj())
     r_yy = 0.5 * (r_yy + _hermitian(r_yy))
     # R_yy is Hermitian positive definite, so its eigenvalues give the
     # 2-norm condition number without the singular vectors of cond().
@@ -219,7 +221,7 @@ def met_mmse(
     if not np.all(eigvals[..., 0] * _MMSE_MAX_CONDITION > eigvals[..., -1]):
         raise SolverError("received-signal covariance is numerically singular")
     users = np.arange(n_users)
-    w_i = (gammas / n_s)[:, None, None] * np.linalg.solve(r_yy, steered[users, users])
+    w_i = (gammas / n_s)[..., None, None] * np.linalg.solve(r_yy, steered[users, users])
     return InnerFilters(f_i=f_i, w_i=w_i)
 
 
@@ -243,6 +245,9 @@ def composite_precoder(f_o: np.ndarray | None, f_i: np.ndarray) -> tuple[np.ndar
     return composite, norm
 
 
-def normalize_gamma(norm: np.ndarray, p_t: float, n_users: int) -> np.ndarray:
-    """Scaling that gives composite precoders of norms ``norm`` (see above) the budget P_t / U."""
+def normalize_gamma(norm: np.ndarray, p_t: float | np.ndarray, n_users: int) -> np.ndarray:
+    """Scaling that gives composite precoders of norms ``norm`` (see above) the budget P_t / U.
+
+    Budgets ``p_t`` (S, 1), one per level, give one row of scalings per level: (S, U).
+    """
     return np.sqrt(p_t / n_users) / norm

@@ -28,7 +28,7 @@ class LinkFilters:
 
 @dataclass(frozen=True)
 class ReceiveSide:
-    """Q_u^H H_u (U, a, N_t), each channel through an orthonormal basis of its combiner."""
+    """Q_u^H H_u (..., U, a, N_t), each channel through an orthonormal basis of its combiner."""
 
     combined: np.ndarray
 
@@ -59,7 +59,10 @@ def _combiner_basis(w: np.ndarray) -> np.ndarray:
 
 
 def receive_side(channels: FactoredChannel | np.ndarray | Sequence[np.ndarray], w) -> ReceiveSide:
-    """The combiners' half of :func:`sum_rate`: free of the precoders and so of the SNR."""
+    """The combiners' half of :func:`sum_rate`: free of the precoders and so of the SNR.
+
+    Combiners (..., U, N_r, N_s) with leading level axes give one receive side per level.
+    """
     return ReceiveSide(_combine(_combiner_basis(np.asarray(w)), channels))
 
 
@@ -75,9 +78,9 @@ def _logdet_hermitian(a: np.ndarray) -> np.ndarray:
 def sum_rate(
     channels: ReceiveSide | FactoredChannel | np.ndarray | Sequence[np.ndarray],
     filters: LinkFilters,
-    sigma_n2: float,
+    sigma_n2: float | np.ndarray,
     n_s: int,
-) -> float:
+) -> float | np.ndarray:
     """Achievable sum rate in bit/s/Hz: sum_u log2 det(I + C_u^{-1} R_u).
 
     C_u collects noise plus cross-user interference after combining and R_u
@@ -90,18 +93,28 @@ def sum_rate(
     factored, every user's combined channel in one product with the stacked
     precoders. Channels given as the combiners' :class:`ReceiveSide` (see
     :func:`receive_side`) skip the combining, and ``filters.w`` is not read.
+
+    Precoders (and combiners or receive side) may carry leading level axes,
+    (..., U, N_t, N_s) with ``sigma_n2`` (...,): every level is evaluated
+    in the same stacked operations, and the result holds one rate per
+    level, each equal to that level's own evaluation. A (U, ...) stack or
+    per-user lists give one float.
     """
     f = np.asarray(filters.f)
     if not isinstance(channels, ReceiveSide):
         channels = receive_side(channels, filters.w)
     received = _cross_products(channels.combined, f) / np.sqrt(n_s)
-    n_users = f.shape[0]
-    blocks = received.reshape(n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
+    *levels, n_users, _, _ = f.shape
+    blocks = received.reshape(*received.shape[:-4], n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
     users = np.arange(n_users)
-    signal = received[users, :, users, :]
+    signal = np.moveaxis(received[..., users, :, users, :], 0, -3)
     r = signal @ _hermitian(signal)
-    c = sigma_n2 * np.eye(n_s) + (blocks @ _hermitian(blocks) - r)
+    noise = np.asarray(sigma_n2)[..., None, None, None] * np.eye(n_s)
+    c = noise + (blocks @ _hermitian(blocks) - r)
     del received, blocks, signal  # else alive through the log-dets, a trial's heap peak at U = 1
     # det(C+R) >= det(C) holds exactly; the max() only absorbs roundoff.
     rates = np.maximum(0.0, _logdet_hermitian(c + r) - _logdet_hermitian(c))
-    return float(sum(rates.tolist())) / _LN2
+    if not levels:
+        return float(sum(rates.tolist())) / _LN2
+    per_level = rates.reshape(-1, n_users).tolist()
+    return np.array([float(sum(user_rates)) / _LN2 for user_rates in per_level]).reshape(levels)
