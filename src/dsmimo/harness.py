@@ -226,22 +226,63 @@ def _stage_keys(cfg: ExperimentConfig) -> tuple:
     return outer, design, (outer, cfg.inner, cfg.n_s)
 
 
+def _level(cfg: ExperimentConfig) -> tuple[float, float]:
+    """The point's level, (snr_db, sigma_n2): what the points of one rate key differ in."""
+    return cfg.snr_db, cfg.sigma_n2
+
+
+def _chunk_size(cfg: ExperimentConfig) -> int:
+    """Levels per stacked rate evaluation: as many as fit in the drop's manifold bytes.
+
+    Per level, the evaluation holds each user's scaled precoder (N_t, N_s)
+    and its row of cross products (N_s, U N_s). The drop's manifolds,
+    (N_t + N_r, L) per user, are freed before the rate stage, so a chunk
+    that fits in them leaves the trial's heap peak where a lone point puts it.
+    """
+    level = cfg.n_s * (cfg.n_t + cfg.n_users * cfg.n_s)
+    return max(1, (cfg.n_t + cfg.n_r) * SCENARIOS[cfg.scenario][1] // level)
+
+
+def _rates_by_level(levels: list, size: int, evaluate) -> dict:
+    """Each level's rate, or the exception of its own evaluation, ``size`` levels per call.
+
+    A stacked guard raises for its whole chunk, so a chunk that raises is
+    evaluated again level by level.
+    """
+    rates = {}
+    for start in range(0, len(levels), size):
+        chunk = levels[start:start + size]
+        try:
+            rates.update(zip(chunk, evaluate(chunk).tolist()))
+        except Exception as exc:
+            if len(chunk) == 1:
+                rates[chunk[0]] = exc
+            else:
+                rates.update(_rates_by_level(chunk, 1, evaluate))
+    return rates
+
+
 class _TrialCache:
     """The stages that one trial's points share, each holding its latest key's value.
 
-    ``outer_keys`` are the outer keys of the points that will run, in run
-    order, each method's keys back to back and equal keys together. From
-    them the cache knows ``widest``, each outer method's widest (m_t, m_r),
-    for which its width-free stage is built, and when a stage is spent: a
-    method's width-free stage once its last filter is built, the drop and
-    its partial CSI once the channel and each method's width-free stage,
-    their only readers, are built. So only one trial's drop is alive at a
-    time. A new outer key frees the stages keyed under the old one before
-    its filters are built.
+    ``points`` are the points that will run, in run order, each outer
+    method's points back to back and equal stage keys together. From them
+    the cache knows ``widest``, each outer method's widest (m_t, m_r), for
+    which its width-free stage is built; ``levels``, each rate key's
+    levels, which its rate stage evaluates at once; and when a stage is
+    spent: a method's width-free stage once its last filter is built, the
+    drop and its partial CSI once the channel and each method's width-free
+    stage, their only readers, are built. So only one trial's drop is alive
+    at a time. A new outer key frees the stages keyed under the old one
+    before its filters are built.
     """
 
-    def __init__(self, outer_keys: Sequence[tuple | None]):
+    def __init__(self, points: Sequence[ExperimentConfig]):
         self._held: dict[str, tuple] = {}
+        self.levels: dict[tuple, dict[tuple[float, float], None]] = {}  # levels in run order
+        for cfg in points:
+            self.levels.setdefault(_stage_keys(cfg)[2], {})[_level(cfg)] = None
+        outer_keys = [_stage_keys(cfg)[0] for cfg in points]
         self._last = {key[0]: key for key in outer_keys if key}  # each method's last key
         self.widest: dict[str, tuple[int, int]] = {}
         for method, m_t, m_r in filter(None, set(outer_keys)):
@@ -259,7 +300,7 @@ class _TrialCache:
             del held  # so that the old value is freed before the new one is built
             self._held.pop(stage, None)
             if stage == "outer":  # the stages keyed under the old outer key are stale
-                for stale in ("effective", "design", "rate"):
+                for stale in ("effective", "design", "rates"):
                     self._held.pop(stale, None)
             try:
                 held = (key, build(), None)
@@ -299,21 +340,25 @@ def run_trial(
     simulate its training slots. Every stage works on all users at once,
     stacked on a leading (U, ...) axis.
 
-    The SNR-free stages, up to the inner design and its rate factors (the
-    composite precoder, its norm and, but for MMSE, the sum rate's receive
-    side), come from ``shared``, the trial's cache that :func:`run_point`
-    hands to each point of a group: each is built once for the points that
-    agree on it, and its failure is raised to each of them. Before its
-    filters, an outer method builds its width-free work once for the
-    group's widest filters: CME the eigenbasis of each side's estimated
-    covariances, PPS/SPS each user's manifold columns per side, gathered
-    in selection order. Each width then makes its own eigenvector product
-    or reads a prefix of the columns, so no filter reads the drop.
-    A lone trial makes a one-point cache. The point's own stages follow:
-    power normalization, the MMSE combiner and the sum rate.
+    Every stage comes from ``shared``, the trial's cache that
+    :func:`run_point` hands to each point of a group: each is built once
+    for the points that agree on it, and its failure is raised to each of
+    them. Before its filters, an outer method builds its width-free work
+    once for the group's widest filters: CME the eigenbasis of each side's
+    estimated covariances, PPS/SPS each user's manifold columns per side,
+    gathered in selection order. Each width then makes its own eigenvector
+    product or reads a prefix of the columns, so no filter reads the drop.
+    The last stage, the rates, serves every point of the design: it
+    builds the design's SNR-free rate factors (the composite precoder, its
+    norm and, but for MMSE, the sum rate's receive side), then evaluates
+    the group's levels of the design (SNR and noise pairs) stacked on a
+    leading axis, in chunks of :func:`_chunk_size`: power normalization,
+    the MMSE combiner and the sum rate. A chunk that raises is evaluated
+    again level by level, so each point reads its own level's rate or
+    failure. A lone trial makes a one-point cache.
     """
     outer_key, design_key, rate_key = _stage_keys(cfg)
-    stages = _TrialCache([outer_key]) if shared is None else shared
+    stages = _TrialCache([cfg]) if shared is None else shared
     stream = (_SCENARIO_CODE[cfg.scenario], cfg.n_users, trial)
 
     def draw():  # the drop and its partial CSI
@@ -356,9 +401,21 @@ def run_trial(
     def receiving(w_i):  # the sum rate's receive side for composite combiners W_o @ w_i
         return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
 
-    def rate_factors():  # composite precoder, its norm, and the receive side unless MMSE's
+    def rates():  # each level of the rate key: its rate, or its own evaluation's exception
         f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
-        return f, norm, None if cfg.inner == "met_mmse" else receiving(inners.w_i)
+        received = None if cfg.inner == "met_mmse" else receiving(inners.w_i)
+
+        def evaluate(levels):  # one stacked evaluation of a chunk of levels
+            p_t = np.array([[snr_to_power(snr_db, sigma_n2)] for snr_db, sigma_n2 in levels])
+            sigma_n2 = np.array([sigma_n2 for _, sigma_n2 in levels])
+            gammas = normalize_gamma(norm, p_t, cfg.n_users)
+            side = received
+            if side is None:  # the MMSE combiner depends on the SNR
+                side = receiving(met_mmse(effset, gammas, sigma_n2, cfg.n_s, f_i=inners.f_i).w_i)
+            precoders = LinkFilters(f=gammas[:, :, None, None] * f, w=None)
+            return sum_rate(side, precoders, sigma_n2, cfg.n_s)
+
+        return _rates_by_level(list(stages.levels[rate_key]), _chunk_size(cfg), evaluate)
 
     # The channel is realized after the first outer filter, so a lone CME width's eigenbasis
     # is freed first.
@@ -366,14 +423,10 @@ def run_trial(
     channels = stages.get("channel", trial, channel)
     effset = stages.get("effective", outer_key, lambda: effective_channels(channels, outers))
     inners = stages.get("design", design_key, design)
-    f, norm, received = stages.get("rate", rate_key, rate_factors)
-
-    p_t = snr_to_power(cfg.snr_db, cfg.sigma_n2)
-    gammas = normalize_gamma(norm, p_t, cfg.n_users)
-    if received is None:  # the MMSE combiner depends on the SNR
-        received = receiving(met_mmse(effset, gammas, cfg.sigma_n2, cfg.n_s, f_i=inners.f_i).w_i)
-    f = gammas[:, None, None] * f
-    return sum_rate(received, LinkFilters(f=f, w=None), cfg.sigma_n2, cfg.n_s)
+    rate = stages.get("rates", rate_key, rates)[_level(cfg)]
+    if isinstance(rate, Exception):
+        raise rate
+    return rate
 
 
 def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRecord]:
@@ -416,7 +469,7 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
         live = [i for i in order if i not in statuses]
         if not live:
             break
-        stages = _TrialCache([keys[i][0] for i in live])
+        stages = _TrialCache([points[i] for i in live])
         for i in live:
             try:
                 rates[i, trial] = run_trial(points[i], seed, trial, stages)

@@ -417,8 +417,8 @@ class TestDropSharing:
     def test_rate_factors_are_built_once_per_design(self, monkeypatch):
         # Each trial builds a design's composite precoder F_o F_i once for
         # all its SNRs, and its combiner basis too unless the combiner is
-        # MMSE, whose basis each point builds; every point still scales and
-        # evaluates its own rate.
+        # MMSE. The SNRs then fit in one chunk, so each trial scales,
+        # combines (MMSE) and evaluates all of a design's SNRs in one call.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
             for outer, m in (("cme", 4), ("pps", 2))
@@ -441,10 +441,11 @@ class TestDropSharing:
                              (harness, "normalize_gamma"), (harness, "sum_rate")):
             counting(module, name)
         assert run_sweep(*configs, seed=6) == clean
-        n_trials, n_snrs, n_mmse = 3, 3, 2
+        n_trials, n_snrs = 3, 3
+        assert all(harness._chunk_size(point) >= n_snrs for point in configs[0].grid())
         assert calls["composite_precoder"] == n_trials * len(configs)
-        assert calls["_combiner_basis"] == n_trials * (len(configs) - n_mmse + n_mmse * n_snrs)
-        assert calls["normalize_gamma"] == calls["sum_rate"] == n_trials * len(configs) * n_snrs
+        assert calls["_combiner_basis"] == n_trials * len(configs)
+        assert calls["normalize_gamma"] == calls["sum_rate"] == n_trials * len(configs)
 
     @staticmethod
     def _rate_factors_failing(monkeypatch, at_design):

@@ -70,8 +70,8 @@ def test_every_composite_precoder_meets_its_power_budget(inner, layers):
             except (RankDeficiencyError, SolverError):
                 assume(False)  # no rate: SPS ran out of paths or R_yy is singular
         budget = snr_to_power(cfg.snr_db, cfg.sigma_n2) / cfg.n_users
-        powers = np.sum(np.abs(captured[0]) ** 2, axis=(1, 2))
-        assert powers.shape == (cfg.n_users,)
+        powers = np.sum(np.abs(captured[0]) ** 2, axis=(-2, -1))  # one level of U users
+        assert powers.shape == (1, cfg.n_users)
         np.testing.assert_allclose(powers, budget, rtol=1e-12, atol=0.0)
 
     check()
