@@ -235,9 +235,9 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     """Levels per stacked rate evaluation: as many as fit in the drop's manifold bytes.
 
     Per level, the evaluation holds each user's scaled precoder (N_t, N_s)
-    and its row of cross products (N_s, U N_s). The drop's manifolds,
-    (N_t + N_r, L) per user, are freed before the rate stage, so a chunk
-    that fits in them leaves the trial's heap peak where a lone point puts it.
+    and its row of cross products (N_s, U N_s). A chunk holds no more of
+    them than the drop's manifolds, (N_t + N_r, L) per user, which are
+    freed before the rate stage; at least one level.
     """
     level = cfg.n_s * (cfg.n_t + cfg.n_users * cfg.n_s)
     return max(1, (cfg.n_t + cfg.n_r) * SCENARIOS[cfg.scenario][1] // level)
