@@ -7,7 +7,8 @@ and maps one worker pool over the groups. A group runs trial by trial,
 each point's whole pipeline in :func:`run_trial`; a per-trial cache builds
 the drop, each outer method's width-free work (CME's eigenbasis, the
 manifold columns a path selection picks), each outer filter and each
-SNR-free inner design once for all its points. Only the channel and the
+SNR-free inner design once for all its points, and evaluates each
+design's SNR levels stacked in one rate stage. Only the channel and the
 width-free builds read the drop.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
@@ -437,11 +438,14 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     n_trials); :func:`run_sweep` groups a sweep's points so. They run trial
     by trial, sorted so that points with equal stage keys run back to back
     and CME's points last, through one cache per trial: each trial's drop
-    and the stages the points agree on are made once for all of them. The
+    and the stages the points agree on are made once for all of them, and
+    the cache, made from the trial's live points, knows each design's
+    live levels, which its rate stage evaluates at once. The
     order does not change any result, only the heap peak: the drop lives
     until the last method's width-free build, and CME's eigenbasis, the
     largest width-free work, is then held without it. A point whose trial
-    raises runs no further trials; the others go on. Its row reads
+    raises runs no further trials, so its level drops out of its design's
+    later rate stages; the others go on. Its row reads
     ``infeasible`` for a BD design's :class:`InfeasibleError` (raised in
     trial 0, before any SVD), else ``error:<name>``, also when a shared
     stage fails before the design. A caught exception loses its traceback,

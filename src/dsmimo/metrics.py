@@ -105,7 +105,7 @@ def sum_rate(
         channels = receive_side(channels, filters.w)
     received = _cross_products(channels.combined, f) / np.sqrt(n_s)
     *levels, n_users, _, _ = f.shape
-    blocks = received.reshape(*received.shape[:-4], n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
+    blocks = received.reshape(*levels, n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
     users = np.arange(n_users)
     signal = np.moveaxis(received[..., users, :, users, :], 0, -3)
     r = signal @ _hermitian(signal)
@@ -114,7 +114,5 @@ def sum_rate(
     del received, blocks, signal  # else alive through the log-dets, a trial's heap peak at U = 1
     # det(C+R) >= det(C) holds exactly; the max() only absorbs roundoff.
     rates = np.maximum(0.0, _logdet_hermitian(c + r) - _logdet_hermitian(c))
-    if not levels:
-        return float(sum(rates.tolist())) / _LN2
-    per_level = rates.reshape(-1, n_users).tolist()
-    return np.array([float(sum(user_rates)) / _LN2 for user_rates in per_level]).reshape(levels)
+    totals = [float(sum(user_rates)) / _LN2 for user_rates in rates.reshape(-1, n_users).tolist()]
+    return np.array(totals).reshape(levels) if levels else totals[0]
