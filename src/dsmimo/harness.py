@@ -281,9 +281,11 @@ class _TrialCache:
     def __init__(self, points: Sequence[ExperimentConfig]):
         self._held: dict[str, tuple] = {}
         self.levels: dict[tuple, dict[tuple[float, float], None]] = {}  # levels in run order
+        outer_keys = []
         for cfg in points:
-            self.levels.setdefault(_stage_keys(cfg)[2], {})[_level(cfg)] = None
-        outer_keys = [_stage_keys(cfg)[0] for cfg in points]
+            outer_key, _, rate_key = _stage_keys(cfg)
+            outer_keys.append(outer_key)
+            self.levels.setdefault(rate_key, {})[_level(cfg)] = None
         self._last = {key[0]: key for key in outer_keys if key}  # each method's last key
         self.widest: dict[str, tuple[int, int]] = {}
         for method, m_t, m_r in filter(None, set(outer_keys)):

@@ -107,7 +107,7 @@ def sum_rate(
     *levels, n_users, _, _ = f.shape
     blocks = received.reshape(*levels, n_users, n_s, n_users * n_s)  # [u, i, (j, k)]
     users = np.arange(n_users)
-    signal = np.moveaxis(received[..., users, :, users, :], 0, -3)
+    signal = received.swapaxes(-3, -2)[..., users, users, :, :]
     r = signal @ _hermitian(signal)
     noise = np.asarray(sigma_n2)[..., None, None, None] * np.eye(n_s)
     c = noise + (blocks @ _hermitian(blocks) - r)
