@@ -233,12 +233,16 @@ def _level(cfg: ExperimentConfig) -> tuple[float, float]:
 
 
 def _chunk_size(cfg: ExperimentConfig) -> int:
-    """Levels per stacked rate evaluation: as many as fit in the drop's manifold bytes.
+    """Levels per stacked rate evaluation, sized by its precoders and cross products.
 
     Per level, the evaluation holds each user's scaled precoder (N_t, N_s)
     and its row of cross products (N_s, U N_s). A chunk holds no more of
     them than the drop's manifolds, (N_t + N_r, L) per user, which are
-    freed before the rate stage; at least one level.
+    freed before the rate stage; at least one level. The rule counts
+    nothing else: not MET-MMSE's per-level covariances (U, M_r, M_r) with
+    their eigenvalue workspace, nor its per-level receive side, so it does
+    not hold the heap peak to the manifolds' bytes (README: the grouped
+    ``snr_poor`` peaks rose 32 and 47 %).
     """
     level = cfg.n_s * (cfg.n_t + cfg.n_users * cfg.n_s)
     return max(1, (cfg.n_t + cfg.n_r) * SCENARIOS[cfg.scenario][1] // level)
@@ -248,18 +252,21 @@ def _rates_by_level(levels: list, size: int, evaluate) -> dict:
     """Each level's rate, or the exception of its own evaluation, ``size`` levels per call.
 
     A stacked guard raises for its whole chunk, so a chunk that raises is
-    evaluated again level by level.
+    evaluated again level by level, after its handler has exited: a
+    level's exception raised inside it would take the chunk's as its
+    context, whose frames hold the dict that holds the level's exception.
     """
     rates = {}
     for start in range(0, len(levels), size):
         chunk = levels[start:start + size]
         try:
             rates.update(zip(chunk, evaluate(chunk).tolist()))
+            continue
         except Exception as exc:
             if len(chunk) == 1:
                 rates[chunk[0]] = exc
-            else:
-                rates.update(_rates_by_level(chunk, 1, evaluate))
+                continue
+        rates.update(_rates_by_level(chunk, 1, evaluate))
     return rates
 
 

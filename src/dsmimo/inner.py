@@ -221,7 +221,11 @@ def met_mmse(
     if not np.all(eigvals[..., 0] * _MMSE_MAX_CONDITION > eigvals[..., -1]):
         raise SolverError("received-signal covariance is numerically singular")
     users = np.arange(n_users)
-    w_i = (gammas / n_s)[..., None, None] * np.linalg.solve(r_yy, steered[users, users])
+    # As many axes as R_yy, so that numpy 1, which reads one axis fewer as a
+    # stack of vectors, solves for the same matrices as numpy 2.
+    serving = steered[users, users]
+    serving = np.broadcast_to(serving, r_yy.shape[:-1] + serving.shape[-1:])
+    w_i = (gammas / n_s)[..., None, None] * np.linalg.solve(r_yy, serving)
     return InnerFilters(f_i=f_i, w_i=w_i)
 
 

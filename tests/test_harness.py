@@ -517,6 +517,52 @@ class TestDropSharing:
         assert [r.status for r in records] == ["ok"] * 3 + ["error:floatingpointerror"] * 3
         assert failing <= 1.02 * clean
 
+    def test_a_failing_level_of_a_stacked_chunk_keeps_no_trial_alive(self, monkeypatch):
+        # The MMSE combiner raises at 10 dB, so the three-level chunk fails
+        # and is evaluated again level by level. The 10 dB level's held
+        # exception must not reach the trial's arrays, neither through its
+        # traceback nor through the chunk's exception as its context.
+        points = [
+            ExperimentConfig(
+                scenario="fair", n_t=32, n_r=32, m_t=8, m_r=8, n_users=8, outer="cme",
+                inner="met_mmse", snr_db=snr, n_trials=3, n_slots=20,
+            )
+            for snr in (0.0, 10.0, 20.0)
+        ]
+        assert harness._chunk_size(points[0]) >= len(points)
+
+        def heap_peak():
+            gc.disable()
+            tracemalloc.start()
+            try:
+                records = run_point(*points, seed=1)
+                return tracemalloc.get_traced_memory()[1], records
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        run_point(*points, seed=1)  # first-call allocations are not the group's
+        clean, _ = heap_peak()
+        failing_power = snr_to_power(10.0, points[0].sigma_n2)
+        real_gamma, real_mmse = harness.normalize_gamma, harness.met_mmse
+        powers = []
+
+        def gamma(norm, p_t, n_users):
+            powers.append(p_t)
+            return real_gamma(norm, p_t, n_users)
+
+        def mmse(*args, **kwargs):
+            if np.isclose(powers[-1], failing_power, rtol=1e-12, atol=0.0).any():
+                raise SolverError("received-signal covariance is numerically singular")
+            return real_mmse(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "normalize_gamma", gamma)
+        monkeypatch.setattr(harness, "met_mmse", mmse)
+        failing, records = heap_peak()
+        assert [r.status for r in records] == ["ok", "error:solvererror", "ok"]
+        assert [len(p) for p in powers] == [3, 1, 1, 1, 2, 2]  # the chunk, its levels, trials 1-2
+        assert failing <= 1.02 * clean
+
     def test_a_failing_snr_level_marks_only_its_point(self, monkeypatch):
         # The MMSE combiner raises at 10 dB from trial 1 on, wherever that
         # level's gammas reach it. Only its row fails, with no trial; the

@@ -144,3 +144,26 @@ def test_level_stacks_check_their_user_count(n_filters, n_channels):
         sum_rate(side, LinkFilters(f=np.ones((3, n_filters, N, 1)), w=None), np.ones(3), 1)
     with pytest.raises(ValueError):
         receive_side(channels[:n_channels], np.ones((3, n_filters, N, 1)))
+
+
+@pytest.mark.parametrize("levels", [None, 1, 3])
+def test_mmse_solves_stacks_of_matrices_on_every_numpy(monkeypatch, levels):
+    # numpy 1 reads a right-hand side with one axis fewer than its matrices
+    # as a stack of vectors; numpy 2 reads it as matrices broadcast over the
+    # leading axes. A right-hand side with the matrices' axes is matrices to both.
+    _, _, effset, inners, _, norm = _trial(4, 2, 2, "factored")
+    gammas, noises = _levels(norm, 4)
+    if levels is None:
+        gammas, noises = gammas[0], noises[0]
+    else:
+        gammas, noises = gammas[:levels], noises[:levels]
+    real_solve, shapes = np.linalg.solve, []
+
+    def solve(a, b):
+        shapes.append((a.shape, b.shape))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    w_i = met_mmse(effset, gammas, noises, 2, f_i=inners.f_i).w_i
+    [(a, b)] = shapes
+    assert b == a[:-1] + (2,) and w_i.shape == b
