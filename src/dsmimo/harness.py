@@ -6,10 +6,11 @@ groups the resulting grid points by drop (the points whose draws agree)
 and maps one worker pool over the groups. A group runs trial by trial,
 each point's whole pipeline in :func:`run_trial`; a per-trial cache builds
 the drop, each outer method's width-free work (CME's eigenbasis, the
-manifold columns a path selection picks), each outer filter and each
-SNR-free inner design once for all its points, and evaluates each
-design's SNR levels stacked in one rate stage. Only the channel and the
-width-free builds read the drop.
+manifold columns a path selection picks), each outer filter, the SVD of
+its serving channels, of which every inner design and stream count reads
+a prefix, and each SNR-free inner design once for all its points, and
+evaluates each design's SNR levels stacked in one rate stage. Only the
+channel and the width-free builds read the drop.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -35,7 +36,7 @@ from .channel import (
 )
 from .inner import (
     InfeasibleError, bd_mer, composite_precoder, effective_channels, met_bd, met_mer, met_mmse,
-    normalize_gamma,
+    normalize_gamma, truncated_svd,
 )
 from .metrics import LinkFilters, receive_side, snr_to_power, sum_rate
 from .outer import cme, cme_basis, path_columns, path_outer_filters
@@ -221,7 +222,8 @@ def _drop_key(cfg: ExperimentConfig, seed: int | None) -> tuple:
 
 def _stage_keys(cfg: ExperimentConfig) -> tuple:
     """(outer, design, rate) keys of a point: a trial's points with equal keys share that stage."""
-    # The inner design is keyed under its outer filter; MET-MMSE starts from MET-MER's.
+    # The effective channels and their serving SVD take the outer key. The inner design is
+    # keyed under its outer filter; MET-MMSE starts from MET-MER's.
     outer = None if cfg.layers == 1 else (cfg.outer, cfg.m_t, cfg.m_r)
     design = (outer, "met_mer" if cfg.inner == "met_mmse" else cfg.inner, cfg.n_s)
     return outer, design, (outer, cfg.inner, cfg.n_s)
@@ -276,8 +278,9 @@ class _TrialCache:
     ``points`` are the points that will run, in run order, each outer
     method's points back to back and equal stage keys together. From them
     the cache knows ``widest``, each outer method's widest (m_t, m_r), for
-    which its width-free stage is built; ``levels``, each rate key's
-    levels, which its rate stage evaluates at once; and when a stage is
+    which its width-free stage is built; ``streams``, each outer key's
+    most streams, to which its serving SVD is kept; ``levels``, each rate
+    key's levels, which its rate stage evaluates at once; and when a stage is
     spent: a method's width-free stage once its last filter is built, the
     drop and its partial CSI once the channel and each method's width-free
     stage, their only readers, are built. So only one trial's drop is alive
@@ -288,11 +291,13 @@ class _TrialCache:
     def __init__(self, points: Sequence[ExperimentConfig]):
         self._held: dict[str, tuple] = {}
         self.levels: dict[tuple, dict[tuple[float, float], None]] = {}  # levels in run order
+        self.streams: dict[tuple | None, int] = {}
         outer_keys = []
         for cfg in points:
             outer_key, _, rate_key = _stage_keys(cfg)
             outer_keys.append(outer_key)
             self.levels.setdefault(rate_key, {})[_level(cfg)] = None
+            self.streams[outer_key] = max(self.streams.get(outer_key, 0), cfg.n_s)
         self._last = {key[0]: key for key in outer_keys if key}  # each method's last key
         self.widest: dict[str, tuple[int, int]] = {}
         for method, m_t, m_r in filter(None, set(outer_keys)):
@@ -310,7 +315,7 @@ class _TrialCache:
             del held  # so that the old value is freed before the new one is built
             self._held.pop(stage, None)
             if stage == "outer":  # the stages keyed under the old outer key are stale
-                for stale in ("effective", "design", "rates"):
+                for stale in ("effective", "svd", "design", "rates"):
                     self._held.pop(stale, None)
             try:
                 held = (key, build(), None)
@@ -358,6 +363,10 @@ def run_trial(
     estimated covariances, PPS/SPS each user's manifold columns per side,
     gathered in selection order. Each width then makes its own eigenvector
     product or reads a prefix of the columns, so no filter reads the drop.
+    Each outer filter (at one layer, the full channel) has one SVD of its
+    serving effective channels, kept to the most streams of its points,
+    and every inner design and stream count reads its first ``n_s``
+    triplets.
     The last stage, the rates, serves every point of the design: it
     builds the design's SNR-free rate factors (the composite precoder, its
     norm and, but for MMSE, the sum rate's receive side), then evaluates
@@ -401,12 +410,15 @@ def run_trial(
         # reads factored ones only through products with filters.
         return channels if outer_key else np.asarray(channels)
 
+    def serving_svd():
+        return truncated_svd(effset.serving, stages.streams[outer_key])
+
     def design():
         if cfg.inner == "met_bd":
-            return met_bd(effset, cfg.n_s)
+            return met_bd(effset, cfg.n_s, svd)
         if cfg.inner == "bd_mer":
-            return bd_mer(effset, cfg.n_s)
-        return met_mer(effset.serving, cfg.n_s)
+            return bd_mer(effset, cfg.n_s, svd)
+        return met_mer(svd, cfg.n_s)
 
     def receiving(w_i):  # the sum rate's receive side for composite combiners W_o @ w_i
         return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
@@ -432,6 +444,7 @@ def run_trial(
     outers = stages.get("outer", outer_key, outer_filters)
     channels = stages.get("channel", trial, channel)
     effset = stages.get("effective", outer_key, lambda: effective_channels(channels, outers))
+    svd = stages.get("svd", outer_key, serving_svd)
     inners = stages.get("design", design_key, design)
     rate = stages.get("rates", rate_key, rates)[_level(cfg)]
     if isinstance(rate, Exception):
@@ -456,16 +469,21 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     raises runs no further trials, so its level drops out of its design's
     later rate stages; the others go on. Its row reads
     ``infeasible`` for a BD design's :class:`InfeasibleError` (raised in
-    trial 0, before any SVD), else ``error:<name>``, also when a shared
-    stage fails before the design. A caught exception loses its traceback,
-    whose frames hold the cache that may hold it. The records come back in
-    argument order; ``[record] = run_point(cfg)`` runs one.
+    trial 0, before the design's own null-space SVD, though its outer
+    filter's shared serving SVD is built first), else ``error:<name>``,
+    also when a shared stage fails before the design. A caught exception
+    loses its traceback, whose frames hold the cache that may hold it. The
+    records come back in argument order; ``[record] = run_point(cfg)`` runs
+    one.
     """
+    singles = []
     for cfg in points:
         cfg.validate()
-        if len(cfg.grid()) != 1:
+        grid = cfg.grid()
+        if len(grid) != 1:
             raise ConfigError("run_point needs single grid points; use run_sweep for lists")
-    points = [cfg.grid()[0] for cfg in points]
+        singles += grid
+    points = singles
     drop_keys = {_drop_key(cfg, seed) for cfg in points}
     if len(drop_keys) != 1:
         raise ConfigError("run_point needs points that share one drop; use run_sweep")
@@ -502,7 +520,8 @@ def run_sweep(
 
     All configs are validated before any point runs. The points are
     grouped by drop (see :func:`run_point`), and the workers run over the
-    groups. Per-point failures become error rows and never abort the
+    groups: no more threads than groups, and none beside the caller's for
+    one group. Per-point failures become error rows and never abort the
     sweep. Results are identical for any ``workers`` count because every
     point's substreams are fixed by its content.
     """
@@ -517,6 +536,7 @@ def run_sweep(
     def one(group: list[int]) -> list[RateRecord]:
         return run_point(*(points[i] for i in group), seed=seed)
 
+    workers = min(workers, len(groups))
     if workers <= 1:
         results = map(one, groups)
     else:

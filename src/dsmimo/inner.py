@@ -3,7 +3,9 @@
 All four schemes start from the truncated SVD of each user's serving
 effective channel. The block-diagonalizing variants additionally project
 one side onto the null space of the stacked cross-user interference, and
-the MMSE combiner whitens interference plus noise instead.
+the MMSE combiner whitens interference plus noise instead. A caller that
+already holds a deeper SVD of the serving channels passes it, and each
+scheme reads its first n_s triplets instead of decomposing them again.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ class TruncatedSvd:
     u_s: np.ndarray
     sigma_s: np.ndarray
     v_s: np.ndarray
+
+    def leading(self, n_s: int) -> "TruncatedSvd":
+        """The first n_s triplets, as views: ``==`` to ``truncated_svd`` of the stack at n_s."""
+        if n_s > self.sigma_s.shape[-1]:
+            raise ValueError(f"n_s={n_s} exceeds the {self.sigma_s.shape[-1]} triplets held")
+        return TruncatedSvd(self.u_s[..., :n_s], self.sigma_s[..., :n_s], self.v_s[..., :n_s])
 
 
 @dataclass(frozen=True)
@@ -138,19 +146,26 @@ def _other_users(blocks: np.ndarray) -> np.ndarray:
     return blocks[~np.eye(n_users, dtype=bool)].reshape(n_users, (n_users - 1) * a, b)
 
 
-def met_mer(h_eff_u: np.ndarray, n_s: int) -> InnerFilters:
-    """Maximum eigenmode transmission and reception on serving channels (..., M_r, M_t)."""
-    svd = truncated_svd(h_eff_u, n_s)
+def met_mer(serving: np.ndarray | TruncatedSvd, n_s: int) -> InnerFilters:
+    """Maximum eigenmode transmission and reception on serving channels (..., M_r, M_t).
+
+    Given the channels' SVD instead, of at least n_s triplets, it reads the first n_s.
+    """
+    if isinstance(serving, TruncatedSvd):
+        svd = serving.leading(n_s)
+    else:
+        svd = truncated_svd(serving, n_s)
     return InnerFilters(f_i=svd.v_s, w_i=svd.u_s)
 
 
-def met_bd(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
+def met_bd(effset: EffectiveChannelSet, n_s: int, svd: TruncatedSvd | None = None) -> InnerFilters:
     """MET precoding with block-diagonalizing reception.
 
     Each combiner is the MER filter projected onto the null space of the
     stacked cross-user effective channels (all built from the other users'
     MET precoders), which zeroes multi-user interference when
-    U * n_s <= M_r.
+    U * n_s <= M_r. ``svd``, the serving channels' SVD of at least n_s
+    triplets, is read instead of decomposing them again.
     """
     n_users = effset.n_users
     m_r = effset.h_eff.shape[2]
@@ -158,18 +173,19 @@ def met_bd(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
         raise InfeasibleError(
             f"BD reception needs U*N_s <= M_r, got {n_users}*{n_s} > {m_r}"
         )
-    svd = truncated_svd(effset.serving, n_s)
+    svd = truncated_svd(effset.serving, n_s) if svd is None else svd.leading(n_s)
     steered = effset.h_eff @ svd.v_s  # [u, j] = h_eff[u, j] @ v_j
     interference = _other_users(steered.swapaxes(-1, -2)).swapaxes(-1, -2)  # side by side
     return InnerFilters(f_i=svd.v_s, w_i=_null_projector(interference, "left") @ svd.u_s)
 
 
-def bd_mer(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
+def bd_mer(effset: EffectiveChannelSet, n_s: int, svd: TruncatedSvd | None = None) -> InnerFilters:
     """Block-diagonalizing transmission with MER combining.
 
     The transmit-side dual of :func:`met_bd`: each MET precoder is projected
     onto the null space of the interference its user would cause at the
-    other users' MER combiners. Requires U * n_s <= M_t.
+    other users' MER combiners. Requires U * n_s <= M_t. ``svd`` is read as
+    in :func:`met_bd`.
     """
     n_users = effset.n_users
     m_t = effset.h_eff.shape[3]
@@ -177,7 +193,7 @@ def bd_mer(effset: EffectiveChannelSet, n_s: int) -> InnerFilters:
         raise InfeasibleError(
             f"BD transmission needs U*N_s <= M_t, got {n_users}*{n_s} > {m_t}"
         )
-    svd = truncated_svd(effset.serving, n_s)
+    svd = truncated_svd(effset.serving, n_s) if svd is None else svd.leading(n_s)
     received = _hermitian(svd.u_s)[:, None] @ effset.h_eff  # [j, u] = u_j^H h_eff[j, u]
     interference = _other_users(received.swapaxes(0, 1))  # [u] = received[j != u, u] stacked
     return InnerFilters(f_i=_null_projector(interference, "right") @ svd.v_s, w_i=svd.u_s)

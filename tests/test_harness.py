@@ -141,6 +141,22 @@ class TestDeterminismAndPairing:
         threaded = emit_csv(run_sweep(cfg, seed=3, workers=3))
         assert serial == threaded
 
+    def test_a_sweep_starts_no_more_threads_than_groups(self, monkeypatch):
+        pools, real_pool = [], harness.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        one_group = replace(SMALL, snr_db=[0.0, 10.0])  # one drop: one group
+        two_groups = replace(one_group, n_users=[1, 2])
+        serial = [run_sweep(cfg, seed=3, workers=1) for cfg in (one_group, two_groups)]
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+        assert run_sweep(one_group, seed=3, workers=2) == serial[0]
+        assert pools == []  # the caller's thread runs the one group
+        assert run_sweep(two_groups, seed=3, workers=3) == serial[1]
+        assert pools == [2]
+
 
 class TestMultiConfigSweep:
     CONFIGS = (
@@ -456,8 +472,8 @@ class TestDropSharing:
         real_design, real_composite = harness.met_bd, harness.composite_precoder
         precoders, builds = [], []
 
-        def design(effset, n_s):
-            filters = real_design(effset, n_s)
+        def design(effset, n_s, svd=None):
+            filters = real_design(effset, n_s, svd)
             precoders.append(filters.f_i)
             return filters
 
@@ -743,6 +759,59 @@ class TestDropSharing:
         assert len(run_point(SMALL, replace(SMALL, seed=1), seed=0)) == 2
 
 
+class TestFactorizations:
+    """The paper's complexity claim without a clock: the matrices each layer count decomposes.
+
+    The inner designs of one outer filter (at one layer, of the full
+    channel) read one SVD of its serving channels, whatever their scheme
+    and stream count. At one layer that is the (U, 64, 64) stack; at two,
+    no decomposition has more than M singular values.
+    """
+
+    N_TRIALS = 3
+
+    def _svd_shapes(self, monkeypatch, points):
+        """The shape of every matrix stack np.linalg.svd decomposes while the points run."""
+        shapes, real_svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        records = run_point(*points, seed=1)
+        assert {r.status for r in records} == {"ok"}
+        return shapes
+
+    def _bench_group(self, layers, inners=("met_mmse",)):
+        """bench_met_mmse's points of one layer count, N_s in {1, 2}, under each inner scheme."""
+        points = [
+            replace(cfg, inner=inner, n_trials=self.N_TRIALS)
+            for cfg in preset_configs("bench_met_mmse") if cfg.layers == layers
+            for inner in inners
+        ]
+        assert sorted({cfg.n_s for cfg in points}) == [1, 2]
+        return points
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_a_layer_count_factors_its_serving_stack_once_per_trial(self, monkeypatch, layers):
+        points = self._bench_group(layers)
+        shapes = self._svd_shapes(monkeypatch, points)
+        m_t, m_r = points[0].effective_dims()
+        serving = (points[0].n_users, m_r, m_t)
+        assert shapes.count(serving) == self.N_TRIALS
+        if layers == 1:
+            assert serving == (2, 64, 64)
+        else:
+            assert max(min(shape[-2:]) for shape in shapes) <= min(m_t, m_r) == 4
+
+    def test_every_inner_scheme_of_an_outer_filter_reads_one_serving_svd(self, monkeypatch):
+        points = self._bench_group(2, harness.INNER_METHODS)
+        shapes = self._svd_shapes(monkeypatch, points)
+        assert len({harness._stage_keys(cfg)[0] for cfg in points}) == 1
+        assert shapes.count((2, 4, 4)) == self.N_TRIALS  # the BD projectors' stacks are thinner
+
+
 class TestFeasibilityHandling:
     def test_bd_infeasible_point_is_flagged(self):
         cfg = replace(SMALL, inner="met_bd", n_users=4)  # 4 > m_r = 2
@@ -752,7 +821,7 @@ class TestFeasibilityHandling:
 
     def test_congestion_sweep_marks_only_oversubscribed_rows(self, monkeypatch):
         # Feasibility is the BD designs' own rule: each infeasible design
-        # runs once, in trial 0, and raises before any SVD.
+        # runs once, in trial 0, and raises before its null-space SVD.
         configs = [
             replace(SMALL, inner=inner, m_t=4, m_r=4, n_users=[2, 4, 5, 8], n_trials=2)
             for inner in ("met_mer", "met_bd", "bd_mer")
@@ -766,10 +835,10 @@ class TestFeasibilityHandling:
         def counting(name):
             real_design = getattr(harness, name)
 
-            def design(effset, n_s):
+            def design(effset, n_s, svd=None):
                 designs.setdefault((name, effset.n_users), []).append(trials[-1])
                 try:
-                    return real_design(effset, n_s)
+                    return real_design(effset, n_s, svd)
                 except InfeasibleError:
                     designs[name, effset.n_users].append("infeasible")
                     raise
@@ -863,7 +932,7 @@ class TestErrorRows:
         run_point(*points, seed=1)  # first-call allocations are not the group's
         clean, _ = heap_peak()
 
-        def failing_design(effset, n_s):
+        def failing_design(effset, n_s, svd=None):
             raise FloatingPointError("design failed")
 
         monkeypatch.setattr(harness, "met_bd", failing_design)

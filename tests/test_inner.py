@@ -138,6 +138,37 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError):
             truncated_svd(np.eye(3), 4)
 
+    def test_leading_triplets_equal_a_shallower_svd(self):
+        rng = np.random.default_rng(12)
+        h = _random_complex(rng, (3, 5, 4))
+        full = truncated_svd(h, 4)
+        for n_s in range(1, 5):
+            got, want = full.leading(n_s), truncated_svd(h, n_s)
+            for name in ("u_s", "sigma_s", "v_s"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+                assert getattr(got, name).strides[-2:] == getattr(want, name).strides[-2:]
+        with pytest.raises(ValueError):
+            truncated_svd(h, 2).leading(3)
+
+
+class TestSharedServingSvd:
+    """Every scheme given the serving channels' full SVD designs the filters it makes alone."""
+
+    @pytest.mark.parametrize("n_users, m_r, m_t", [(1, 4, 4), (2, 4, 3), (3, 6, 6)])
+    @pytest.mark.parametrize("n_s", [1, 2])
+    def test_a_prefix_of_the_full_svd_designs_the_same_filters(self, n_users, m_r, m_t, n_s):
+        rng = np.random.default_rng(10 * n_users + n_s)
+        effset = _random_effset(rng, n_users, m_r, m_t)
+        svd = truncated_svd(effset.serving, min(m_r, m_t))
+        pairs = [(met_mer(svd, n_s), met_mer(effset.serving, n_s))]
+        if n_users * n_s <= m_r:
+            pairs.append((met_bd(effset, n_s, svd), met_bd(effset, n_s)))
+        if n_users * n_s <= m_t:
+            pairs.append((bd_mer(effset, n_s, svd), bd_mer(effset, n_s)))
+        for shared, alone in pairs:
+            assert np.array_equal(shared.f_i, alone.f_i)
+            assert np.array_equal(shared.w_i, alone.w_i)
+
 
 class TestMetMer:
     def test_diagonal_channel(self):

@@ -148,27 +148,37 @@ def test_cli_exits_with_a_documented_code_on_any_config(tmp_path):
 
 
 @st.composite
+def _outer_filters(draw, scenario, n_t, n_r):
+    """CME/PPS/SPS at widths up to 8 (CME up to the array, beyond L = 8 at poor scattering)."""
+    outer = draw(st.sampled_from(["cme", "pps", "sps"]))
+    cap = 12 if outer == "cme" else min(8, SCENARIOS[scenario][1])
+    return dict(outer=outer, m_t=draw(st.integers(1, min(n_t, cap))),
+                m_r=draw(st.integers(1, min(n_r, cap))))
+
+
+@st.composite
 def _drop_groups(draw):
-    """2-8 two-layer points of one drop: CME/PPS/SPS at widths up to 8 (CME up to the
-    array, beyond L = 8 at poor scattering), every inner scheme, 1-2 streams, two SNRs and
-    two noise variances, so that two points can share an SNR but not a noise."""
+    """2-8 points of one drop: one layer, or two with 1-3 outer filters that the points
+    share; every inner scheme, 1-2 streams, two SNRs and two noise variances, so that two
+    points can share an SNR but not a noise, and an outer filter but not a design."""
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
     n_t, n_r = draw(st.integers(8, 12)), draw(st.integers(8, 12))
+    layers = draw(st.sampled_from([1, 2, 2]))
     drop = dict(
-        scenario=scenario, n_t=n_t, n_r=n_r, n_users=draw(st.integers(1, 3)),
+        scenario=scenario, n_t=n_t, n_r=n_r, n_users=draw(st.integers(1, 3)), layers=layers,
         n_trials=draw(st.integers(1, 2)), n_slots=draw(st.integers(1, 10)),
         sigma_c_deg=draw(st.sampled_from([0.0, 5.0])), seed=draw(st.integers(0, 2**16)),
     )
+    outers = [dict(outer="none", m_t=n_t, m_r=n_r)]
+    if layers == 2:
+        outers = draw(st.lists(_outer_filters(scenario, n_t, n_r), min_size=1, max_size=3))
     snrs = draw(st.lists(st.sampled_from([-10.0, 0.0, 10.0, 30.0]), min_size=2, max_size=2,
                          unique=True))
     group = []
     for _ in range(draw(st.integers(2, 8))):
-        outer = draw(st.sampled_from(["cme", "pps", "sps"]))
-        cap = 12 if outer == "cme" else min(8, SCENARIOS[scenario][1])
-        m_t = draw(st.integers(1, min(n_t, cap)))
-        m_r = draw(st.integers(1, min(n_r, cap)))
+        outer = draw(st.sampled_from(outers))
         group.append(ExperimentConfig(
-            **drop, outer=outer, m_t=m_t, m_r=m_r, n_s=draw(st.integers(1, min(2, m_t, m_r))),
+            **drop, **outer, n_s=draw(st.integers(1, min(2, outer["m_t"], outer["m_r"]))),
             inner=draw(st.sampled_from(harness.INNER_METHODS)), snr_db=draw(st.sampled_from(snrs)),
             sigma_n2=draw(st.sampled_from([1e-3, 1e-2])),
         ))
