@@ -6,11 +6,11 @@ groups the resulting grid points by drop (the points whose draws agree)
 and maps one worker pool over the groups. A group runs trial by trial,
 each point's whole pipeline in :func:`run_trial`; a per-trial cache builds
 the drop, each outer method's width-free work (CME's eigenbasis, the
-manifold columns a path selection picks), each outer filter, the SVD of
-its serving channels, of which every inner design and stream count reads
-a prefix, and each SNR-free inner design once for all its points, and
-evaluates each design's SNR levels stacked in one rate stage. Only the
-channel and the width-free builds read the drop.
+manifold columns a path selection picks), each outer filter with its
+effective channels and the SVD of their serving channels, and each inner
+design with the rates of all its SNR levels, stacked, once for all the
+points that share them. Only the channel and the width-free builds read
+the drop.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -221,12 +221,10 @@ def _drop_key(cfg: ExperimentConfig, seed: int | None) -> tuple:
 
 
 def _stage_keys(cfg: ExperimentConfig) -> tuple:
-    """(outer, design, rate) keys of a point: a trial's points with equal keys share that stage."""
-    # The effective channels and their serving SVD take the outer key. The inner design is
-    # keyed under its outer filter; MET-MMSE starts from MET-MER's.
+    """(outer, rate) keys of a point: a trial's points with equal keys share that stage."""
+    # The effective channels and their serving SVD take the outer key; a rate key fixes its design.
     outer = None if cfg.layers == 1 else (cfg.outer, cfg.m_t, cfg.m_r)
-    design = (outer, "met_mer" if cfg.inner == "met_mmse" else cfg.inner, cfg.n_s)
-    return outer, design, (outer, cfg.inner, cfg.n_s)
+    return outer, (outer, cfg.inner, cfg.n_s)
 
 
 def _level(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -275,17 +273,20 @@ def _rates_by_level(levels: list, size: int, evaluate) -> dict:
 class _TrialCache:
     """The stages that one trial's points share, each holding its latest key's value.
 
-    ``points`` are the points that will run, in run order, each outer
-    method's points back to back and equal stage keys together. From them
-    the cache knows ``widest``, each outer method's widest (m_t, m_r), for
-    which its width-free stage is built; ``streams``, each outer key's
-    most streams, to which its serving SVD is kept; ``levels``, each rate
-    key's levels, which its rate stage evaluates at once; and when a stage is
-    spent: a method's width-free stage once its last filter is built, the
-    drop and its partial CSI once the channel and each method's width-free
-    stage, their only readers, are built. So only one trial's drop is alive
-    at a time. A new outer key frees the stages keyed under the old one
-    before its filters are built.
+    The six stages are the drop, each outer method's width-free work, the
+    outer filters, the channel, the effective channels with their serving
+    SVD, and a design's rates. ``points`` are the points that will run, in
+    run order, each outer method's points back to back and equal stage keys
+    together. From them the cache knows ``widest``, each outer method's
+    widest (m_t, m_r), for which its width-free stage is built;
+    ``streams``, each outer key's most streams, to which its serving SVD
+    is kept; ``levels``, each rate key's levels, which its rate stage
+    evaluates at once; and when a stage is spent: a method's width-free
+    stage once its last filter is built, the drop and its partial CSI once
+    the channel and each method's width-free stage, their only readers,
+    are built. So only one trial's drop is alive at a time. A new outer
+    key frees the stages keyed under the old one before its filters are
+    built.
     """
 
     def __init__(self, points: Sequence[ExperimentConfig]):
@@ -294,7 +295,7 @@ class _TrialCache:
         self.streams: dict[tuple | None, int] = {}
         outer_keys = []
         for cfg in points:
-            outer_key, _, rate_key = _stage_keys(cfg)
+            outer_key, rate_key = _stage_keys(cfg)
             outer_keys.append(outer_key)
             self.levels.setdefault(rate_key, {})[_level(cfg)] = None
             self.streams[outer_key] = max(self.streams.get(outer_key, 0), cfg.n_s)
@@ -315,7 +316,7 @@ class _TrialCache:
             del held  # so that the old value is freed before the new one is built
             self._held.pop(stage, None)
             if stage == "outer":  # the stages keyed under the old outer key are stale
-                for stale in ("effective", "svd", "design", "rates"):
+                for stale in ("effective", "rates"):
                     self._held.pop(stale, None)
             try:
                 held = (key, build(), None)
@@ -360,15 +361,15 @@ def run_trial(
     for the points that agree on it, and its failure is raised to each of
     them. Before its filters, an outer method builds its width-free work
     once for the group's widest filters: CME the eigenbasis of each side's
-    estimated covariances, PPS/SPS each user's manifold columns per side,
-    gathered in selection order. Each width then makes its own eigenvector
-    product or reads a prefix of the columns, so no filter reads the drop.
-    Each outer filter (at one layer, the full channel) has one SVD of its
-    serving effective channels, kept to the most streams of its points,
-    and every inner design and stream count reads its first ``n_s``
-    triplets.
-    The last stage, the rates, serves every point of the design: it
-    builds the design's SNR-free rate factors (the composite precoder, its
+    estimated covariances, PPS/SPS each side's manifold columns in
+    selection order, stacked over users. Each width then makes its own
+    eigenvector product or reads a prefix of the columns, so no filter
+    reads the drop. Each outer filter's effective channels (at one layer,
+    the full channel) are built with one SVD of their serving channels,
+    kept to the most streams of the filter's points. The last stage, the
+    rates, serves every point of a design: it builds the inner design,
+    which reads the SVD's first ``n_s`` triplets (MET-MMSE's precoders are
+    MET-MER's), and its SNR-free rate factors (the composite precoder, its
     norm and, but for MMSE, the sum rate's receive side), then evaluates
     the group's levels of the design (SNR and noise pairs) stacked on a
     leading axis, in chunks of :func:`_chunk_size`: power normalization,
@@ -376,7 +377,7 @@ def run_trial(
     again level by level, so each point reads its own level's rate or
     failure. A lone trial makes a one-point cache.
     """
-    outer_key, design_key, rate_key = _stage_keys(cfg)
+    outer_key, rate_key = _stage_keys(cfg)
     stages = _TrialCache([cfg]) if shared is None else shared
     stream = (_SCENARIO_CODE[cfg.scenario], cfg.n_users, trial)
 
@@ -410,10 +411,11 @@ def run_trial(
         # reads factored ones only through products with filters.
         return channels if outer_key else np.asarray(channels)
 
-    def serving_svd():
-        return truncated_svd(effset.serving, stages.streams[outer_key])
+    def effective():  # the effective channels and the SVD of their serving channels
+        effset = effective_channels(channels, outers)
+        return effset, truncated_svd(effset.serving, stages.streams[outer_key])
 
-    def design():
+    def design():  # MET-MMSE's precoders are MET-MER's, views of the serving SVD
         if cfg.inner == "met_bd":
             return met_bd(effset, cfg.n_s, svd)
         if cfg.inner == "bd_mer":
@@ -424,6 +426,7 @@ def run_trial(
         return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
 
     def rates():  # each level of the rate key: its rate, or its own evaluation's exception
+        inners = design()
         f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
         received = None if cfg.inner == "met_mmse" else receiving(inners.w_i)
 
@@ -443,9 +446,7 @@ def run_trial(
     # is freed first.
     outers = stages.get("outer", outer_key, outer_filters)
     channels = stages.get("channel", trial, channel)
-    effset = stages.get("effective", outer_key, lambda: effective_channels(channels, outers))
-    svd = stages.get("svd", outer_key, serving_svd)
-    inners = stages.get("design", design_key, design)
+    effset, svd = stages.get("effective", outer_key, effective)
     rate = stages.get("rates", rate_key, rates)[_level(cfg)]
     if isinstance(rate, Exception):
         raise rate
@@ -469,12 +470,12 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     raises runs no further trials, so its level drops out of its design's
     later rate stages; the others go on. Its row reads
     ``infeasible`` for a BD design's :class:`InfeasibleError` (raised in
-    trial 0, before the design's own null-space SVD, though its outer
-    filter's shared serving SVD is built first), else ``error:<name>``,
-    also when a shared stage fails before the design. A caught exception
-    loses its traceback, whose frames hold the cache that may hold it. The
-    records come back in argument order; ``[record] = run_point(cfg)`` runs
-    one.
+    trial 0 by its rate stage, before the design's own null-space SVD,
+    though its outer filter's serving SVD is built first), else
+    ``error:<name>``, also when a shared stage fails before the design.
+    A caught exception loses its traceback, whose frames hold the cache
+    that may hold it. The records come back in argument order;
+    ``[record] = run_point(cfg)`` runs one.
     """
     singles = []
     for cfg in points:

@@ -109,12 +109,11 @@ def _prefix(picks: np.ndarray, m: int) -> np.ndarray:
 
 
 def pps_indices(powers: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the m strongest paths, descending power, ties to lowest index."""
+    """Indices of the m strongest paths per user of powers (..., L), ties to lowest index."""
     powers = np.asarray(powers, dtype=float)
-    if m > powers.shape[0]:
-        raise ValueError(f"requested {m} paths but only {powers.shape[0]} available")
-    order = np.argsort(-powers, kind="stable")
-    return order[:m]
+    if m > powers.shape[-1]:
+        raise ValueError(f"requested {m} paths but only {powers.shape[-1]} available")
+    return np.argsort(-powers, axis=-1, kind="stable")[..., :m]
 
 
 def pps(columns: np.ndarray, m: int) -> np.ndarray:
@@ -139,6 +138,9 @@ def sps_order(manifold: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
     once no remaining path has a residual above rounding level.
     """
     powers = np.asarray(powers, dtype=float)
+    if np.ndim(manifold) != 2 or powers.shape != np.shape(manifold)[1:]:
+        shapes = f"{np.shape(manifold)} and {powers.shape}"
+        raise ValueError(f"expected one (N, L) manifold and (L,) powers, got {shapes}")
     n_paths = manifold.shape[1]
     if m > n_paths:
         raise ValueError(f"requested {m} paths but only {n_paths} available")
@@ -182,51 +184,44 @@ def sps(columns: np.ndarray, m: int) -> np.ndarray:
 
 def path_columns(
     a_t: np.ndarray, a_r: np.ndarray, powers: np.ndarray, m_t: int, m_r: int, method: str
-) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """Each user's (transmit, receive) manifold columns in ``pps`` or ``sps`` selection order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (transmit, receive) manifold columns in ``pps`` or ``sps`` selection order.
 
     Manifolds (..., N, L) and powers (..., L) may stack users on leading
-    axes; the keys are the users' indices on those axes, in ``np.ndindex``
-    order, and the greedy selection runs user by user. Each block is
-    gathered m_t/m_r picks deep, or as deep as an SPS order runs before the
-    paths' span runs out. The gather copies without arithmetic, so a
-    filter of any width up to the depth, a prefix of its block, equals the
-    manifold's columns at that width's own selection.
+    axes; the selection runs user by user, m_t/m_r picks deep. Each side is
+    gathered into one (..., N, depth) array, as deep as its users' shortest
+    order (an SPS order stops short once the paths' span runs out), and
+    reading a wider width raises :class:`RankDeficiencyError`. The gather
+    copies without arithmetic, so a filter of any width up to the depth, a
+    prefix of its side, equals each user's columns at its own selection.
     """
     select = {"pps": lambda _, p, m: pps_indices(p, m), "sps": sps_order}.get(method)
     if select is None:
         raise ValueError(f"unknown path-selection method {method!r}")
     powers = np.asarray(powers, dtype=float)
-    columns = {}
-    for user in np.ndindex(powers.shape[:-1]):
-        t, r, p = a_t[user], a_r[user], powers[user]
-        columns[user] = (t[:, select(t, p, m_t)], r[:, select(r, p, m_r)])
-    return columns
+    users = powers.shape[:-1]
+
+    def side(manifold, m):
+        orders = [select(manifold[user], powers[user], m) for user in np.ndindex(users)]
+        depth = min(order.size for order in orders)
+        picks = np.array([order[:depth] for order in orders]).reshape(*users, 1, depth)
+        return np.take_along_axis(manifold, picks, axis=-1)
+
+    return side(a_t, m_t), side(a_r, m_r)
 
 
 def path_outer_filters(
-    columns: dict[tuple, tuple[np.ndarray, np.ndarray]], m_t: int, m_r: int, method: str
+    columns: tuple[np.ndarray, np.ndarray], m_t: int, m_r: int, method: str
 ) -> OuterFilters:
     """Both outer filters of widths m_t/m_r from the method's :func:`path_columns`.
 
     ``columns``, at least m_t/m_r deep, may serve several widths: each
-    filter is a prefix of its user's block, read by ``pps`` or ``sps``.
+    filter is a prefix of its side, read by ``pps`` or ``sps``.
     A lone width composes the two calls:
     ``path_outer_filters(path_columns(a_t, a_r, powers, m, m, method), m, m, method)``.
     """
     select = {"pps": pps, "sps": sps}.get(method)
     if select is None:
         raise ValueError(f"unknown path-selection method {method!r}")
-    *_, last = columns  # the users in np.ndindex order: the last one bounds the leading axes
-    users = tuple(i + 1 for i in last)
-    # Column-major per user, as ``manifold[:, idx]`` is: products with F_o
-    # then run the same BLAS kernel for every user count, which matters
-    # where an inner filter (BD-MER) nulls F_o F_i down to rounding level.
-    f_o, w_o = (
-        np.empty((*users, m, cols.shape[0]), dtype=cols.dtype).swapaxes(-1, -2)
-        for m, cols in zip((m_t, m_r), columns[last])
-    )
-    for user, (cols_t, cols_r) in columns.items():
-        f_o[user] = select(cols_t, m_t)
-        w_o[user] = select(cols_r, m_r)
-    return OuterFilters(f_o=f_o, w_o=w_o)
+    cols_t, cols_r = columns
+    return OuterFilters(f_o=select(cols_t, m_t), w_o=select(cols_r, m_r))

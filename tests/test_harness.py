@@ -736,7 +736,7 @@ class TestDropSharing:
 
         def path_columns(*args):
             columns = real_columns(*args)
-            lengths.extend(block.shape[1] for pair in columns.values() for block in pair)
+            lengths.extend(side.shape[-1] for side in columns)
             return columns
 
         monkeypatch.setattr(harness, "path_columns", path_columns)

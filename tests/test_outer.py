@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,17 @@ class TestPps:
     def test_too_many_paths_requested(self):
         with pytest.raises(ValueError):
             pps_indices([1.0, 2.0], 3)
+        with pytest.raises(ValueError, match="only 4 available"):
+            pps_indices(np.ones((5, 4)), 5)
+
+    @pytest.mark.parametrize("users, m", [((3,), 2), ((2,), 3), ((2, 3), 4)])
+    def test_stacked_powers_give_one_order_per_user(self, users, m):
+        # The paths are on the last axis, whatever the number of users.
+        powers = np.random.default_rng(16).uniform(0.1, 2.0, (*users, 4))
+        picks = pps_indices(powers, m)
+        assert picks.shape == (*users, m)
+        for user in np.ndindex(users):
+            assert np.array_equal(picks[user], pps_indices(powers[user], m))
 
 
 class TestSps:
@@ -326,7 +339,8 @@ class TestSps:
         rng = np.random.default_rng(9)
         manifold = _random_manifold(rng, 8, 5)
         powers = rng.uniform(0.1, 2.0, 5)
-        [(columns, _)] = path_columns(manifold, manifold, powers, 3, 3, "sps").values()
+        columns, _ = path_columns(manifold, manifold, powers, 3, 3, "sps")
+        assert columns.shape == (8, 3)
         picked = sps(columns, 3)
         idx = sps_indices(manifold, powers, 3)
         for k, col in enumerate(idx):
@@ -350,6 +364,20 @@ class TestSps:
         manifold = _random_manifold(np.random.default_rng(12), 6, 3)
         with pytest.raises(ValueError):
             sps_indices(manifold, [1.0, 1.0, 1.0], 4)
+
+    @pytest.mark.parametrize("manifold_shape, powers_shape", [
+        ((2, 8, 5), (2, 5)),  # a stack of users
+        ((8, 5), (6,)),  # one power too many
+        ((8, 5), (1, 5)),  # powers with a user axis
+        ((8,), (8,)),  # a single steering vector
+    ])
+    def test_order_takes_one_manifold_and_its_powers(self, manifold_shape, powers_shape):
+        rng = np.random.default_rng(17)
+        manifold = rng.standard_normal(manifold_shape) + 0j
+        powers = rng.uniform(0.1, 2.0, powers_shape)
+        want = f"got {manifold_shape} and {powers_shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            sps_order(manifold, powers, 1)
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
@@ -407,7 +435,7 @@ class TestSpsMatchesReprojection:
 
 
 class TestPathOrders:
-    """Every width's selection as a prefix of one gathered block per user and side."""
+    """Every width's selection as a prefix of one gathered stack per side."""
 
     @staticmethod
     def _drops(scenario, sigma_c_deg=5.0, n_users=1, n_drops=10):
@@ -423,13 +451,14 @@ class TestPathOrders:
             for method, indices, read in (("pps", lambda a, p, m: pps_indices(p, m), pps),
                                           ("sps", sps_indices, sps)):
                 columns = path_columns(a_t, a_r, powers, n_paths, n_paths, method)
+                assert [side.shape for side in columns] == [(2, 64, n_paths)] * 2
                 for m in range(1, n_paths + 1):
                     shared = path_outer_filters(columns, m, m, method)
                     lone = _lone_path_filters(a_t, a_r, powers, m, m, method)
                     assert np.array_equal(shared.f_o, lone.f_o)
                     assert np.array_equal(shared.w_o, lone.w_o)
                     for u in range(2):
-                        cols_t, cols_r = columns[(u,)]
+                        cols_t, cols_r = (side[u] for side in columns)
                         want_t = a_t[u][:, indices(a_t[u], powers[u], m)]
                         want_r = a_r[u][:, indices(a_r[u], powers[u], m)]
                         assert np.array_equal(read(cols_t, m), want_t)
@@ -441,7 +470,7 @@ class TestPathOrders:
     def test_a_short_order_fails_only_the_wider_widths(self, scenario):
         # Zero angle spread repeats each cluster's steering vector, so the
         # greedy order stops where the paths' span runs out and the gathered
-        # block keeps its length; narrower widths read their prefix, wider
+        # side keeps its length; narrower widths read their prefix, wider
         # ones raise as a lone selection does.
         n_paths = SCENARIOS[scenario][1]
         short = 0
@@ -449,7 +478,7 @@ class TestPathOrders:
             order = sps_order(a_t, powers, n_paths)
             short += order.size < n_paths
             columns = path_columns(a_t, a_t, powers, n_paths, n_paths, "sps")
-            assert all(block.shape == (64, order.size) for block in columns[()])
+            assert all(side.shape == (64, order.size) for side in columns)
             for m in range(1, n_paths + 1):
                 if m <= order.size:
                     assert np.array_equal(sps_indices(a_t, powers, m), order[:m])
@@ -461,6 +490,33 @@ class TestPathOrders:
                 with pytest.raises(RankDeficiencyError, match=f"only {order.size} of {m}"):
                     path_outer_filters(columns, m, m, "sps")
         assert short > 0
+
+    def test_users_with_ragged_orders_stack_to_the_shortest(self):
+        # User 1 repeats three of its transmit paths and user 2 two, so their
+        # SPS orders stop at 3 and 4 of 6 picks; every receive order is full.
+        rng = np.random.default_rng(15)
+        n, n_paths, n_users = 8, 6, 3
+        a_t = np.array([_random_manifold(rng, n, n_paths) for _ in range(n_users)])
+        a_r = np.array([_random_manifold(rng, n, n_paths) for _ in range(n_users)])
+        a_t[1][:, 3:] = a_t[1][:, :3]
+        a_t[2][:, 4:] = a_t[2][:, 2:4]
+        powers = rng.uniform(0.1, 2.0, (n_users, n_paths))
+        lengths = [sps_order(a_t[u], powers[u], n_paths).size for u in range(n_users)]
+        assert lengths == [6, 3, 4]
+        cols_t, cols_r = path_columns(a_t, a_r, powers, n_paths, n_paths, "sps")
+        assert cols_t.shape == (n_users, n, 3) and cols_r.shape == (n_users, n, n_paths)
+        for m_t in range(1, n_paths + 1):
+            for m_r in range(1, n_paths + 1):
+                if m_t > 3:
+                    with pytest.raises(RankDeficiencyError, match=f"only 3 of {m_t}"):
+                        path_outer_filters((cols_t, cols_r), m_t, m_r, "sps")
+                    continue
+                filters = path_outer_filters((cols_t, cols_r), m_t, m_r, "sps")
+                for u in range(n_users):
+                    want_t = a_t[u][:, sps_indices(a_t[u], powers[u], m_t)]
+                    want_r = a_r[u][:, sps_indices(a_r[u], powers[u], m_r)]
+                    assert np.array_equal(filters.f_o[u], want_t)
+                    assert np.array_equal(filters.w_o[u], want_r)
 
 
 class TestPathOuterFilters:
