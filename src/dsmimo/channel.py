@@ -126,8 +126,9 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
 def _check_user_stacks(filters, channels) -> None:
     """Reject operands that are not matrix stacks of one user count on axis -3.
 
-    ``filters`` may carry leading level axes (..., U, ...), which the
-    products broadcast; ``channels`` carries no more of them.
+    Both may carry leading trial axes (T, U, ...), and ``filters`` also level
+    axes in front of them (S, T, U, ...), which the products broadcast;
+    ``channels`` carries no more leading axes than ``filters``.
     """
     shapes = (filters.shape, channels.shape)
     if not 3 <= len(shapes[1]) <= len(shapes[0]):
@@ -140,7 +141,7 @@ def _check_user_stacks(filters, channels) -> None:
 def _combine(w: np.ndarray, channels: FactoredChannel | np.ndarray) -> np.ndarray:
     """Each user's channel seen through its own combiner, W_u^H H_u: (..., U, a, N_t).
 
-    From combiners (..., U, N_r, a) and channels (U, N_r, N_t) or their
+    From combiners (..., U, N_r, a) and channels (..., U, N_r, N_t) or their
     :class:`FactoredChannel`; a factored channel is combined as
     (W_u^H A_r,u D_u) A_t,u^T, so no N_r x N_t matrix is formed. Channels
     given as a list of matrices are stacked.
@@ -274,8 +275,23 @@ def realize_channel(
     return FactoredChannel(rx_gains=rx_gains, a_t=a_t)
 
 
+def _gain_correlation(
+    rng: np.random.Generator, users: tuple, n_slots: int, n_rays: int, scale: float
+) -> np.ndarray:
+    """Slot average of conj(g_k) g_l over n_slots CN(0, scale^2) gain draws, per user."""
+    draws = rng.standard_normal((*users, 2, n_slots, n_rays))
+    gains = np.empty(draws[..., 0, :, :].shape, dtype=complex)
+    np.multiply(scale, draws[..., 0, :, :], out=gains.real)
+    np.multiply(scale, draws[..., 1, :, :], out=gains.imag)
+    del draws  # only the gains and their conjugate are alive in the Gram product
+    return _hermitian(gains) @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
+
+
 def estimate_covariances(
-    n_slots: int, rng: np.random.Generator, a_t: np.ndarray, a_r: np.ndarray
+    n_slots: int,
+    rng: np.random.Generator | list[np.random.Generator],
+    a_t: np.ndarray,
+    a_r: np.ndarray,
 ) -> CovariancePair:
     """Estimate downlink/uplink covariances by averaging over fading slots.
 
@@ -291,6 +307,9 @@ def estimate_covariances(
     This is algebraically identical to accumulating per-slot Gram matrices
     but independent of the antenna counts. The drop's manifolds ``a_t`` and
     ``a_r``, as :func:`extract_partial_csi` returns them, alone size the draw.
+    Given a list of generators, one per entry of the manifolds' first
+    axis (a stack of trials), each draws that entry's gains as it would for
+    its manifolds alone.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
@@ -298,12 +317,12 @@ def estimate_covariances(
         raise ValueError(f"manifolds {a_t.shape} and {a_r.shape} have different user axes")
     *users, n_t, n_rays = a_t.shape
     scale = np.sqrt(n_t * a_r.shape[-2] / n_rays / 2.0)
-    draws = rng.standard_normal((*users, 2, n_slots, n_rays))
-    gains = np.empty(draws[..., 0, :, :].shape, dtype=complex)
-    np.multiply(scale, draws[..., 0, :, :], out=gains.real)
-    np.multiply(scale, draws[..., 1, :, :], out=gains.imag)
-    del draws  # only the gains and their conjugate are alive in the Gram product
-    corr = _hermitian(gains) @ gains / n_slots  # [k,l] = avg conj(g_k) g_l
+    if not isinstance(rng, (list, tuple)):
+        corr = _gain_correlation(rng, users, n_slots, n_rays, scale)
+    elif users and len(rng) == users[0]:
+        corr = np.stack([_gain_correlation(g, users[1:], n_slots, n_rays, scale) for g in rng])
+    else:
+        raise ValueError(f"expected one generator per entry of the first axis of {a_t.shape}")
 
     k_ul = (_hermitian(a_r) @ a_r) * corr
     k_dl = ((_hermitian(a_t) @ a_t) * corr).conj()

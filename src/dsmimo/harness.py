@@ -3,14 +3,16 @@
 A run is one sweep: :func:`run_sweep` takes every config of the run,
 expands each over its list-valued axes (scenario, SNR, number of users),
 groups the resulting grid points by drop (the points whose draws agree)
-and maps one worker pool over the groups. A group runs trial by trial,
-each point's whole pipeline in :func:`run_trial`; a per-trial cache builds
-the drop, each outer method's width-free work (CME's eigenbasis, the
-manifold columns a path selection picks), each outer filter with its
-effective channels and the SVD of their serving channels, and each inner
-design with the rates of all its SNR levels, stacked, once for all the
-points that share them. Only the channel and the width-free builds read
-the drop.
+and maps one worker pool over the groups. A group runs in chunks of
+trials, sized by its shapes, each point's whole pipeline in
+:func:`run_trial` once per trial; a cache per chunk builds the drops,
+each outer method's width-free work (CME's eigenbasis, the manifold
+columns a path selection picks), each outer filter with its effective
+channels and the SVD of their serving channels, and each inner design
+with the rates of all its SNR levels, once for all the points that share
+them and all the chunk's trials, stacked on a leading trial axis (levels
+in front of it). Only the channel and the width-free builds read the
+drops.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -29,6 +31,7 @@ import numpy as np
 from .channel import (
     SCENARIOS,
     ArrayGeometry,
+    MacroState,
     draw_macroscopic,
     estimate_covariances,
     extract_partial_csi,
@@ -235,21 +238,50 @@ def _level(cfg: ExperimentConfig) -> tuple[float, float]:
 def _chunk_size(cfg: ExperimentConfig) -> int:
     """Levels per stacked rate evaluation, sized by its precoders and cross products.
 
-    Per level, the evaluation holds each user's scaled precoder (N_t, N_s)
-    and its row of cross products (N_s, U N_s). A chunk holds no more of
-    them than the drop's manifolds, (N_t + N_r, L) per user, which are
-    freed before the rate stage; at least one level. The rule counts
-    nothing else: not MET-MMSE's per-level covariances (U, M_r, M_r) with
-    their eigenvalue workspace, nor its per-level receive side, so it does
-    not hold the heap peak to the manifolds' bytes (README: the grouped
-    ``snr_poor`` peaks rose 32 and 47 %).
+    Per level and trial, the evaluation holds each user's scaled precoder
+    (N_t, N_s) and its row of cross products (N_s, U N_s). A chunk holds no
+    more of them than the trials' drop manifolds, (N_t + N_r, L) per user
+    and trial, which are freed before the rate stage; at least one level.
+    Both sides scale with the trials stacked, so the rule needs no trial
+    count. It counts nothing else: not MET-MMSE's per-level covariances
+    (U, M_r, M_r) with their eigenvalue workspace, nor its per-level receive
+    side, so it does not hold the heap peak to the manifolds' bytes (README:
+    with one trial per cache, the grouped ``snr_poor`` peaks rose 32 and
+    47 %; README also weighs counting the trials).
     """
     level = cfg.n_s * (cfg.n_t + cfg.n_users * cfg.n_s)
     return max(1, (cfg.n_t + cfg.n_r) * SCENARIOS[cfg.scenario][1] // level)
 
 
+# Complex entries a chunk of trials may hold in its per-trial arrays (512 KiB).
+_TRIAL_CHUNK_ENTRIES = 2**15
+
+
+def _trial_chunk(points: Sequence[ExperimentConfig]) -> int:
+    """Trials per chunk of a drop group, from its shapes alone; at least one.
+
+    Per trial, the chunk holds the drop's manifolds, U (N_t + N_r) L
+    complex entries, and at two layers the group's widest outer filters,
+    U (N_t m_t + N_r m_r), and their effective channels, U^2 m_r m_t; at
+    one layer the dense channels, U N_r N_t, and MET-MMSE's covariances,
+    U N_r^2, instead. A chunk stacks as many trials as keep that within
+    ``_TRIAL_CHUNK_ENTRIES``. The rule counts nothing else, such as CME's
+    QR factors or the stacked levels, so a chunked group's heap peak is a
+    few times that (README).
+    """
+    cfg = points[0]  # the points of a group agree on all but the filter widths
+    n_users, n_t, n_r = cfg.n_users, cfg.n_t, cfg.n_r
+    entries = n_users * (n_t + n_r) * SCENARIOS[cfg.scenario][1]
+    if cfg.layers == 1:
+        entries += n_users * n_r * (n_t + n_r)
+    else:
+        m_t, m_r = max(p.m_t for p in points), max(p.m_r for p in points)
+        entries += n_users * (n_t * m_t + n_r * m_r) + n_users**2 * m_r * m_t
+    return max(1, _TRIAL_CHUNK_ENTRIES // entries)
+
+
 def _rates_by_level(levels: list, size: int, evaluate) -> dict:
-    """Each level's rate, or the exception of its own evaluation, ``size`` levels per call.
+    """Each level's rates, or the exception of its own evaluation, ``size`` levels per call.
 
     A stacked guard raises for its whole chunk, so a chunk that raises is
     evaluated again level by level, after its handler has exited: a
@@ -271,25 +303,27 @@ def _rates_by_level(levels: list, size: int, evaluate) -> dict:
 
 
 class _TrialCache:
-    """The stages that one trial's points share, each holding its latest key's value.
+    """The stages that a chunk of trials' points share, each holding its latest key's value.
 
     The six stages are the drop, each outer method's width-free work, the
     outer filters, the channel, the effective channels with their serving
-    SVD, and a design's rates. ``points`` are the points that will run, in
-    run order, each outer method's points back to back and equal stage keys
-    together. From them the cache knows ``widest``, each outer method's
-    widest (m_t, m_r), for which its width-free stage is built;
-    ``streams``, each outer key's most streams, to which its serving SVD
-    is kept; ``levels``, each rate key's levels, which its rate stage
-    evaluates at once; and when a stage is spent: a method's width-free
-    stage once its last filter is built, the drop and its partial CSI once
-    the channel and each method's width-free stage, their only readers,
-    are built. So only one trial's drop is alive at a time. A new outer
-    key frees the stages keyed under the old one before its filters are
-    built.
+    SVD, and a design's rates. Each is built once for all ``trials`` of
+    the chunk, stacked on a leading trial axis. ``points`` are the points
+    that will run, in run order, each outer method's points back to back
+    and equal stage keys together. From them the cache knows ``widest``,
+    each outer method's widest (m_t, m_r), for which its width-free stage
+    is built; ``streams``, each outer key's most streams, to which its
+    serving SVD is kept; ``levels``, each rate key's levels, which its rate
+    stage evaluates at once; and when a stage is spent: a method's
+    width-free stage once its last filter is built, the drops and their
+    partial CSI once the channel and each method's width-free stage, their
+    only readers, are built. So only one chunk's drops are alive at a time.
+    A new outer key frees the stages keyed under the old one before its
+    filters are built.
     """
 
-    def __init__(self, points: Sequence[ExperimentConfig]):
+    def __init__(self, points: Sequence[ExperimentConfig], trials: range):
+        self.trials = trials
         self._held: dict[str, tuple] = {}
         self.levels: dict[tuple, dict[tuple[float, float], None]] = {}  # levels in run order
         self.streams: dict[tuple | None, int] = {}
@@ -343,6 +377,12 @@ class _TrialCache:
 _SPENDING_STAGES = frozenset(("outer", "channel", "width_free"))
 
 
+def _stack_drops(drops: Sequence[MacroState]) -> MacroState:
+    """Drops of equal shape stacked on a leading axis."""
+    names = [f.name for f in fields(MacroState)]
+    return MacroState(**{name: np.stack([getattr(d, name) for d in drops]) for name in names})
+
+
 def run_trial(
     cfg: ExperimentConfig, seed: int, trial: int, shared: _TrialCache | None = None
 ) -> float:
@@ -354,36 +394,50 @@ def run_trial(
     perfectly through the effective channels. The drop's path manifolds
     are built once, by ``extract_partial_csi``; CME reads them only to
     simulate its training slots. Every stage works on all users at once,
-    stacked on a leading (U, ...) axis.
+    stacked on a (U, ...) axis, and on all trials of the cache's chunk,
+    stacked in front of it, (T, U, ...).
 
-    Every stage comes from ``shared``, the trial's cache that
-    :func:`run_point` hands to each point of a group: each is built once
-    for the points that agree on it, and its failure is raised to each of
-    them. Before its filters, an outer method builds its width-free work
-    once for the group's widest filters: CME the eigenbasis of each side's
-    estimated covariances, PPS/SPS each side's manifold columns in
-    selection order, stacked over users. Each width then makes its own
-    eigenvector product or reads a prefix of the columns, so no filter
-    reads the drop. Each outer filter's effective channels (at one layer,
-    the full channel) are built with one SVD of their serving channels,
-    kept to the most streams of the filter's points. The last stage, the
-    rates, serves every point of a design: it builds the inner design,
-    which reads the SVD's first ``n_s`` triplets (MET-MMSE's precoders are
-    MET-MER's), and its SNR-free rate factors (the composite precoder, its
-    norm and, but for MMSE, the sum rate's receive side), then evaluates
-    the group's levels of the design (SNR and noise pairs) stacked on a
-    leading axis, in chunks of :func:`_chunk_size`: power normalization,
-    the MMSE combiner and the sum rate. A chunk that raises is evaluated
-    again level by level, so each point reads its own level's rate or
-    failure. A lone trial makes a one-point cache.
+    Every stage comes from ``shared``, the cache of the chunk of trials
+    that :func:`run_point` hands to each point of a group and each of the
+    chunk's trials: each is built once for the points that agree on it and
+    for all the chunk's trials, and its failure is raised to each of them.
+    Each trial draws its own substreams (macroscopic state, training
+    slots, phases), which are stacked after drawing, so every draw is the
+    one the trial makes alone. Before its filters, an outer method builds
+    its width-free work once for the group's widest filters: CME the
+    eigenbasis of each side's estimated covariances, PPS/SPS each side's
+    manifold columns in selection order, stacked over trials and users.
+    Each width then makes its own eigenvector product or reads a prefix of
+    the columns, so no filter reads the drop. Each outer filter's effective
+    channels (at one layer, the full channel) are built with one SVD of
+    their serving channels, kept to the most streams of the filter's
+    points. The last stage, the rates, serves every point of a design: it
+    builds the inner design, which reads the SVD's first ``n_s`` triplets
+    (MET-MMSE's precoders are MET-MER's), and its SNR-free rate factors
+    (the composite precoder, its norm and, but for MMSE, the sum rate's
+    receive side), then evaluates the group's levels of the design (SNR
+    and noise pairs) stacked on a leading axis in front of the trials, in
+    chunks of :func:`_chunk_size`: power normalization, the MMSE combiner
+    and the sum rate. A chunk of levels that raises is evaluated again
+    level by level, so each point reads its own level's rates or failure.
+    The trial returns its own rate of the chunk's. A lone trial makes a
+    one-point, one-trial cache.
     """
     outer_key, rate_key = _stage_keys(cfg)
-    stages = _TrialCache([cfg]) if shared is None else shared
-    stream = (_SCENARIO_CODE[cfg.scenario], cfg.n_users, trial)
+    stages = _TrialCache([cfg], range(trial, trial + 1)) if shared is None else shared
+    trials = stages.trials
+    slot = trials.index(trial)
 
-    def draw():  # the drop and its partial CSI
-        macro_rng = _substream(seed, *stream, _SUBSTREAM_MACRO)
-        macro = draw_macroscopic(cfg.scenario, cfg.n_users, macro_rng, cfg.sigma_c_deg)
+    def substreams(purpose):  # each trial's own generator for one purpose
+        code = _SCENARIO_CODE[cfg.scenario]
+        return [_substream(seed, code, cfg.n_users, t, purpose) for t in trials]
+
+    def draw():  # the drops and their partial CSI
+        drops = [
+            draw_macroscopic(cfg.scenario, cfg.n_users, rng, cfg.sigma_c_deg)
+            for rng in substreams(_SUBSTREAM_MACRO)
+        ]
+        macro = _stack_drops(drops)
         return macro, *extract_partial_csi(macro, ArrayGeometry(cfg.n_t), ArrayGeometry(cfg.n_r))
 
     def outer_filters():
@@ -396,16 +450,18 @@ def run_trial(
 
     def width_free():  # built for the widest filters of the method; the covariances die here
         m_t, m_r = stages.widest[cfg.outer]
-        _, a_t, a_r, powers = stages.get("drop", trial, draw)
+        _, a_t, a_r, powers = stages.get("drop", trials, draw)
         if cfg.outer != "cme":
             return path_columns(a_t, a_r, powers, m_t, m_r, cfg.outer)
-        rng = _substream(seed, *stream, _SUBSTREAM_SLOTS)
-        return cme_basis(estimate_covariances(cfg.n_slots, rng, a_t, a_r), m_t, m_r)
+        slots = substreams(_SUBSTREAM_SLOTS)
+        return cme_basis(estimate_covariances(cfg.n_slots, slots, a_t, a_r), m_t, m_r)
 
     def channel():
-        macro, a_t, a_r, _ = stages.get("drop", trial, draw)
-        eval_rng = _substream(seed, *stream, _SUBSTREAM_EVAL)
-        phases = eval_rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape)
+        macro, a_t, a_r, _ = stages.get("drop", trials, draw)
+        shape = macro.magnitudes.shape[1:]
+        phases = np.stack([
+            rng.uniform(-np.pi, np.pi, size=shape) for rng in substreams(_SUBSTREAM_EVAL)
+        ])
         channels = realize_channel(macro, phases, a_t, a_r)
         # The 1-layer baseline designs on the dense channels; the 2-layer path
         # reads factored ones only through products with filters.
@@ -425,19 +481,19 @@ def run_trial(
     def receiving(w_i):  # the sum rate's receive side for composite combiners W_o @ w_i
         return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
 
-    def rates():  # each level of the rate key: its rate, or its own evaluation's exception
+    def rates():  # each level of the rate key: its trials' rates, or its own evaluation's exception
         inners = design()
         f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
         received = None if cfg.inner == "met_mmse" else receiving(inners.w_i)
 
-        def evaluate(levels):  # one stacked evaluation of a chunk of levels
-            p_t = np.array([[snr_to_power(snr_db, sigma_n2)] for snr_db, sigma_n2 in levels])
-            sigma_n2 = np.array([sigma_n2 for _, sigma_n2 in levels])
+        def evaluate(levels):  # one stacked evaluation of a chunk of levels: (S, T) rates
+            p_t = np.array([[[snr_to_power(snr_db, sigma_n2)]] for snr_db, sigma_n2 in levels])
+            sigma_n2 = np.array([[sigma_n2] for _, sigma_n2 in levels])
             gammas = normalize_gamma(norm, p_t, cfg.n_users)
             side = received
             if side is None:  # the MMSE combiner depends on the SNR
                 side = receiving(met_mmse(effset, gammas, sigma_n2, cfg.n_s, f_i=inners.f_i).w_i)
-            precoders = LinkFilters(f=gammas[:, :, None, None] * f, w=None)
+            precoders = LinkFilters(f=gammas[..., None, None] * f, w=None)
             return sum_rate(side, precoders, sigma_n2, cfg.n_s)
 
         return _rates_by_level(list(stages.levels[rate_key]), _chunk_size(cfg), evaluate)
@@ -445,12 +501,49 @@ def run_trial(
     # The channel is realized after the first outer filter, so a lone CME width's eigenbasis
     # is freed first.
     outers = stages.get("outer", outer_key, outer_filters)
-    channels = stages.get("channel", trial, channel)
+    channels = stages.get("channel", trials, channel)
     effset, svd = stages.get("effective", outer_key, effective)
-    rate = stages.get("rates", rate_key, rates)[_level(cfg)]
-    if isinstance(rate, Exception):
-        raise rate
-    return rate
+    level_rates = stages.get("rates", rate_key, rates)[_level(cfg)]
+    if isinstance(level_rates, Exception):
+        raise level_rates
+    return level_rates[slot]
+
+
+def _status(exc: Exception) -> str:
+    """A failed row's status: ``infeasible`` for a BD design's InfeasibleError, else the error."""
+    if isinstance(exc, InfeasibleError):
+        return "infeasible"
+    return f"error:{type(exc).__name__.lower()}"
+
+
+def _run_chunks(points, order, seed, trials: range, size: int, rates, statuses) -> None:
+    """Run the points ``order`` indexes over ``trials``, ``size`` trials per shared cache.
+
+    A point whose trial raises runs no further trials; its status is that
+    trial's. A stacked stage raises for all the trials of its chunk, so a
+    point whose chunk raises runs that chunk's trials again one at a time,
+    through one-trial caches, after the chunk's cache has been freed and
+    the handler has exited.
+    """
+    for start in range(trials.start, trials.stop, size):
+        chunk = range(start, min(start + size, trials.stop))
+        live = [i for i in order if i not in statuses]
+        if not live:
+            return
+        stages, failed = _TrialCache([points[i] for i in live], chunk), []
+        for i in live:
+            try:
+                for trial in chunk:
+                    rates[i, trial] = run_trial(points[i], seed, trial, stages)
+            except Exception as exc:  # per-row capture is part of the sweep contract
+                exc.__traceback__ = None  # else a held exc's frames keep its chunk's cache alive
+                if len(chunk) > 1:
+                    failed.append(i)
+                else:
+                    statuses[i] = _status(exc)
+        del stages  # the failed chunk's stages are freed before its trials run again
+        if failed:
+            _run_chunks(points, failed, seed, chunk, 1, rates, statuses)
 
 
 def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRecord]:
@@ -458,17 +551,21 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
 
     The points must agree on every field their draws depend on (seed,
     scenario, n_users, array sizes, n_slots, sigma_c_deg, layers and
-    n_trials); :func:`run_sweep` groups a sweep's points so. They run trial
-    by trial, sorted so that points with equal stage keys run back to back
-    and CME's points last, through one cache per trial: each trial's drop
-    and the stages the points agree on are made once for all of them, and
-    the cache, made from the trial's live points, knows each design's
-    live levels, which its rate stage evaluates at once. The
-    order does not change any result, only the heap peak: the drop lives
-    until the last method's width-free build, and CME's eigenbasis, the
-    largest width-free work, is then held without it. A point whose trial
-    raises runs no further trials, so its level drops out of its design's
-    later rate stages; the others go on. Its row reads
+    n_trials); :func:`run_sweep` groups a sweep's points so. They run in
+    chunks of trials (:func:`_trial_chunk`, sized by the group's shapes),
+    through one cache per chunk, point by point, sorted so that points
+    with equal stage keys run back to back and CME's points last: each
+    chunk's drops and the stages the points agree on are made once for all
+    of them and all the chunk's trials, stacked, and the cache, made from
+    the chunk's live points, knows each design's live levels, which its
+    rate stage evaluates at once. The order does not change any result,
+    only the heap peak: the drops live until the last method's width-free
+    build, and CME's eigenbasis, the largest width-free work, is then held
+    without them. A point whose chunk raises runs that chunk's trials
+    again one at a time, each through its own one-trial cache, so a point
+    fails at its first failing trial, as it would trial by trial. A point
+    whose trial raises runs no further trials, so its level drops out of
+    its design's later rate stages; the others go on. Its row reads
     ``infeasible`` for a BD design's :class:`InfeasibleError` (raised in
     trial 0 by its rate stage, before the design's own null-space SVD,
     though its outer filter's serving SVD is built first), else
@@ -497,18 +594,7 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     order = sorted(range(len(points)), key=lambda i: (points[i].outer == "cme", keys[i]))
     rates = np.empty((len(points), n_trials))
     statuses: dict[int, str] = {}
-    for trial in range(n_trials):
-        live = [i for i in order if i not in statuses]
-        if not live:
-            break
-        stages = _TrialCache([points[i] for i in live])
-        for i in live:
-            try:
-                rates[i, trial] = run_trial(points[i], seed, trial, stages)
-            except Exception as exc:  # per-row capture is part of the sweep contract
-                exc.__traceback__ = None  # else a held exc's frames keep its trial's cache alive
-                error = f"error:{type(exc).__name__.lower()}"
-                statuses[i] = "infeasible" if isinstance(exc, InfeasibleError) else error
+    _run_chunks(points, order, seed, range(n_trials), _trial_chunk(points), rates, statuses)
     return [_record(cfg, statuses.get(i, "ok"), rates[i]) for i, cfg in enumerate(points)]
 
 

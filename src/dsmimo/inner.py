@@ -58,9 +58,10 @@ class TruncatedSvd:
 class EffectiveChannelSet:
     """All cross-user effective channels plus combiner-side noise grams.
 
-    ``h_eff[u, j]`` is the (M_r, M_t) channel seen by user u's combiner from
-    user j's precoder; ``w_o_gram[u]`` is W_o,u^H W_o,u, which colors the
-    noise after outer combining.
+    ``h_eff[..., u, j, :, :]`` is the (M_r, M_t) channel seen by user u's
+    combiner from user j's precoder; ``w_o_gram[..., u, :, :]`` is
+    W_o,u^H W_o,u, which colors the noise after outer combining. Leading
+    axes, if any, stack trials.
     """
 
     h_eff: np.ndarray
@@ -68,13 +69,13 @@ class EffectiveChannelSet:
 
     @property
     def n_users(self) -> int:
-        return self.h_eff.shape[0]
+        return self.h_eff.shape[-4]
 
     @property
     def serving(self) -> np.ndarray:
-        """Each user's own effective channel, h_eff[u, u]: (U, M_r, M_t)."""
+        """Each user's own effective channel, h_eff[u, u]: (..., U, M_r, M_t)."""
         users = np.arange(self.n_users)
-        return self.h_eff[users, users]
+        return self.h_eff[..., users, users, :, :]
 
 
 @dataclass(frozen=True)
@@ -111,23 +112,25 @@ def effective_channels(
     product of the stacked compressed channels (U M_r, N_t) with the
     stacked precoders (N_t, U M_t). Without outer filters (``None``, one
     layer) every precoder sees the full channel: h_eff[u, j] = H_u, and the
-    noise stays white.
+    noise stays white. Channels and filters with a leading trial axis,
+    (T, U, ...), give one set per trial, (T, U, U, M_r, M_t), each ``==``
+    to its trial's own.
     """
     if outers is None:
         channels = np.asarray(channels)
-        if channels.ndim != 3:
+        if channels.ndim < 3:
             raise ValueError(f"expected a (U, N_r, N_t) stack or per-user list, got {channels.shape}")
-        n_users, n_r, n_t = channels.shape
+        *lead, n_users, n_r, n_t = channels.shape
         return EffectiveChannelSet(
-            h_eff=np.broadcast_to(channels[:, None], (n_users, n_users, n_r, n_t)),
-            w_o_gram=np.broadcast_to(np.eye(n_r), (n_users, n_r, n_r)),
+            h_eff=np.broadcast_to(channels[..., None, :, :], (*lead, n_users, n_users, n_r, n_t)),
+            w_o_gram=np.broadcast_to(np.eye(n_r), (*lead, n_users, n_r, n_r)),
         )
     if not isinstance(outers, OuterFilters):  # one pair per user
         outers = OuterFilters(
             f_o=np.array([o.f_o for o in outers]), w_o=np.array([o.w_o for o in outers])
         )
     w_o_gram = _hermitian(outers.w_o) @ outers.w_o
-    h_eff = _cross_products(_combine(outers.w_o, channels), outers.f_o).transpose(0, 2, 1, 3)
+    h_eff = _cross_products(_combine(outers.w_o, channels), outers.f_o).swapaxes(-3, -2)
     return EffectiveChannelSet(h_eff=h_eff, w_o_gram=w_o_gram)
 
 
@@ -141,9 +144,13 @@ def _null_projector(matrix: np.ndarray, side: str) -> np.ndarray:
 
 
 def _other_users(blocks: np.ndarray) -> np.ndarray:
-    """blocks[u, j] for all j != u, ascending, stacked per u: (U, U, a, b) -> (U, (U - 1) a, b)."""
-    n_users, _, a, b = blocks.shape
-    return blocks[~np.eye(n_users, dtype=bool)].reshape(n_users, (n_users - 1) * a, b)
+    """blocks[u, j] for all j != u, ascending, stacked per u.
+
+    (..., U, U, a, b) -> (..., U, (U - 1) a, b), leading axes kept.
+    """
+    *lead, n_users, _, a, b = blocks.shape
+    others = blocks[..., ~np.eye(n_users, dtype=bool), :, :]
+    return others.reshape(*lead, n_users, (n_users - 1) * a, b)
 
 
 def met_mer(serving: np.ndarray | TruncatedSvd, n_s: int) -> InnerFilters:
@@ -165,16 +172,17 @@ def met_bd(effset: EffectiveChannelSet, n_s: int, svd: TruncatedSvd | None = Non
     stacked cross-user effective channels (all built from the other users'
     MET precoders), which zeroes multi-user interference when
     U * n_s <= M_r. ``svd``, the serving channels' SVD of at least n_s
-    triplets, is read instead of decomposing them again.
+    triplets, is read instead of decomposing them again. A set with a
+    leading trial axis gives filters (T, U, ...), each trial's ``==`` to its own.
     """
     n_users = effset.n_users
-    m_r = effset.h_eff.shape[2]
+    m_r = effset.h_eff.shape[-2]
     if n_users * n_s > m_r:
         raise InfeasibleError(
             f"BD reception needs U*N_s <= M_r, got {n_users}*{n_s} > {m_r}"
         )
     svd = truncated_svd(effset.serving, n_s) if svd is None else svd.leading(n_s)
-    steered = effset.h_eff @ svd.v_s  # [u, j] = h_eff[u, j] @ v_j
+    steered = effset.h_eff @ svd.v_s[..., None, :, :, :]  # [u, j] = h_eff[u, j] @ v_j
     interference = _other_users(steered.swapaxes(-1, -2)).swapaxes(-1, -2)  # side by side
     return InnerFilters(f_i=svd.v_s, w_i=_null_projector(interference, "left") @ svd.u_s)
 
@@ -184,18 +192,18 @@ def bd_mer(effset: EffectiveChannelSet, n_s: int, svd: TruncatedSvd | None = Non
 
     The transmit-side dual of :func:`met_bd`: each MET precoder is projected
     onto the null space of the interference its user would cause at the
-    other users' MER combiners. Requires U * n_s <= M_t. ``svd`` is read as
-    in :func:`met_bd`.
+    other users' MER combiners. Requires U * n_s <= M_t. ``svd`` and a
+    trial axis are read as in :func:`met_bd`.
     """
     n_users = effset.n_users
-    m_t = effset.h_eff.shape[3]
+    m_t = effset.h_eff.shape[-1]
     if n_users * n_s > m_t:
         raise InfeasibleError(
             f"BD transmission needs U*N_s <= M_t, got {n_users}*{n_s} > {m_t}"
         )
     svd = truncated_svd(effset.serving, n_s) if svd is None else svd.leading(n_s)
-    received = _hermitian(svd.u_s)[:, None] @ effset.h_eff  # [j, u] = u_j^H h_eff[j, u]
-    interference = _other_users(received.swapaxes(0, 1))  # [u] = received[j != u, u] stacked
+    received = _hermitian(svd.u_s)[..., :, None, :, :] @ effset.h_eff  # [j, u] = u_j^H h_eff[j, u]
+    interference = _other_users(received.swapaxes(-4, -3))  # [u] = received[j != u, u] stacked
     return InnerFilters(f_i=_null_projector(interference, "right") @ svd.v_s, w_i=svd.u_s)
 
 
@@ -219,7 +227,9 @@ def met_mmse(
     formed, checked and solved as one stack. Gammas (..., U) and
     ``sigma_n2`` (...,) with leading level axes give combiners
     (..., U, M_r, N_s), one per level, from the same stacked operations;
-    one singular covariance in any level raises for all of them.
+    one singular covariance in any level raises for all of them. A set
+    with a leading trial axis takes gammas (S, T, U) and ``sigma_n2``
+    (S, 1), levels in front of trials, and gives combiners (S, T, U, M_r, N_s).
     """
     n_users = effset.n_users
     gammas = np.asarray(gammas, dtype=float)
@@ -227,9 +237,10 @@ def met_mmse(
         raise ValueError(f"expected {n_users} gammas, got shape {gammas.shape}")
     if f_i is None:
         f_i = truncated_svd(effset.serving, n_s).v_s
-    steered = effset.h_eff @ f_i  # [u, j] = h_eff[u, j] @ f_j
+    steered = effset.h_eff @ f_i[..., None, :, :, :]  # [u, j] = h_eff[u, j] @ f_j
     noise = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram
-    r_yy = noise + np.einsum("...j,ujik,ujlk->...uil", gammas**2 / n_s, steered, steered.conj())
+    weights = gammas**2 / n_s
+    r_yy = noise + np.einsum("...j,...ujik,...ujlk->...uil", weights, steered, steered.conj())
     r_yy = 0.5 * (r_yy + _hermitian(r_yy))
     # R_yy is Hermitian positive definite, so its eigenvalues give the
     # 2-norm condition number without the singular vectors of cond().
@@ -239,7 +250,7 @@ def met_mmse(
     users = np.arange(n_users)
     # As many axes as R_yy, so that numpy 1, which reads one axis fewer as a
     # stack of vectors, solves for the same matrices as numpy 2.
-    serving = steered[users, users]
+    serving = steered[..., users, users, :, :]
     serving = np.broadcast_to(serving, r_yy.shape[:-1] + serving.shape[-1:])
     w_i = (gammas / n_s)[..., None, None] * np.linalg.solve(r_yy, serving)
     return InnerFilters(f_i=f_i, w_i=w_i)
@@ -268,6 +279,7 @@ def composite_precoder(f_o: np.ndarray | None, f_i: np.ndarray) -> tuple[np.ndar
 def normalize_gamma(norm: np.ndarray, p_t: float | np.ndarray, n_users: int) -> np.ndarray:
     """Scaling that gives composite precoders of norms ``norm`` (see above) the budget P_t / U.
 
-    Budgets ``p_t`` (S, 1), one per level, give one row of scalings per level: (S, U).
+    Budgets ``p_t`` (S, 1), one per level, give one row of scalings per level: (S, U);
+    budgets (S, 1, 1) and norms (T, U) of a trial stack give (S, T, U).
     """
     return np.sqrt(p_t / n_users) / norm

@@ -61,7 +61,7 @@ def _combiner_basis(w: np.ndarray) -> np.ndarray:
 def receive_side(channels: FactoredChannel | np.ndarray | Sequence[np.ndarray], w) -> ReceiveSide:
     """The combiners' half of :func:`sum_rate`: free of the precoders and so of the SNR.
 
-    Combiners (..., U, N_r, N_s) with leading level axes give one receive side per level.
+    Combiners (..., U, N_r, N_s) with leading level or trial axes give one receive side for each.
     """
     return ReceiveSide(_combine(_combiner_basis(np.asarray(w)), channels))
 
@@ -98,7 +98,9 @@ def sum_rate(
     (..., U, N_t, N_s) with ``sigma_n2`` (...,): every level is evaluated
     in the same stacked operations, and the result holds one rate per
     level, each equal to that level's own evaluation. A (U, ...) stack or
-    per-user lists give one float.
+    per-user lists give one float. Channels stacked over trials (T, U, ...)
+    with precoders (S, T, U, N_t, N_s) and ``sigma_n2`` (S, 1), levels in
+    front of trials, give one rate per level and trial, (S, T).
     """
     f = np.asarray(filters.f)
     if not isinstance(channels, ReceiveSide):

@@ -360,7 +360,22 @@ class TestDropSharing:
                 trials = [real_trial(point, 6, t) for t in range(point.n_trials)]
                 assert record.mean_rate == float(np.mean(trials))
 
+    @staticmethod
+    def _tracking_chunks(monkeypatch):
+        """Wrap run_trial so that ``chunk[0]`` is the trials of the cache it runs in."""
+        real_trial, chunk = harness.run_trial, [None]
+
+        def run_trial(cfg, seed, trial, shared=None):
+            chunk[0] = range(trial, trial + 1) if shared is None else shared.trials
+            return real_trial(cfg, seed, trial, shared)
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        return chunk
+
     def test_outer_filter_failure_marks_only_its_points(self, monkeypatch):
+        # The wide CME filter fails wherever it is built for trial 1: for the
+        # chunk of all three trials, then for trial 1 alone, after trial 0
+        # ran alone.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
             for outer, m in (("cme", 2), ("cme", 4), ("sps", 2))
@@ -368,13 +383,13 @@ class TestDropSharing:
         ]
         clean = run_sweep(*configs, seed=6)
         assert {r.status for r in clean} == {"ok"}
-        real_cme = harness.cme
+        real_cme, chunk = harness.cme, self._tracking_chunks(monkeypatch)
         wide_calls = []
 
         def cme_failing_at_trial_1(cov, m_t, m_r):
             if m_t == 4:
-                wide_calls.append(m_t)  # one filter per trial, shared by its points
-                if len(wide_calls) == 2:
+                wide_calls.append(chunk[0])  # one filter per chunk, shared by its points
+                if 1 in chunk[0]:
                     raise FloatingPointError("eigensolver failed")
             return real_cme(cov, m_t, m_r)
 
@@ -385,21 +400,8 @@ class TestDropSharing:
                 assert got.status == "error:floatingpointerror" and got.n_trials == 0
             else:
                 assert got == want
-        assert len(wide_calls) == 2  # its points ran no trial after the failure
-
-    @staticmethod
-    def _failing_at_second_call(monkeypatch, name):
-        """Make ``harness.<name>`` raise on its second call; return its calls so far."""
-        real_stage, calls = getattr(harness, name), []
-
-        def stage_failing_at_second_call(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise FloatingPointError(f"{name} failed")
-            return real_stage(*args, **kwargs)
-
-        monkeypatch.setattr(harness, name, stage_failing_at_second_call)
-        return calls
+        # its points ran no trial after the failure
+        assert wide_calls == [range(0, 3), range(0, 1), range(1, 2)]
 
     def test_drop_failure_marks_every_point_of_the_group(self, monkeypatch):
         configs = [
@@ -407,12 +409,28 @@ class TestDropSharing:
             for outer, m in (("cme", 2), ("cme", 4), ("sps", 2))
             for inner in ("met_mer", "met_mmse")
         ]
-        draws = self._failing_at_second_call(monkeypatch, "draw_macroscopic")
+        # Trial 1's draw fails: in the chunk of all three trials, and again
+        # alone, after trial 0 ran alone.
+        code = harness._SCENARIO_CODE[SHARED_DROP["scenario"]]
+        states = [
+            harness._substream(6, code, SHARED_DROP["n_users"], t, harness._SUBSTREAM_MACRO)
+            .bit_generator.state
+            for t in range(SHARED_DROP["n_trials"])
+        ]
+        real_draw, draws = harness.draw_macroscopic, []
+
+        def draw_failing_at_trial_1(scenario, n_users, rng, sigma_c_deg):
+            draws.append(states.index(rng.bit_generator.state))
+            if draws[-1] == 1:
+                raise FloatingPointError("draw_macroscopic failed")
+            return real_draw(scenario, n_users, rng, sigma_c_deg)
+
+        monkeypatch.setattr(harness, "draw_macroscopic", draw_failing_at_trial_1)
         records = run_sweep(*configs, seed=6)
         assert len(records) == 18
-        for record in records:  # the second draw is trial 1's, and all 18 points read it
+        for record in records:  # all 18 points read trial 1's draw
             assert record.status == "error:floatingpointerror" and record.n_trials == 0
-        assert len(draws) == 2  # one draw per trial
+        assert draws == [0, 1, 0, 1]  # one draw per trial of each cache, up to the failure
 
     def test_design_failure_marks_only_its_points(self, monkeypatch):
         configs = [
@@ -421,20 +439,31 @@ class TestDropSharing:
         ]
         clean = run_sweep(*configs, seed=6)
         assert {r.status for r in clean} == {"ok"}
-        designs = self._failing_at_second_call(monkeypatch, "met_bd")
+        real_design, chunk = harness.met_bd, self._tracking_chunks(monkeypatch)
+        designs = []
+
+        def design_failing_at_trial_1(effset, n_s, svd=None):
+            designs.append(chunk[0])
+            if 1 in chunk[0]:
+                raise FloatingPointError("met_bd failed")
+            return real_design(effset, n_s, svd)
+
+        monkeypatch.setattr(harness, "met_bd", design_failing_at_trial_1)
         records = run_sweep(*configs, seed=6)
         for got, want in zip(records, clean):
             if got.inner == "met_bd":  # all three SNRs read trial 1's design
                 assert got.status == "error:floatingpointerror" and got.n_trials == 0
             else:
                 assert got == want
-        assert len(designs) == 2  # one design per trial
+        # one design per cache: the chunk's, then trials 0 and 1 alone
+        assert designs == [range(0, 3), range(0, 1), range(1, 2)]
 
     def test_rate_factors_are_built_once_per_design(self, monkeypatch):
-        # Each trial builds a design's composite precoder F_o F_i once for
-        # all its SNRs, and its combiner basis too unless the combiner is
-        # MMSE. The SNRs then fit in one chunk, so each trial scales,
-        # combines (MMSE) and evaluates all of a design's SNRs in one call.
+        # Each chunk of trials builds a design's composite precoder F_o F_i
+        # once for all its SNRs and trials, and its combiner basis too unless
+        # the combiner is MMSE. The SNRs then fit in one chunk of levels, so
+        # each chunk of trials scales, combines (MMSE) and evaluates all of a
+        # design's SNRs in one call. The group's three trials are one chunk.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
             for outer, m in (("cme", 4), ("pps", 2))
@@ -458,18 +487,22 @@ class TestDropSharing:
             counting(module, name)
         assert run_sweep(*configs, seed=6) == clean
         n_trials, n_snrs = 3, 3
-        assert all(harness._chunk_size(point) >= n_snrs for point in configs[0].grid())
-        assert calls["composite_precoder"] == n_trials * len(configs)
-        assert calls["_combiner_basis"] == n_trials * len(configs)
-        assert calls["normalize_gamma"] == calls["sum_rate"] == n_trials * len(configs)
+        points = [point for cfg in configs for point in cfg.grid()]
+        assert all(harness._chunk_size(point) >= n_snrs for point in points)
+        assert harness._trial_chunk(points) >= n_trials
+        n_chunks = 1
+        assert calls["composite_precoder"] == n_chunks * len(configs)
+        assert calls["_combiner_basis"] == n_chunks * len(configs)
+        assert calls["normalize_gamma"] == calls["sum_rate"] == n_chunks * len(configs)
 
-    @staticmethod
-    def _rate_factors_failing(monkeypatch, at_design):
-        """Make the rate factors of met_bd's ``at_design``-th design (1-based) raise; None: all.
+    @classmethod
+    def _rate_factors_failing(cls, monkeypatch, at_trial):
+        """Make the rate factors of met_bd's designs that cover ``at_trial`` raise; None: all.
 
-        Returns, per build of met_bd's rate factors, how many met_bd designs had run.
+        Returns, per build of met_bd's rate factors, the trials of its cache.
         """
         real_design, real_composite = harness.met_bd, harness.composite_precoder
+        chunk = cls._tracking_chunks(monkeypatch)
         precoders, builds = [], []
 
         def design(effset, n_s, svd=None):
@@ -479,8 +512,8 @@ class TestDropSharing:
 
         def composite(f_o, f_i):
             if precoders and f_i is precoders[-1]:
-                builds.append(len(precoders))
-                if at_design in (None, len(precoders)):
+                builds.append(chunk[0])
+                if at_trial is None or at_trial in chunk[0]:
                     raise FloatingPointError("rate factors failed")
             return real_composite(f_o, f_i)
 
@@ -495,14 +528,16 @@ class TestDropSharing:
         ]
         clean = run_sweep(*configs, seed=6)
         assert {r.status for r in clean} == {"ok"}
-        builds = self._rate_factors_failing(monkeypatch, at_design=2)
+        builds = self._rate_factors_failing(monkeypatch, at_trial=1)
         records = run_sweep(*configs, seed=6)
         for got, want in zip(records, clean):
             if got.inner == "met_bd":  # all three SNRs read trial 1's rate factors
                 assert got.status == "error:floatingpointerror" and got.n_trials == 0
             else:
                 assert got == want
-        assert builds == [1, 2]  # one build per trial, and no trial after the failure
+        # one build per cache, the chunk's and then each trial's alone, and no trial after
+        # the failure
+        assert builds == [range(0, 3), range(0, 1), range(1, 2)]
 
     def test_a_held_rate_factor_failure_keeps_no_trial_alive(self, monkeypatch):
         # As for a held design failure: the exception that every SNR point
@@ -528,7 +563,7 @@ class TestDropSharing:
 
         run_point(*points, seed=1)  # first-call allocations are not the group's
         clean, _ = heap_peak()
-        self._rate_factors_failing(monkeypatch, at_design=None)
+        self._rate_factors_failing(monkeypatch, at_trial=None)
         failing, records = heap_peak()
         assert [r.status for r in records] == ["ok"] * 3 + ["error:floatingpointerror"] * 3
         assert failing <= 1.02 * clean
@@ -582,21 +617,16 @@ class TestDropSharing:
     def test_a_failing_snr_level_marks_only_its_point(self, monkeypatch):
         # The MMSE combiner raises at 10 dB from trial 1 on, wherever that
         # level's gammas reach it. Only its row fails, with no trial; the
-        # other SNRs read as in a clean run, and no later trial evaluates
-        # the failed level again.
+        # other SNRs read as in a clean run. The chunk of all three trials
+        # fails for the 10 dB level, whose point then runs alone, trial by
+        # trial; no trial after the failure evaluates the level again.
         configs = [ExperimentConfig(m_t=4, m_r=4, outer="cme", inner="met_mmse", **SHARED_DROP)]
         clean = run_sweep(*configs, seed=6)
         assert {r.status for r in clean} == {"ok"}
         n_users, sigma_n2 = SHARED_DROP["n_users"], configs[0].sigma_n2
         failing = np.sqrt(snr_to_power(10.0, sigma_n2) / n_users)
-        real_trial, real_composite, real_mmse = (
-            harness.run_trial, harness.composite_precoder, harness.met_mmse
-        )
-        trial, norms, seen = [None], [], {True: set(), False: set()}
-
-        def run_trial(cfg, seed, t, shared=None):
-            trial[0] = t
-            return real_trial(cfg, seed, t, shared)
+        real_composite, real_mmse = harness.composite_precoder, harness.met_mmse
+        chunk, norms, evaluated = self._tracking_chunks(monkeypatch), [], []
 
         def composite(f_o, f_i):
             f, norm = real_composite(f_o, f_i)
@@ -605,15 +635,13 @@ class TestDropSharing:
 
         def mmse(effset, gammas, *args, **kwargs):
             # gamma = sqrt(P_t / U) / ||F_o F_i||: a row of gammas times the norms is its level's
-            levels = np.reshape(np.asarray(gammas) * norms[-1], (-1, n_users))
-            hit = np.isclose(levels, failing, rtol=1e-9, atol=0.0).all(axis=-1)
-            seen[True].update([trial[0]] * int(hit.sum()))
-            seen[False].update([trial[0]] * int((~hit).sum()))
-            if hit.any() and trial[0] >= 1:
+            levels = np.asarray(gammas) * norms[-1]  # (levels, trials, users)
+            hit = np.isclose(levels, failing, rtol=1e-9, atol=0.0).all(axis=-1).any(axis=0)
+            evaluated.append((chunk[0], [t for t, h in zip(chunk[0], hit) if h]))
+            if max(evaluated[-1][1], default=0) >= 1:
                 raise SolverError("received-signal covariance is numerically singular")
             return real_mmse(effset, gammas, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_trial", run_trial)
         monkeypatch.setattr(harness, "composite_precoder", composite)
         monkeypatch.setattr(harness, "met_mmse", mmse)
         records = run_sweep(*configs, seed=6)
@@ -622,12 +650,19 @@ class TestDropSharing:
                 assert got.status == "error:solvererror" and got.n_trials == 0
             else:
                 assert got == want
-        assert seen == {True: {0, 1}, False: {0, 1, 2}}
+        # the chunk's three levels, each level over the chunk, then 10 dB alone in trials 0, 1
+        chunk_trials = range(0, 3)
+        assert evaluated == [
+            (chunk_trials, [0, 1, 2]), (chunk_trials, []), (chunk_trials, [0, 1, 2]),
+            (chunk_trials, []), (range(0, 1), [0]), (range(1, 2), [1]),
+        ]
 
-    def test_width_free_outer_work_is_built_once_per_trial(self, monkeypatch):
-        # Each trial decomposes each side's covariance once for both CME
-        # widths, and runs one selection order per method, user and side,
-        # as deep as the widest width; each width still builds its filters.
+    def test_width_free_outer_work_is_built_once_per_chunk(self, monkeypatch):
+        # Each chunk of trials decomposes each side's covariances once for
+        # both CME widths, and runs one selection order per method, trial,
+        # user and side, as deep as the widest width; each width still
+        # builds its filters once per chunk. The group's three trials are
+        # one chunk.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer=method, inner=inner, **SHARED_DROP)
             for method in ("cme", "pps", "sps")
@@ -657,11 +692,14 @@ class TestDropSharing:
             counting(harness, name)
         assert run_sweep(*configs, seed=6) == clean
         n_trials, n_users, sides = 3, 2, 2
-        assert calls["eigh"] == n_trials * sides
+        points = [point for cfg in configs for point in cfg.grid()]
+        assert harness._trial_chunk(points) >= n_trials
+        n_chunks = 1
+        assert calls["eigh"] == n_chunks * sides
         assert calls["sps_order"] == calls["pps_indices"] == n_trials * n_users * sides
         assert depths == [4] * len(depths)  # the widest width, never L = 32
         assert calls["draw_macroscopic"] == n_trials  # no build read a spent drop
-        assert calls["cme"] == n_trials * 2 and calls["path_outer_filters"] == n_trials * 4
+        assert calls["cme"] == n_chunks * 2 and calls["path_outer_filters"] == n_chunks * 4
 
         depths.clear()
         [narrow] = run_point(replace(configs[-1], m_t=2, m_r=2, snr_db=10.0), seed=6)
@@ -670,11 +708,13 @@ class TestDropSharing:
 
     @pytest.mark.parametrize("name, method", [("path_columns", "sps"), ("cme_basis", "cme")])
     def test_a_width_free_failure_marks_only_its_methods_points(self, monkeypatch, name, method):
-        # The method's width-free build fails in trial 1: its rows become
-        # error rows with no trial, every other row reads as in a clean run,
-        # and the failed build still spends its read of the drop. So each
-        # trial draws the drop once, and it is gone by the time CME's
-        # filters, which run last, are built.
+        # The method's width-free build fails wherever it covers trial 1:
+        # for the chunk of all three trials, then for trial 1 alone, after
+        # trial 0 ran alone. Its rows become error rows with no trial, every
+        # other row reads as in a clean run, and the failed build still
+        # spends its read of the drops. So each cache draws each of its
+        # trials once, and in the chunk's cache the drops are gone by the
+        # time CME's filters, which run last, are built.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
             for outer in ("cme", "pps", "sps")
@@ -684,28 +724,30 @@ class TestDropSharing:
         clean = run_sweep(*configs, seed=6)
         assert {r.status for r in clean} == {"ok"}
         real_build, builds = getattr(harness, name), []
+        chunk = self._tracking_chunks(monkeypatch)
 
         def build_failing_at_trial_1(*args):
             if name == "cme_basis" or args[-1] == method:
-                builds.append(args)
-                if len(builds) == 2:
+                builds.append(chunk[0])
+                if 1 in chunk[0]:
                     raise FloatingPointError(f"{name} failed")
             return real_build(*args)
 
         monkeypatch.setattr(harness, name, build_failing_at_trial_1)
         drops, drop_alive_at_cme = [], []
-        real_draw, real_cme = harness.draw_macroscopic, harness.cme
+        real_csi, real_cme = harness.extract_partial_csi, harness.cme
 
-        def draw(*args):
-            macro = real_draw(*args)
-            drops.append(weakref.ref(macro))
-            return macro
+        def csi(macro, *args):  # the drops of a cache, stacked
+            drops.append((chunk[0], weakref.ref(macro)))
+            return real_csi(macro, *args)
 
         def cme(*args):
-            drop_alive_at_cme.append(drops[-1]() is not None)
+            trials, drop = drops[-1]
+            if trials == chunk[0] == range(0, 3):
+                drop_alive_at_cme.append(drop() is not None)
             return real_cme(*args)
 
-        monkeypatch.setattr(harness, "draw_macroscopic", draw)
+        monkeypatch.setattr(harness, "extract_partial_csi", csi)
         monkeypatch.setattr(harness, "cme", cme)
         records = run_sweep(*configs, seed=6)
         for got, want in zip(records, clean):
@@ -713,9 +755,11 @@ class TestDropSharing:
                 assert got.status == "error:floatingpointerror" and got.n_trials == 0
             else:
                 assert got == want
-        assert len(builds) == 2  # one build per trial, and none after the failure
-        assert len(drops) == SHARED_DROP["n_trials"]
-        assert drop_alive_at_cme and not any(drop_alive_at_cme)
+        # one build per cache, the chunk's and then each trial's alone, and none after the failure
+        assert builds == [range(0, 3), range(0, 1), range(1, 2)]
+        assert [trials for trials, _ in drops] == [range(0, 3), range(0, 1), range(1, 2)]
+        assert not any(drop_alive_at_cme)
+        assert drop_alive_at_cme or method == "cme"  # CME's own filters fail in the chunk
 
     def test_a_short_selection_order_fails_only_the_wider_widths(self, monkeypatch):
         # Zero angle spread repeats each cluster's steering vector: the
@@ -763,9 +807,10 @@ class TestFactorizations:
     """The paper's complexity claim without a clock: the matrices each layer count decomposes.
 
     The inner designs of one outer filter (at one layer, of the full
-    channel) read one SVD of its serving channels, whatever their scheme
-    and stream count. At one layer that is the (U, 64, 64) stack; at two,
-    no decomposition has more than M singular values.
+    channel) read one SVD of its serving channels per chunk of trials,
+    whatever their scheme and stream count. At one layer that is the
+    (T, U, 64, 64) stack; at two, no decomposition has more than M singular
+    values.
     """
 
     N_TRIALS = 3
@@ -794,22 +839,28 @@ class TestFactorizations:
         return points
 
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_a_layer_count_factors_its_serving_stack_once_per_trial(self, monkeypatch, layers):
+    def test_a_layer_count_factors_its_serving_stack_once_per_chunk(self, monkeypatch, layers):
+        # One layer stacks one trial per chunk, so its three trials make three
+        # (1, 2, 64, 64) stacks; two layers stack all three trials in one.
         points = self._bench_group(layers)
+        size = harness._trial_chunk(points)
+        assert size == {1: 1, 2: 10}[layers]
         shapes = self._svd_shapes(monkeypatch, points)
         m_t, m_r = points[0].effective_dims()
-        serving = (points[0].n_users, m_r, m_t)
-        assert shapes.count(serving) == self.N_TRIALS
+        serving = (min(size, self.N_TRIALS), points[0].n_users, m_r, m_t)
+        assert shapes.count(serving) == -(-self.N_TRIALS // size)  # one per chunk
         if layers == 1:
-            assert serving == (2, 64, 64)
+            assert serving == (1, 2, 64, 64)
         else:
+            assert serving == (3, 2, 4, 4)
             assert max(min(shape[-2:]) for shape in shapes) <= min(m_t, m_r) == 4
 
     def test_every_inner_scheme_of_an_outer_filter_reads_one_serving_svd(self, monkeypatch):
         points = self._bench_group(2, harness.INNER_METHODS)
+        assert harness._trial_chunk(points) >= self.N_TRIALS  # one chunk
         shapes = self._svd_shapes(monkeypatch, points)
         assert len({harness._stage_keys(cfg)[0] for cfg in points}) == 1
-        assert shapes.count((2, 4, 4)) == self.N_TRIALS  # the BD projectors' stacks are thinner
+        assert shapes.count((3, 2, 4, 4)) == 1  # the BD projectors' stacks are thinner
 
 
 class TestFeasibilityHandling:
@@ -821,16 +872,17 @@ class TestFeasibilityHandling:
 
     def test_congestion_sweep_marks_only_oversubscribed_rows(self, monkeypatch):
         # Feasibility is the BD designs' own rule: each infeasible design
-        # runs once, in trial 0, and raises before its null-space SVD.
+        # runs once in its chunk of both trials and once more in trial 0
+        # alone, and raises before its null-space SVD each time.
         configs = [
             replace(SMALL, inner=inner, m_t=4, m_r=4, n_users=[2, 4, 5, 8], n_trials=2)
             for inner in ("met_mer", "met_bd", "bd_mer")
         ]
         real_trial, trials, designs = harness.run_trial, [], {}
 
-        def tracking_trial(cfg, seed, trial, drop=None):
-            trials.append(trial)
-            return real_trial(cfg, seed, trial, drop)
+        def tracking_trial(cfg, seed, trial, shared=None):
+            trials.append(range(trial, trial + 1) if shared is None else shared.trials)
+            return real_trial(cfg, seed, trial, shared)
 
         def counting(name):
             real_design = getattr(harness, name)
@@ -856,7 +908,8 @@ class TestFeasibilityHandling:
             assert (record.status == "infeasible") == infeasible
             assert record.n_trials == (0 if infeasible else 2)
             calls = designs[record.inner, record.n_users]
-            assert calls == ([0, "infeasible"] if infeasible else [0, 1])
+            both, first = range(0, 2), range(0, 1)
+            assert calls == ([both, "infeasible", first, "infeasible"] if infeasible else [both])
 
     def test_a_shared_stage_failing_first_decides_an_infeasible_row(self, monkeypatch):
         def failing_draw(*args, **kwargs):

@@ -70,8 +70,8 @@ def test_every_composite_precoder_meets_its_power_budget(inner, layers):
             except (RankDeficiencyError, SolverError):
                 assume(False)  # no rate: SPS ran out of paths or R_yy is singular
         budget = snr_to_power(cfg.snr_db, cfg.sigma_n2) / cfg.n_users
-        powers = np.sum(np.abs(captured[0]) ** 2, axis=(-2, -1))  # one level of U users
-        assert powers.shape == (1, cfg.n_users)
+        powers = np.sum(np.abs(captured[0]) ** 2, axis=(-2, -1))  # one level, one trial, U users
+        assert powers.shape == (1, 1, cfg.n_users)
         np.testing.assert_allclose(powers, budget, rtol=1e-12, atol=0.0)
 
     check()
@@ -166,7 +166,7 @@ def _drop_groups(draw):
     layers = draw(st.sampled_from([1, 2, 2]))
     drop = dict(
         scenario=scenario, n_t=n_t, n_r=n_r, n_users=draw(st.integers(1, 3)), layers=layers,
-        n_trials=draw(st.integers(1, 2)), n_slots=draw(st.integers(1, 10)),
+        n_trials=draw(st.integers(1, 5)), n_slots=draw(st.integers(1, 10)),
         sigma_c_deg=draw(st.sampled_from([0.0, 5.0])), seed=draw(st.integers(0, 2**16)),
     )
     outers = [dict(outer="none", m_t=n_t, m_r=n_r)]
@@ -185,12 +185,31 @@ def _drop_groups(draw):
     return group
 
 
+def _record_of_lone_trials(point):
+    """A point's record from one-trial ``run_trial`` calls, up to its first failing trial."""
+    rates = []
+    for trial in range(point.n_trials):
+        try:
+            rates.append(run_trial(point, point.seed, trial))
+        except Exception as exc:
+            return harness._record(point, harness._status(exc), np.array(rates))
+    return harness._record(point, "ok", np.array(rates))
+
+
 def test_a_group_writes_the_records_of_its_points_run_alone():
-    """run_point(*group) shares each trial's stages; every row equals its point's lone run."""
+    """run_point(*group) shares each chunk's stages; every row equals its point's lone trials.
+
+    The group's shapes would stack all of its 1-5 trials in one chunk, so the
+    chunk size is drawn instead (1-3 trials): most groups then run in
+    several chunks, the last one often partial.
+    """
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(group=_drop_groups())
-    def check(group):
-        assert run_point(*group) == [run_point(point)[0] for point in group]
+    @given(group=_drop_groups(), size=st.integers(1, 3))
+    def check(group, size):
+        with mock.patch.object(harness, "_trial_chunk", lambda points: size):
+            grouped = run_point(*group)
+            assert grouped == [run_point(point)[0] for point in group]
+        assert grouped == [_record_of_lone_trials(point) for point in group]
 
     check()
