@@ -244,10 +244,11 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     and trial, which are freed before the rate stage; at least one level.
     Both sides scale with the trials stacked, so the rule needs no trial
     count. It counts nothing else: not MET-MMSE's per-level covariances
-    (U, M_r, M_r) with their eigenvalue workspace, nor its per-level receive
-    side, so it does not hold the heap peak to the manifolds' bytes (README:
-    with one trial per cache, the grouped ``snr_poor`` peaks rose 32 and
-    47 %; README also weighs counting the trials).
+    (U, M_r, M_r) with the absolute values of their condition bound, nor
+    its per-level receive side, so it does not hold the heap peak to the
+    manifolds' bytes (README: with one trial per cache, the grouped
+    ``snr_poor`` peaks rose 32 and 47 %; README also weighs counting the
+    trials).
     """
     level = cfg.n_s * (cfg.n_t + cfg.n_users * cfg.n_s)
     return max(1, (cfg.n_t + cfg.n_r) * SCENARIOS[cfg.scenario][1] // level)
@@ -523,7 +524,9 @@ def _run_chunks(points, order, seed, trials: range, size: int, rates, statuses) 
     trial's. A stacked stage raises for all the trials of its chunk, so a
     point whose chunk raises runs that chunk's trials again one at a time,
     through one-trial caches, after the chunk's cache has been freed and
-    the handler has exited.
+    the handler has exited. An :class:`InfeasibleError` is final at once:
+    it follows from shapes alone, after every shared stage of the chunk
+    has been built, so the chunk's first trial alone would raise it again.
     """
     for start in range(trials.start, trials.stop, size):
         chunk = range(start, min(start + size, trials.stop))
@@ -537,7 +540,7 @@ def _run_chunks(points, order, seed, trials: range, size: int, rates, statuses) 
                     rates[i, trial] = run_trial(points[i], seed, trial, stages)
             except Exception as exc:  # per-row capture is part of the sweep contract
                 exc.__traceback__ = None  # else a held exc's frames keep its chunk's cache alive
-                if len(chunk) > 1:
+                if len(chunk) > 1 and not isinstance(exc, InfeasibleError):
                     failed.append(i)
                 else:
                     statuses[i] = _status(exc)
@@ -563,12 +566,13 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     build, and CME's eigenbasis, the largest width-free work, is then held
     without them. A point whose chunk raises runs that chunk's trials
     again one at a time, each through its own one-trial cache, so a point
-    fails at its first failing trial, as it would trial by trial. A point
-    whose trial raises runs no further trials, so its level drops out of
-    its design's later rate stages; the others go on. Its row reads
+    fails at its first failing trial, as it would trial by trial; an
+    infeasible design, whose failure depends on no trial, fails at once.
+    A point whose trial raises runs no further trials, so its level drops
+    out of its design's later rate stages; the others go on. Its row reads
     ``infeasible`` for a BD design's :class:`InfeasibleError` (raised in
-    trial 0 by its rate stage, before the design's own null-space SVD,
-    though its outer filter's serving SVD is built first), else
+    its first chunk by its rate stage, before the design's own null-space
+    SVD, though its outer filter's serving SVD is built first), else
     ``error:<name>``, also when a shared stage fails before the design.
     A caught exception loses its traceback, whose frames hold the cache
     that may hold it. The records come back in argument order;

@@ -24,6 +24,9 @@ from .outer import OuterFilters
 _RANK_RTOL = 1e-10
 
 _MMSE_MAX_CONDITION = 1e12
+# met_mmse certifies a covariance without eigenvalues when its bounds on the
+# condition number stay this far below _MMSE_MAX_CONDITION.
+_MMSE_CERT_MARGIN = 1e3
 
 # Below this fraction of ||F_o|| ||F_i||, F_o's nearly parallel steering
 # vectors have cancelled F_i: the rounding error F_i carries from its SVDs and
@@ -224,8 +227,10 @@ def met_mmse(
     R_yy = sigma_n2 * W_o^H W_o + sum_j (gamma_j^2 / N_s) * (H_eff,u,j f_j)(...)^H,
     and the combiner is w_i = (gamma_u / N_s) * R_yy^{-1} H_eff,u f_u.
     Unlike BD this does not constrain U * N_s. All users' covariances are
-    formed, checked and solved as one stack. Gammas (..., U) and
-    ``sigma_n2`` (...,) with leading level axes give combiners
+    formed, checked and solved as one stack; a condition number above 1e12
+    raises :class:`SolverError`. The check takes eigenvalues only of the
+    covariances its Weyl and Gershgorin bounds leave in doubt. Gammas
+    (..., U) and ``sigma_n2`` (...,) with leading level axes give combiners
     (..., U, M_r, N_s), one per level, from the same stacked operations;
     one singular covariance in any level raises for all of them. A set
     with a leading trial axis takes gammas (S, T, U) and ``sigma_n2``
@@ -242,11 +247,20 @@ def met_mmse(
     weights = gammas**2 / n_s
     r_yy = noise + np.einsum("...j,...ujik,...ujlk->...uil", weights, steered, steered.conj())
     r_yy = 0.5 * (r_yy + _hermitian(r_yy))
-    # R_yy is Hermitian positive definite, so its eigenvalues give the
-    # 2-norm condition number without the singular vectors of cond().
-    eigvals = np.linalg.eigvalsh(r_yy)  # ascending
-    if not np.all(eigvals[..., 0] * _MMSE_MAX_CONDITION > eigvals[..., -1]):
-        raise SolverError("received-signal covariance is numerically singular")
+    # The interference term is PSD, so (Weyl) lambda_min >= sigma_n2 * g, g the Gershgorin
+    # lower bound of W_o^H W_o (1 at one layer), and lambda_max <= ||R_yy||_inf. Rounding
+    # moves R_yy, g and eigvalsh's eigenvalues by at most about (U N_s + M_r) M_r^1.5 eps
+    # ||R_yy||_inf, under 1e-10 ||R_yy||_inf at the sizes simulated, so a certified
+    # lambda_min > 1e-9 ||R_yy||_inf keeps eigvalsh's ratio below 2e9 < 1e12. The rest,
+    # NaN included, take the exact test: the eigenvalues, without cond()'s singular vectors.
+    gram = effset.w_o_gram
+    g = (2 * np.diagonal(gram, axis1=-2, axis2=-1).real - np.abs(gram).sum(axis=-1)).min(axis=-1)
+    bound = np.asarray(sigma_n2)[..., None] * g * (_MMSE_MAX_CONDITION / _MMSE_CERT_MARGIN)
+    certified = (g > 0) & (bound > np.abs(r_yy).sum(axis=-1).max(axis=-1))
+    if not certified.all():
+        eigvals = np.linalg.eigvalsh(r_yy[~certified])  # ascending
+        if not np.all(eigvals[..., 0] * _MMSE_MAX_CONDITION > eigvals[..., -1]):
+            raise SolverError("received-signal covariance is numerically singular")
     users = np.arange(n_users)
     # As many axes as R_yy, so that numpy 1, which reads one axis fewer as a
     # stack of vectors, solves for the same matrices as numpy 2.

@@ -803,6 +803,18 @@ class TestDropSharing:
         assert len(run_point(SMALL, replace(SMALL, seed=1), seed=0)) == 2
 
 
+def _decomposed_shapes(monkeypatch, name):
+    """The shapes of the stacks ``np.linalg.<name>`` decomposes from now on, as a growing list."""
+    shapes, real = [], getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
+
+
 class TestFactorizations:
     """The paper's complexity claim without a clock: the matrices each layer count decomposes.
 
@@ -810,20 +822,16 @@ class TestFactorizations:
     channel) read one SVD of its serving channels per chunk of trials,
     whatever their scheme and stream count. At one layer that is the
     (T, U, 64, 64) stack; at two, no decomposition has more than M singular
-    values.
+    values. At one layer the MMSE stage still LU-solves its 64 x 64
+    covariances, but its condition guard decomposes none of them: their
+    bounds certify them.
     """
 
     N_TRIALS = 3
 
     def _svd_shapes(self, monkeypatch, points):
         """The shape of every matrix stack np.linalg.svd decomposes while the points run."""
-        shapes, real_svd = [], np.linalg.svd
-
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real_svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        shapes = _decomposed_shapes(monkeypatch, "svd")
         records = run_point(*points, seed=1)
         assert {r.status for r in records} == {"ok"}
         return shapes
@@ -855,6 +863,13 @@ class TestFactorizations:
             assert serving == (3, 2, 4, 4)
             assert max(min(shape[-2:]) for shape in shapes) <= min(m_t, m_r) == 4
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_the_mmse_guard_decomposes_no_covariance(self, monkeypatch, layers):
+        points = self._bench_group(layers)
+        shapes = _decomposed_shapes(monkeypatch, "eigvalsh")
+        assert {r.status for r in run_point(*points, seed=1)} == {"ok"}
+        assert shapes == []
+
     def test_every_inner_scheme_of_an_outer_filter_reads_one_serving_svd(self, monkeypatch):
         points = self._bench_group(2, harness.INNER_METHODS)
         assert harness._trial_chunk(points) >= self.N_TRIALS  # one chunk
@@ -872,8 +887,8 @@ class TestFeasibilityHandling:
 
     def test_congestion_sweep_marks_only_oversubscribed_rows(self, monkeypatch):
         # Feasibility is the BD designs' own rule: each infeasible design
-        # runs once in its chunk of both trials and once more in trial 0
-        # alone, and raises before its null-space SVD each time.
+        # runs once, in its chunk of both trials, and raises before its
+        # null-space SVD; its shapes alone decide it, so no trial runs again.
         configs = [
             replace(SMALL, inner=inner, m_t=4, m_r=4, n_users=[2, 4, 5, 8], n_trials=2)
             for inner in ("met_mer", "met_bd", "bd_mer")
@@ -908,8 +923,8 @@ class TestFeasibilityHandling:
             assert (record.status == "infeasible") == infeasible
             assert record.n_trials == (0 if infeasible else 2)
             calls = designs[record.inner, record.n_users]
-            both, first = range(0, 2), range(0, 1)
-            assert calls == ([both, "infeasible", first, "infeasible"] if infeasible else [both])
+            both = range(0, 2)
+            assert calls == ([both, "infeasible"] if infeasible else [both])
 
     def test_a_shared_stage_failing_first_decides_an_infeasible_row(self, monkeypatch):
         def failing_draw(*args, **kwargs):
@@ -949,14 +964,17 @@ class TestErrorRows:
         for row in (rows[0], rows[2]):
             assert row["n_trials"] == "3" and float(row["mean_rate"]) > 0.0
 
-    def test_singular_mmse_covariance_becomes_solver_error_row(self):
+    def test_singular_mmse_covariance_becomes_solver_error_row(self, monkeypatch):
         # 32 users through 16 power-dominant paths each at fair scattering:
         # some user's MMSE covariance is numerically singular (cond ~ 6e17).
+        # Its bounds cannot certify it, so the guard takes its eigenvalues.
         cfg = ExperimentConfig(
             scenario="fair", m_t=16, m_r=16, n_s=1, n_users=32, snr_db=20.0,
             outer="pps", inner="met_mmse", n_trials=2,
         )
+        shapes = _decomposed_shapes(monkeypatch, "eigvalsh")
         [record] = run_sweep(cfg, seed=1)
+        assert shapes and all(shape[-2:] == (16, 16) for shape in shapes)
         assert record.status == "error:solvererror"
         assert record.n_trials == 0 and record.mean_rate is None
 

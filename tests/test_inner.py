@@ -429,6 +429,141 @@ class TestMetMmse:
             met_mmse(effset, np.array([1.0]), sigma_n2=0.1, n_s=1)
 
 
+def _guarded_mmse(effset, gammas, sigma_n2, n_s, f_i):
+    """MET-MMSE's combiners behind eigvalsh of the whole stack: the certificate's oracle."""
+    gammas = np.asarray(gammas, dtype=float)
+    steered = effset.h_eff @ f_i[..., None, :, :, :]
+    noise = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram
+    r_yy = noise + np.einsum(
+        "...j,...ujik,...ujlk->...uil", gammas**2 / n_s, steered, steered.conj()
+    )
+    r_yy = 0.5 * (r_yy + r_yy.conj().swapaxes(-1, -2))
+    eigvals = np.linalg.eigvalsh(r_yy)
+    if not np.all(eigvals[..., 0] * 1e12 > eigvals[..., -1]):
+        raise SolverError("oracle: condition number above 1e12")
+    users = np.arange(effset.n_users)
+    serving = np.broadcast_to(steered[..., users, users, :, :], r_yy.shape[:-1] + (n_s,))
+    return (gammas / n_s)[..., None, None] * np.linalg.solve(r_yy, serving)
+
+
+def _assert_agrees_with_oracle(effset, gammas, sigma_n2, n_s, f_i):
+    """met_mmse raises SolverError exactly when the oracle does, else gives its bits.
+
+    Returns whether both raised.
+    """
+    try:
+        expected = _guarded_mmse(effset, gammas, sigma_n2, n_s, f_i)
+    except SolverError:
+        with pytest.raises(SolverError):
+            met_mmse(effset, gammas, sigma_n2, n_s, f_i=f_i)
+        return True
+    filters = met_mmse(effset, gammas, sigma_n2, n_s, f_i=f_i)
+    assert np.array_equal(filters.w_i, expected)
+    assert filters.f_i is f_i
+    return False
+
+
+def _combiner_grams(rng, kind, lead, m_r):
+    """W_o^H W_o stacks (*lead, m_r, m_r) of the kinds of combiners the simulator builds."""
+    if kind == "identity":  # one layer: a broadcast view, as effective_channels makes
+        return np.broadcast_to(np.eye(m_r), (*lead, m_r, m_r))
+    n_r = 64
+    if kind == "orthonormal":  # CME's eigenvectors
+        w_o, _ = np.linalg.qr(_random_complex(rng, (*lead, n_r, m_r)))
+    else:  # PPS/SPS: steering vectors of paths within one 5-degree cluster
+        centres = rng.uniform(-1.0, 1.0, size=(*lead, 1))
+        angles = centres + np.deg2rad(5.0) * rng.uniform(-0.5, 0.5, size=(*lead, m_r))
+        w_o = np.exp(1j * np.pi * np.arange(n_r)[:, None] * np.sin(angles[..., None, :]))
+        w_o = w_o / np.sqrt(n_r)
+        if kind == "zero_row":  # one user's combiner loses a column
+            w_o[..., -1, :, :1] = 0.0
+    return w_o.conj().swapaxes(-1, -2) @ w_o
+
+
+class TestMetMmseConditionCertificate:
+    """The bound certificate decides exactly as eigenvalues of every covariance would.
+
+    ``_guarded_mmse`` keeps the guard the certificate replaces: eigvalsh of
+    the whole stack, then lambda_min * 1e12 > lambda_max.
+    """
+
+    @staticmethod
+    def _inputs(rng, n_users, m_r, kind, trials, n_s=1):
+        """An effective channel set and MET-like precoders at M_t = 4, with or without trials."""
+        lead = (2,) if trials else ()
+        m_t = 4
+        h_eff = _random_complex(rng, (*lead, n_users, n_users, m_r, m_t))
+        gram = _combiner_grams(rng, kind, (*lead, n_users), m_r)
+        f_i, _ = np.linalg.qr(_random_complex(rng, (*lead, n_users, m_t, n_s)))
+        return EffectiveChannelSet(h_eff=h_eff, w_o_gram=gram), f_i
+
+    @pytest.mark.parametrize("trials", [False, True], ids=["levels", "levels_x_trials"])
+    @pytest.mark.parametrize(
+        "noise, kind",
+        [("positive", "identity"), ("positive", "orthonormal"), ("positive", "pps"),
+         ("positive", "zero_row"), ("zero", "identity")],
+    )
+    @pytest.mark.parametrize("m_r", [4, 64])
+    @pytest.mark.parametrize("n_users", [1, 4, 32])
+    def test_raises_exactly_when_eigenvalues_would(self, n_users, m_r, noise, kind, trials):
+        rng = np.random.default_rng([n_users, m_r, len(kind), trials])
+        effset, f_i = self._inputs(rng, n_users, m_r, kind, trials)
+        sigma_n2 = np.array([1e-3, 10.0] if noise == "positive" else [0.0, 0.0])
+        gammas = rng.uniform(0.5, 2.0, size=(2, *f_i.shape[:-2]))
+        if trials:  # levels in front of trials
+            sigma_n2 = sigma_n2[:, None]
+        _assert_agrees_with_oracle(effset, gammas, sigma_n2, 1, f_i)
+
+    @pytest.mark.parametrize("n_users", [1, 4, 32])
+    @pytest.mark.parametrize("m_r", [4, 64])
+    def test_well_conditioned_one_layer_covariances_take_no_eigenvalues(
+        self, monkeypatch, n_users, m_r
+    ):
+        rng = np.random.default_rng([n_users, m_r])
+        effset, f_i = self._inputs(rng, n_users, m_r, "identity", trials=True, n_s=2)
+        gammas = rng.uniform(0.5, 2.0, size=(2, *f_i.shape[:-2]))
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real_eigvalsh(a))
+        _assert_agrees_with_oracle(effset, gammas, np.array([[1e-3], [10.0]]), 2, f_i)
+        assert len(calls) == 1 and calls[0].shape == (2, 2, n_users, m_r, m_r)  # the oracle's
+
+    @pytest.mark.parametrize("n_users", [1, 4])
+    @pytest.mark.parametrize("m_r", [4, 64])
+    @pytest.mark.parametrize(
+        "condition, raises", [(1e11, False), (0.98e12, False), (1.02e12, True), (1e13, True)]
+    )
+    def test_constructed_condition_numbers(self, n_users, m_r, condition, raises):
+        # User u's covariance is sigma_n2 Q diag(lam) Q^H plus interference in
+        # the span of Q's first m_r - 1 columns, so Q's last column is an
+        # eigenvector of both terms, with eigenvalue sigma_n2 * lam[-1]. lam[-1]
+        # is set to give the last user's covariance the condition number
+        # asked for; the other users' stay far below 1e11. Two levels scale
+        # sigma_n2 and gamma^2 alike, so each level has the same conditions.
+        rng = np.random.default_rng([n_users, m_r, int(np.log10(condition) * 100)])
+        m_t, n_s, sigma_n2 = 4, 1, np.array([0.01, 0.1])
+        q, _ = np.linalg.qr(_random_complex(rng, (n_users, m_r, m_r)))
+        h_eff = q[:, None, :, :-1] @ _random_complex(rng, (n_users, n_users, m_r - 1, m_t)) * 0.1
+        f_i, _ = np.linalg.qr(_random_complex(rng, (n_users, m_t, n_s)))
+        gammas = np.sqrt(sigma_n2 / sigma_n2[0])[:, None] * rng.uniform(0.5, 2.0, size=n_users)
+
+        def gram(lam):
+            return (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+
+        lam = np.ones((n_users, m_r))
+        lam[:, -1] = 0.0
+        steered = h_eff @ f_i[None, :, :, :]
+        r_top = sigma_n2[0] * gram(lam) + np.einsum(
+            "j,ujik,ujlk->uil", gammas[0] ** 2 / n_s, steered, steered.conj()
+        )
+        top = np.linalg.eigvalsh(r_top)[:, -1]
+        targets = np.full(n_users, 10.0)
+        targets[-1] = condition
+        lam[:, -1] = top / (targets * sigma_n2[0])
+        effset = EffectiveChannelSet(h_eff=h_eff, w_o_gram=gram(lam))
+        assert _assert_agrees_with_oracle(effset, gammas, sigma_n2, n_s, f_i) == raises
+
+
 class TestSingleUserSubspaceAgreement:
     def test_all_schemes_share_the_met_mer_subspaces(self):
         rng = np.random.default_rng(24)
