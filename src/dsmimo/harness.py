@@ -245,7 +245,8 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     Both sides scale with the trials stacked, so the rule needs no trial
     count. It counts nothing else: not MET-MMSE's per-level covariances
     (U, M_r, M_r) with the absolute values of their condition bound, nor
-    its per-level receive side, so it does not hold the heap peak to the
+    the scaled columns (U, M_r, U N_s) and their conjugate that form them,
+    nor its per-level receive side, so it does not hold the heap peak to the
     manifolds' bytes (README: with one trial per cache, the grouped
     ``snr_poor`` peaks rose 32 and 47 %; README also weighs counting the
     trials).

@@ -226,10 +226,12 @@ def met_mmse(
     to the received covariance
     R_yy = sigma_n2 * W_o^H W_o + sum_j (gamma_j^2 / N_s) * (H_eff,u,j f_j)(...)^H,
     and the combiner is w_i = (gamma_u / N_s) * R_yy^{-1} H_eff,u f_u.
-    Unlike BD this does not constrain U * N_s. All users' covariances are
-    formed, checked and solved as one stack; a condition number above 1e12
-    raises :class:`SolverError`. The check takes eigenvalues only of the
-    covariances its Weyl and Gershgorin bounds leave in doubt. Gammas
+    The sum is one Gram product: user u's U N_s steered columns, each scaled
+    by sqrt(gamma_j^2 / N_s), side by side (..., U, M_r, U N_s), times their
+    conjugate transpose. Unlike BD this does not constrain U * N_s. All users'
+    covariances are formed, checked and solved as one stack; a condition
+    number above 1e12 raises :class:`SolverError`. The check takes eigenvalues
+    only of the covariances its Weyl and Gershgorin bounds leave in doubt. Gammas
     (..., U) and ``sigma_n2`` (...,) with leading level axes give combiners
     (..., U, M_r, N_s), one per level, from the same stacked operations;
     one singular covariance in any level raises for all of them. A set
@@ -244,8 +246,10 @@ def met_mmse(
         f_i = truncated_svd(effset.serving, n_s).v_s
     steered = effset.h_eff @ f_i[..., None, :, :, :]  # [u, j] = h_eff[u, j] @ f_j
     noise = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram
-    weights = gammas**2 / n_s
-    r_yy = noise + np.einsum("...j,...ujik,...ujlk->...uil", weights, steered, steered.conj())
+    # [u] = the columns sqrt(gamma_j^2 / N_s) h_eff[u, j] f_j side by side, all j.
+    scaled = np.sqrt(gammas**2 / n_s)[..., None, :, None, None] * steered
+    columns = scaled.swapaxes(-3, -2).reshape(*scaled.shape[:-3], scaled.shape[-2], -1)
+    r_yy = noise + columns @ _hermitian(columns)
     r_yy = 0.5 * (r_yy + _hermitian(r_yy))
     # The interference term is PSD, so (Weyl) lambda_min >= sigma_n2 * g, g the Gershgorin
     # lower bound of W_o^H W_o (1 at one layer), and lambda_max <= ||R_yy||_inf. Rounding

@@ -824,7 +824,7 @@ class TestFactorizations:
     (T, U, 64, 64) stack; at two, no decomposition has more than M singular
     values. At one layer the MMSE stage still LU-solves its 64 x 64
     covariances, but its condition guard decomposes none of them: their
-    bounds certify them.
+    bounds certify them. It forms them with matrix products, not einsum.
     """
 
     N_TRIALS = 3
@@ -869,6 +869,21 @@ class TestFactorizations:
         shapes = _decomposed_shapes(monkeypatch, "eigvalsh")
         assert {r.status for r in run_point(*points, seed=1)} == {"ok"}
         assert shapes == []
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_the_mmse_covariances_take_no_einsum(self, monkeypatch, layers):
+        # The tracer sees only the linalg calls; an einsum over users and
+        # streams would form R_yy in one generic loop that it cannot count.
+        points = self._bench_group(layers)
+        calls, real_einsum = [], np.einsum
+
+        def spy(*operands, **kwargs):
+            calls.append(operands[0])
+            return real_einsum(*operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        assert {r.status for r in run_point(*points, seed=1)} == {"ok"}
+        assert calls == []
 
     def test_every_inner_scheme_of_an_outer_filter_reads_one_serving_svd(self, monkeypatch):
         points = self._bench_group(2, harness.INNER_METHODS)

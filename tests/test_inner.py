@@ -429,21 +429,48 @@ class TestMetMmse:
             met_mmse(effset, np.array([1.0]), sigma_n2=0.1, n_s=1)
 
 
-def _guarded_mmse(effset, gammas, sigma_n2, n_s, f_i):
-    """MET-MMSE's combiners behind eigvalsh of the whole stack: the certificate's oracle."""
+def _gram_covariance(effset, gammas, sigma_n2, n_s, f_i):
+    """R_yy as met_mmse forms it, one Gram product of weighted columns; and the steered stack.
+
+    User u's columns sqrt(gamma_j^2 / N_s) h_eff[u, j] f_j lie side by side,
+    (..., U, M_r, U N_s), so their product with their conjugate transpose
+    sums the interference of every user j.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    steered = effset.h_eff @ f_i[..., None, :, :, :]
+    noise = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram
+    scaled = np.sqrt(gammas**2 / n_s)[..., None, :, None, None] * steered
+    *lead, n_users, _, m_r, _ = scaled.shape
+    columns = scaled.swapaxes(-3, -2).reshape(*lead, n_users, m_r, -1)
+    r_yy = noise + columns @ columns.conj().swapaxes(-1, -2)
+    return 0.5 * (r_yy + r_yy.conj().swapaxes(-1, -2)), steered
+
+
+def _einsum_covariance(effset, gammas, sigma_n2, n_s, f_i):
+    """R_yy from a three-operand einsum over users and streams: the Gram product's oracle."""
     gammas = np.asarray(gammas, dtype=float)
     steered = effset.h_eff @ f_i[..., None, :, :, :]
     noise = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram
     r_yy = noise + np.einsum(
         "...j,...ujik,...ujlk->...uil", gammas**2 / n_s, steered, steered.conj()
     )
-    r_yy = 0.5 * (r_yy + r_yy.conj().swapaxes(-1, -2))
+    return 0.5 * (r_yy + r_yy.conj().swapaxes(-1, -2))
+
+
+def _solved_combiners(r_yy, steered, gammas, n_s):
+    """(gamma_u / N_s) R_yy^-1 h_eff[u, u] f_u for every covariance of the stack."""
+    users = np.arange(steered.shape[-3])
+    serving = np.broadcast_to(steered[..., users, users, :, :], r_yy.shape[:-1] + (n_s,))
+    return (np.asarray(gammas) / n_s)[..., None, None] * np.linalg.solve(r_yy, serving)
+
+
+def _guarded_mmse(effset, gammas, sigma_n2, n_s, f_i):
+    """MET-MMSE's combiners behind eigvalsh of the whole stack: the certificate's oracle."""
+    r_yy, steered = _gram_covariance(effset, gammas, sigma_n2, n_s, f_i)
     eigvals = np.linalg.eigvalsh(r_yy)
     if not np.all(eigvals[..., 0] * 1e12 > eigvals[..., -1]):
         raise SolverError("oracle: condition number above 1e12")
-    users = np.arange(effset.n_users)
-    serving = np.broadcast_to(steered[..., users, users, :, :], r_yy.shape[:-1] + (n_s,))
-    return (gammas / n_s)[..., None, None] * np.linalg.solve(r_yy, serving)
+    return _solved_combiners(r_yy, steered, gammas, n_s)
 
 
 def _assert_agrees_with_oracle(effset, gammas, sigma_n2, n_s, f_i):
@@ -562,6 +589,64 @@ class TestMetMmseConditionCertificate:
         lam[:, -1] = top / (targets * sigma_n2[0])
         effset = EffectiveChannelSet(h_eff=h_eff, w_o_gram=gram(lam))
         assert _assert_agrees_with_oracle(effset, gammas, sigma_n2, n_s, f_i) == raises
+
+
+class TestMetMmseGramCovariance:
+    """met_mmse's Gram product forms the covariances of the einsum it replaced, up to rounding.
+
+    Both sum the same U N_s weighted outer products per entry, in different
+    orders, so each R_yy may differ from the einsum's by RTOL of its norm
+    (a few eps, 5e-16 at most, in these cases). A solve passes that error
+    on to the combiners multiplied by at most the covariance's condition
+    number, so they are held to RTOL times it (4.7e-16 times it at most here).
+    """
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def _inputs(rng, n_users, m_r, kind, trials, n_s):
+        """One layer's broadcast channels and identity grams, or CME-like ones, at M_t = 4."""
+        lead = (2,) if trials else ()
+        m_t = 4
+        if kind == "identity":
+            effset = effective_channels(_random_complex(rng, (*lead, n_users, m_r, m_t)), None)
+        else:
+            effset = EffectiveChannelSet(
+                h_eff=_random_complex(rng, (*lead, n_users, n_users, m_r, m_t)),
+                w_o_gram=_combiner_grams(rng, kind, (*lead, n_users), m_r),
+            )
+        f_i, _ = np.linalg.qr(_random_complex(rng, (*lead, n_users, m_t, n_s)))
+        return effset, f_i
+
+    def _assert_close(self, actual, expected, condition=1.0):
+        assert actual.shape == expected.shape
+        error = np.linalg.norm(actual - expected, axis=(-2, -1))
+        assert np.all(error <= self.RTOL * condition * np.linalg.norm(expected, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("trials", [False, True], ids=["levels", "levels_x_trials"])
+    @pytest.mark.parametrize("kind", ["identity", "orthonormal"])
+    @pytest.mark.parametrize("n_s", [1, 2])
+    @pytest.mark.parametrize("m_r", [4, 64])
+    @pytest.mark.parametrize("n_users", [1, 4, 32])
+    def test_covariances_and_combiners_match_the_einsum(
+        self, monkeypatch, n_users, m_r, n_s, kind, trials
+    ):
+        rng = np.random.default_rng([n_users, m_r, n_s, len(kind), trials])
+        effset, f_i = self._inputs(rng, n_users, m_r, kind, trials, n_s)
+        sigma_n2 = np.array([0.1, 10.0])
+        if trials:  # levels in front of trials
+            sigma_n2 = sigma_n2[:, None]
+        gammas = rng.uniform(0.5, 2.0, size=(2, *f_i.shape[:-2]))
+        solved, real_solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or real_solve(a, b))
+        filters = met_mmse(effset, gammas, sigma_n2, n_s, f_i=f_i)
+        monkeypatch.undo()
+        expected = _einsum_covariance(effset, gammas, sigma_n2, n_s, f_i)
+        [r_yy] = solved
+        self._assert_close(r_yy, expected)
+        steered = effset.h_eff @ f_i[..., None, :, :, :]
+        combiners = _solved_combiners(expected, steered, gammas, n_s)
+        self._assert_close(filters.w_i, combiners, np.linalg.cond(expected))
 
 
 class TestSingleUserSubspaceAgreement:

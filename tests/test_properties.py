@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -211,5 +212,50 @@ def test_a_group_writes_the_records_of_its_points_run_alone():
             grouped = run_point(*group)
             assert grouped == [run_point(point)[0] for point in group]
         assert grouped == [_record_of_lone_trials(point) for point in group]
+
+    check()
+
+
+@st.composite
+def _mmse_points(draw):
+    """A MET-MMSE point at 1 or 2 layers, M = m_t = m_r, N_s <= min(M, 3), any SNR."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    n_t, n_r = draw(st.integers(4, 16)), draw(st.integers(4, 16))
+    layers = draw(st.sampled_from([1, 2]))
+    if layers == 1:
+        outer, m_t, m_r = "none", n_t, n_r
+    else:
+        outer = draw(st.sampled_from(["cme", "pps", "sps"]))
+        n_paths = SCENARIOS[scenario][1] if outer != "cme" else max(n_t, n_r)
+        m_t = m_r = draw(st.integers(1, min(n_t, n_r, n_paths)))
+    return ExperimentConfig(
+        scenario=scenario, n_t=n_t, n_r=n_r, m_t=m_t, m_r=m_r,
+        n_s=draw(st.integers(1, min(m_t, m_r, 3))), n_users=draw(st.integers(1, 6)),
+        snr_db=draw(st.floats(-10.0, 30.0)), outer=outer, inner="met_mmse", layers=layers,
+        n_trials=2, n_slots=draw(st.integers(1, 20)), seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def test_mmse_combining_never_loses_to_mer():
+    """On one drop, MET-MMSE's sum rate is at least MET-MER's, trial by trial.
+
+    Both precode with MET. With interference treated as noise, the MMSE
+    combiners R_yy^-1 H_eff,u f_u span a sufficient statistic for user u's
+    streams (Tse & Viswanath, Fundamentals of Wireless Communication, 2005,
+    sec. 8.3), so no other N_s-dimensional combiner, MER's among them, gives
+    a higher rate. Points whose designs raise are skipped.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cfg=_mmse_points())
+    def check(cfg):
+        mer = replace(cfg, inner="met_mer")
+        for trial in range(cfg.n_trials):
+            try:
+                mmse_rate = run_trial(cfg, cfg.seed, trial)
+                mer_rate = run_trial(mer, cfg.seed, trial)
+            except (RankDeficiencyError, SolverError):
+                assume(False)  # SPS ran out of paths or R_yy is singular
+            assert mmse_rate >= mer_rate - 1e-9 * max(1.0, abs(mer_rate))
 
     check()
