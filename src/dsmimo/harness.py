@@ -21,6 +21,7 @@ draws (paired comparisons) and results do not depend on scheduling.
 
 from __future__ import annotations
 
+import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -100,12 +101,12 @@ class ExperimentConfig:
         integers = counts + [(n, getattr(self, n)) for n in ("m_t", "m_r", "layers", "seed")]
         reals = [("sigma_n2", self.sigma_n2), ("sigma_c_deg", self.sigma_c_deg)]
         for name, value in integers:
-            if not _is_a(value, numbers.Integral):
+            if type(value) is not int and not _is_a(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name, value in reals + [("snr_db", x) for x in snrs]:
-            if not _is_a(value, numbers.Real):
+            if type(value) is not float and not _is_a(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not np.isfinite(value):
+            if not (math.isfinite(value) if type(value) is float else np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for s in scenarios:
             if s not in tuple(SCENARIOS):  # a tuple, so unhashable YAML values compare unequal
@@ -146,7 +147,9 @@ class ExperimentConfig:
             raise ConfigError("n_s cannot exceed the effective channel dimensions")
 
     def grid(self) -> list["ExperimentConfig"]:
-        """Single-point configs in deterministic order: scenario, snr, users."""
+        """Single-point configs in order scenario, snr, users; a normalized point is its own."""
+        if (type(self.scenario), type(self.snr_db), type(self.n_users)) == (str, float, int):
+            return [self]
         return [
             replace(self, scenario=s, snr_db=float(x), n_users=int(u))
             for s in _as_tuple(self.scenario)
@@ -197,13 +200,10 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _record(cfg: ExperimentConfig, status: str, rates: np.ndarray) -> RateRecord:
-    """The CSV row of a single-point config; its ``rates`` are read only if ``ok``."""
+def _record(cfg: ExperimentConfig, status: str, mean_rate=None, stderr=None) -> RateRecord:
+    """The CSV row of a single-point config; an ``ok`` row averages all its trials."""
     m_t, m_r = cfg.effective_dims()
-    n_trials, mean_rate, stderr = 0, None, None
-    if status == "ok":
-        n_trials, mean_rate = rates.size, float(rates.mean())
-        stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
+    n_trials = cfg.n_trials if status == "ok" else 0
     return RateRecord(
         outer=cfg.outer, inner=cfg.inner, layers=cfg.layers, scenario=cfg.scenario,
         snr_db=cfg.snr_db, n_users=cfg.n_users, n_streams=cfg.n_s, m_t=m_t, m_r=m_r,
@@ -576,8 +576,10 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     SVD, though its outer filter's serving SVD is built first), else
     ``error:<name>``, also when a shared stage fails before the design.
     A caught exception loses its traceback, whose frames hold the cache
-    that may hold it. The records come back in argument order;
-    ``[record] = run_point(cfg)`` runs one.
+    that may hold it. The ``ok`` rows' means and standard errors come
+    from one reduction over all of them (:func:`_trial_stats`); a failed
+    row's unwritten trials are never read. The records come back in
+    argument order; ``[record] = run_point(cfg)`` runs one.
     """
     singles = []
     for cfg in points:
@@ -600,7 +602,21 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     rates = np.empty((len(points), n_trials))
     statuses: dict[int, str] = {}
     _run_chunks(points, order, seed, range(n_trials), _trial_chunk(points), rates, statuses)
-    return [_record(cfg, statuses.get(i, "ok"), rates[i]) for i, cfg in enumerate(points)]
+    ok = [i for i in range(len(points)) if i not in statuses]
+    stats = dict(zip(ok, _trial_stats(rates[ok])))
+    return [_record(cfg, statuses.get(i, "ok"), *stats.get(i, ())) for i, cfg in enumerate(points)]
+
+
+def _trial_stats(rates: np.ndarray) -> list[tuple[float, float | None]]:
+    """Each row's mean and standard error (None for one trial), one reduction per statistic.
+
+    numpy reduces each row of a C-ordered array along its contiguous axis as it reduces the
+    row alone, so each row's bits are its own ``mean()`` and ``std(ddof=1) / sqrt(n)``.
+    """
+    n = rates.shape[1]
+    means = rates.mean(axis=1).tolist()
+    stderrs = (rates.std(axis=1, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [None] * len(means)
+    return list(zip(means, stderrs))
 
 
 def run_sweep(

@@ -245,11 +245,14 @@ def met_mmse(
     if f_i is None:
         f_i = truncated_svd(effset.serving, n_s).v_s
     steered = effset.h_eff @ f_i[..., None, :, :, :]  # [u, j] = h_eff[u, j] @ f_j
-    noise = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram
     # [u] = the columns sqrt(gamma_j^2 / N_s) h_eff[u, j] f_j side by side, all j.
     scaled = np.sqrt(gammas**2 / n_s)[..., None, :, None, None] * steered
     columns = scaled.swapaxes(-3, -2).reshape(*scaled.shape[:-3], scaled.shape[-2], -1)
-    r_yy = noise + columns @ _hermitian(columns)
+    del scaled  # at N_s > 1 columns is a copy; the level-sized temporaries die once used
+    interference = columns @ _hermitian(columns)
+    del columns
+    r_yy = np.asarray(sigma_n2)[..., None, None, None] * effset.w_o_gram + interference
+    del interference
     r_yy = 0.5 * (r_yy + _hermitian(r_yy))
     # The interference term is PSD, so (Weyl) lambda_min >= sigma_n2 * g, g the Gershgorin
     # lower bound of W_o^H W_o (1 at one layer), and lambda_max <= ||R_yy||_inf. Rounding

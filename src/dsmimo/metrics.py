@@ -10,6 +10,9 @@ import numpy as np
 from .channel import FactoredChannel, _combine, _cross_products, _hermitian
 
 _LN2 = np.log(2.0)
+# Above it, a column's underflowing squares (each off by at most 2.5e-324) move its squared
+# norm by under 1e-17 relative, for any column of fewer than 4e6 entries.
+_EXACT_NORM_MIN = 1e-150
 
 
 class EvaluationError(RuntimeError):
@@ -49,8 +52,15 @@ def _combiner_basis(w: np.ndarray) -> np.ndarray:
     (they arise when nearly parallel steering vectors are selected) and are
     zeroed, which keeps every user's basis the same shape: a zero column
     adds the same factor to both determinants of the rate. A combiner with
-    no resolvable direction at all is rejected.
+    no resolvable direction at all is rejected. One column's thin SVD is
+    its normalization, so a one-stream combiner takes w / ||w|| wherever
+    that norm is exact; a zero, NaN or inf column takes the SVD and fails as it does.
     """
+    if w.shape[-1] == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(w, axis=-2, keepdims=True)
+        if norm.size and np.all((norm > _EXACT_NORM_MIN) & (norm < np.inf)):
+            return w / norm
     u, s, _ = np.linalg.svd(w, full_matrices=False)
     if s.size == 0 or np.any(s[..., 0] <= 0.0):
         raise EvaluationError("combiner is zero")

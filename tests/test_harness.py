@@ -2,12 +2,15 @@ import csv
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +91,88 @@ class TestConfigValidation:
     def test_run_point_rejects_sweep_axes(self):
         with pytest.raises(ConfigError):
             run_point(replace(SMALL, snr_db=[0.0, 10.0]), seed=0)
+
+    # Each value's outcome in an integer field and in a real one: None accepts it, a str
+    # is the ConfigError's message (with the field's name and the value's repr after it),
+    # TypeError is what np.isfinite raises on a number it cannot convert, as before the
+    # builtin types took their own checks.
+    TYPED_VALUES = [
+        (5, None, None),
+        (np.int64(5), None, None),
+        (10**400, None, TypeError),
+        (True, "must be an integer, got", "must be a number, got"),
+        (np.bool_(True), "must be an integer, got", "must be a number, got"),
+        (5.0, "must be an integer, got", None),
+        (np.float32(5.0), "must be an integer, got", None),
+        (np.float64(5.0), "must be an integer, got", None),
+        (Fraction(1, 3), "must be an integer, got", TypeError),
+        (float("nan"), "must be an integer, got", "must be finite, got"),
+        (float("-inf"), "must be an integer, got", "must be finite, got"),
+        (np.float32("inf"), "must be an integer, got", "must be finite, got"),
+        ("5", "must be an integer, got", "must be a number, got"),
+        (None, "must be an integer, got", "must be a number, got"),
+    ]
+
+    @pytest.mark.parametrize("name", ["n_trials", "seed", "n_users", "n_t"])
+    @pytest.mark.parametrize("value, as_integer, _", TYPED_VALUES)
+    def test_integer_fields_accept_and_reject_by_type(self, name, value, as_integer, _):
+        self._check(replace(SMALL, **{name: value}), name, value, as_integer)
+
+    @pytest.mark.parametrize("name", ["snr_db", "sigma_n2", "sigma_c_deg"])
+    @pytest.mark.parametrize("value, _, as_real", TYPED_VALUES)
+    def test_real_fields_accept_and_reject_by_type(self, name, value, _, as_real):
+        self._check(replace(SMALL, **{name: value}), name, value, as_real)
+
+    @staticmethod
+    def _check(cfg, name, value, outcome):
+        if outcome is None:
+            cfg.validate()
+        elif outcome is TypeError:
+            with pytest.raises(TypeError):
+                cfg.validate()
+        else:
+            with pytest.raises(ConfigError) as raised:
+                cfg.validate()
+            assert str(raised.value) == f"{name} {outcome} {value!r}"
+
+    @pytest.mark.parametrize("name, value, outcome", [
+        ("n_users", [5], None),
+        ("n_users", [4, np.int64(6)], None),
+        ("n_users", [], "sweep axes must be nonempty"),
+        ("n_users", [2, True], "n_users must be an integer, got True"),
+        ("snr_db", [5, 7.5, np.float32(1.0)], None),
+        ("snr_db", [0.0, float("nan")], "snr_db must be finite, got nan"),
+        ("n_trials", [5], "n_trials must be an integer, got [5]"),
+        ("sigma_n2", [1e-3], "sigma_n2 must be a number, got [0.001]"),
+    ])
+    def test_lists_are_sweep_axes_only_where_declared(self, name, value, outcome):
+        cfg = replace(SMALL, **{name: value})
+        if outcome is None:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match=re.escape(outcome)):
+                cfg.validate()
+
+    def test_a_single_normalized_point_is_its_own_grid(self):
+        assert SMALL.grid() == [SMALL]
+        assert SMALL.grid()[0] is SMALL
+
+    @pytest.mark.parametrize("overrides", [
+        {"snr_db": 20},
+        {"snr_db": np.float64(20.0)},
+        {"snr_db": [20]},
+        {"n_users": np.int64(1)},
+        {"scenario": ["poor"]},
+    ])
+    def test_grid_normalizes_a_single_point_given_in_other_types(self, overrides):
+        [point] = replace(SMALL, **overrides).grid()
+        assert (type(point.scenario), type(point.snr_db), type(point.n_users)) == (str, float, int)
+        assert point == (replace(SMALL, snr_db=20.0) if "snr_db" in overrides else SMALL)
+
+    def test_an_int_snr_runs_and_writes_as_its_float(self):
+        [as_int] = run_point(replace(SMALL, snr_db=20, n_trials=1), seed=0)
+        [as_float] = run_point(replace(SMALL, snr_db=20.0, n_trials=1), seed=0)
+        assert as_int == as_float and type(as_int.snr_db) is float
 
 
 class TestDeterminismAndPairing:
@@ -885,6 +970,16 @@ class TestFactorizations:
         assert {r.status for r in run_point(*points, seed=1)} == {"ok"}
         assert calls == []
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_only_two_stream_combiners_take_an_svd(self, monkeypatch, layers):
+        # A one-stream combiner's basis is its normalization; at N_s = 2 the
+        # MMSE combiners (levels, trials, U, N_r, 2) still take the SVD.
+        points = self._bench_group(layers)
+        shapes = self._svd_shapes(monkeypatch, points)
+        size = min(harness._trial_chunk(points), self.N_TRIALS)
+        combiners = [shape for shape in shapes if shape[-2:] in ((64, 1), (64, 2))]
+        assert combiners == [(1, size, 2, 64, 2)] * -(-self.N_TRIALS // size)
+
     def test_every_inner_scheme_of_an_outer_filter_reads_one_serving_svd(self, monkeypatch):
         points = self._bench_group(2, harness.INNER_METHODS)
         assert harness._trial_chunk(points) >= self.N_TRIALS  # one chunk
@@ -993,6 +1088,26 @@ class TestErrorRows:
         assert record.status == "error:solvererror"
         assert record.n_trials == 0 and record.mean_rate is None
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_a_nan_combiner_becomes_a_linalgerror_row(self, monkeypatch, layers):
+        # A NaN one-stream combiner fails in the SVD of its basis, as every
+        # combiner did before one-column bases became normalizations.
+        real_met_mer = harness.met_mer
+
+        def nan_combiner(svd, n_s):
+            inners = real_met_mer(svd, n_s)
+            w_i = inners.w_i.copy()
+            w_i[..., 0, 1, 0] = np.nan
+            return replace(inners, w_i=w_i)
+
+        monkeypatch.setattr(harness, "met_mer", nan_combiner)
+        cfg = replace(SMALL, n_users=2, snr_db=[0.0, 20.0])
+        if layers == 1:
+            cfg = replace(cfg, layers=1, outer="none")
+        records = run_sweep(cfg, seed=3)
+        assert [r.status for r in records] == ["error:linalgerror"] * 2
+        assert all(r.n_trials == 0 and r.mean_rate is None for r in records)
+
     def test_a_held_failure_keeps_no_trial_alive(self, monkeypatch):
         # The cache holds a failed design's exception for the points that
         # share it; its traceback must not hold the trial's arrays (through
@@ -1025,6 +1140,67 @@ class TestErrorRows:
         failing, records = heap_peak()
         assert [r.status for r in records] == ["ok", "error:floatingpointerror"]
         assert failing <= 1.02 * clean
+
+
+def _row_stats(row):
+    """One row's mean and standard error, each from its own reduction: the slow, obvious oracle."""
+    stderr = float(row.std(ddof=1) / np.sqrt(row.size)) if row.size > 1 else None
+    return float(row.mean()), stderr
+
+
+class TestTrialStatistics:
+    """run_point reduces all ok rows of a group at once; each row reads its own reduction's bits."""
+
+    @pytest.mark.parametrize("n_trials", [1, 2, 7, 1000])
+    def test_group_reduction_equals_each_rows_own(self, n_trials):
+        rng = np.random.default_rng(n_trials)
+        # Magnitudes from 1e-6 to 1e8 in one row, so the order of summation shows in the bits.
+        rates = rng.exponential(size=(5, n_trials)) * 10.0 ** rng.integers(-6, 9, size=(5, n_trials))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stats = harness._trial_stats(rates)
+        assert len(stats) == 5
+        for row, (mean, stderr) in zip(rates, stats):
+            want_mean, want_stderr = _row_stats(row)
+            assert type(mean) is float and mean.hex() == want_mean.hex()
+            if n_trials == 1:
+                assert stderr is None and want_stderr is None
+            else:
+                assert type(stderr) is float and stderr.hex() == want_stderr.hex()
+
+    def test_no_rows(self):
+        assert harness._trial_stats(np.empty((0, 3))) == []
+
+    def test_failed_rows_are_not_reduced(self, monkeypatch):
+        # A failed row's slots after its failing trial were never written; here
+        # they hold inf and NaN, whose reduction would warn (an error here).
+        points = [replace(SMALL, snr_db=snr, n_trials=7) for snr in (0.0, 10.0, 20.0, 30.0)]
+        ran = np.random.default_rng(4).exponential(size=(4, 7))
+
+        def fake_chunks(points, order, seed, trials, size, rates, statuses):
+            rates[:] = ran
+            rates[1, 3:] = [np.inf, -np.inf, np.nan, np.inf]
+            statuses[1] = "error:solvererror"
+            rates[3, :] = np.nan  # failed at its first trial
+            statuses[3] = "infeasible"
+
+        monkeypatch.setattr(harness, "_run_chunks", fake_chunks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = run_point(*points, seed=0)
+        assert [r.status for r in records] == ["ok", "error:solvererror", "ok", "infeasible"]
+        for i in (0, 2):
+            assert records[i].n_trials == 7
+            assert (records[i].mean_rate, records[i].stderr) == _row_stats(ran[i])
+        for i in (1, 3):
+            assert (records[i].n_trials, records[i].mean_rate, records[i].stderr) == (0, None, None)
+
+    def test_one_trial_has_no_standard_error(self):
+        records = run_sweep(replace(SMALL, n_trials=1, snr_db=[0.0, 10.0]), seed=0)
+        assert all(r.status == "ok" and r.n_trials == 1 and r.stderr is None for r in records)
+        rows = list(csv.DictReader(io.StringIO(emit_csv(records))))
+        assert [row["stderr"] for row in rows] == ["", ""]
+        assert all(float(row["mean_rate"]) > 0.0 for row in rows)
 
 
 class TestCsvEmission:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from dsmimo import (
-    EvaluationError, FactoredChannel, LinkFilters, ReceiveSide, receive_side, snr_to_power,
-    sum_rate,
+    ArrayGeometry, EvaluationError, FactoredChannel, LinkFilters, ReceiveSide, cme, cme_basis,
+    composite_precoder, draw_macroscopic, effective_channels, estimate_covariances,
+    extract_partial_csi, met_mer, met_mmse, metrics, normalize_gamma, path_columns,
+    path_outer_filters, realize_channel, receive_side, snr_to_power, sum_rate,
 )
 
 
@@ -184,3 +186,115 @@ class TestSumRate:
             sum_rate(received, LinkFilters(f=filters.f[:1], w=None), 0.1, 1)
         with pytest.raises(ValueError):  # precoders for another transmit array
             sum_rate(received, LinkFilters(f=[np.ones((4, 1))] * 2, w=None), 0.1, 1)
+
+
+def _svd_basis(w):
+    """The SVD route of ``_combiner_basis`` for every width: the oracle of its one-column path."""
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    if s.size == 0 or np.any(s[..., 0] <= 0.0):
+        raise EvaluationError("combiner is zero")
+    keep = s > max(w.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    return u * keep[..., None, :]
+
+
+BASIS_SNRS = (-10.0, 5.0, 30.0)
+
+
+def _designed_link(outer, n_users, inner):
+    """One drop's channels, composite precoders per level (S, U, N_t, 1) and combiners.
+
+    ``outer`` 'none' is the 1-layer link on the dense 64 x 64 channels; the
+    others build 4-wide outer filters. MET-MER's combiners are (U, N_r, 1),
+    MET-MMSE's one per level, (S, U, N_r, 1).
+    """
+    rng = np.random.default_rng(1000 * n_users + len(outer))
+    n = 64
+    macro = draw_macroscopic("poor", n_users, rng)
+    a_t, a_r, powers = extract_partial_csi(macro, ArrayGeometry(n), ArrayGeometry(n))
+    channels = realize_channel(
+        macro, rng.uniform(-np.pi, np.pi, size=macro.magnitudes.shape), a_t, a_r
+    )
+    outers = None
+    if outer == "cme":
+        outers = cme(cme_basis(estimate_covariances(20, rng, a_t, a_r), 4, 4), 4, 4)
+    elif outer in ("pps", "sps"):
+        outers = path_outer_filters(path_columns(a_t, a_r, powers, 4, 4, outer), 4, 4, outer)
+    else:
+        channels = np.asarray(channels)
+    effset = effective_channels(channels, outers)
+    inners = met_mer(effset.serving, 1)
+    f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
+    noises = np.array([1e-3, 1e-2, 1e-3])
+    p_t = np.array([[snr_to_power(snr, noise)] for snr, noise in zip(BASIS_SNRS, noises)])
+    gammas = normalize_gamma(norm, p_t, n_users)
+    w_i = inners.w_i
+    if inner == "met_mmse":
+        w_i = met_mmse(effset, gammas, noises, 1, f_i=inners.f_i).w_i
+    w = w_i if outers is None else outers.w_o @ w_i
+    return channels, gammas[..., None, None] * f, w, noises
+
+
+class TestSingleStreamCombinerBasis:
+    """One-column combiners take w / ||w||; the SVD route is their oracle."""
+
+    @pytest.mark.parametrize("inner", ["met_mer", "met_mmse"])
+    @pytest.mark.parametrize("n_users", [1, 4, 32])
+    @pytest.mark.parametrize("outer", ["cme", "pps", "sps", "none"])
+    def test_per_level_rates_match_the_svd_basis(self, monkeypatch, outer, n_users, inner):
+        channels, f, w, noises = _designed_link(outer, n_users, inner)
+        assert w.shape[-2:] == (64, 1)
+        svd_calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *args, **kw: svd_calls.append(a.shape) or real_svd(a, *args, **kw)
+        )
+        rates = sum_rate(channels, LinkFilters(f=f, w=w), noises, 1)
+        assert svd_calls == []
+        monkeypatch.setattr(metrics, "_combiner_basis", _svd_basis)
+        oracle = sum_rate(channels, LinkFilters(f=f, w=w), noises, 1)
+        assert svd_calls == [w.shape]
+        assert rates.shape == oracle.shape == (len(BASIS_SNRS),)
+        assert np.all(np.abs(rates - oracle) <= 1e-12 * np.abs(oracle))
+
+    def test_a_single_column_is_normalized(self):
+        rng = np.random.default_rng(12)
+        w = _random_complex(rng, (2, 3, 64, 1))
+        basis = metrics._combiner_basis(w)
+        assert np.array_equal(basis, w / np.linalg.norm(w, axis=-2, keepdims=True))
+        assert np.allclose(np.linalg.norm(basis, axis=-2), 1.0, rtol=0, atol=1e-15)
+
+    def test_a_zero_column_is_rejected(self):
+        w = _random_complex(np.random.default_rng(13), (4, 64, 1))
+        w[2] = 0.0
+        for basis in (metrics._combiner_basis, _svd_basis):
+            with pytest.raises(EvaluationError, match="combiner is zero"):
+                basis(w)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0)])
+    def test_a_nan_column_fails_as_the_svd_does(self, bad):
+        w = _random_complex(np.random.default_rng(14), (4, 64, 1))
+        w[1, 5, 0] = bad
+        for basis in (metrics._combiner_basis, _svd_basis):
+            with pytest.raises(np.linalg.LinAlgError):
+                basis(w)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-140, 1e140, 1e200])
+    def test_columns_near_the_float_range_keep_the_oracles_rate(self, scale):
+        # Below 1e-150, where squares turn subnormal or zero, or where they overflow,
+        # the column takes the SVD, which scales; in between, its norm is exact.
+        channels, f, w, noises = _designed_link("cme", 4, "met_mer")
+        rates = sum_rate(channels, LinkFilters(f=f, w=w * scale), noises, 1)
+        oracle = sum_rate(channels, LinkFilters(f=f, w=w), noises, 1)
+        assert np.all(np.abs(rates - oracle) <= 1e-12 * np.abs(oracle))
+
+    def test_wider_combiners_still_take_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        w = _random_complex(rng, (3, 4, 64, 2))
+        shapes, real_svd = [], np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or real_svd(a, *args, **kw)
+        )
+        basis = metrics._combiner_basis(w)
+        assert shapes == [(3, 4, 64, 2)]
+        monkeypatch.setattr(np.linalg, "svd", real_svd)
+        assert np.array_equal(basis, _svd_basis(w))

@@ -187,14 +187,19 @@ def _drop_groups(draw):
 
 
 def _record_of_lone_trials(point):
-    """A point's record from one-trial ``run_trial`` calls, up to its first failing trial."""
+    """A point's record from one-trial ``run_trial`` calls, up to its first failing trial.
+
+    Its mean and standard error are the row's own ``mean()`` and ``std(ddof=1) / sqrt(n)``.
+    """
     rates = []
     for trial in range(point.n_trials):
         try:
             rates.append(run_trial(point, point.seed, trial))
         except Exception as exc:
-            return harness._record(point, harness._status(exc), np.array(rates))
-    return harness._record(point, "ok", np.array(rates))
+            return harness._record(point, harness._status(exc))
+    rates = np.array(rates)
+    stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
+    return harness._record(point, "ok", float(rates.mean()), stderr)
 
 
 def test_a_group_writes_the_records_of_its_points_run_alone():
