@@ -106,7 +106,13 @@ class ExperimentConfig:
         for name, value in reals + [("snr_db", x) for x in snrs]:
             if type(value) is not float and not _is_a(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not (math.isfinite(value) if type(value) is float else np.isfinite(value)):
+            try:
+                finite = math.isfinite(value) if type(value) is float else np.isfinite(value)
+            except TypeError:  # numpy holds it as an object: a Fraction, a 400-digit int
+                raise ConfigError(
+                    f"{name} must be a float or a 64-bit integer, got {value!r}"
+                ) from None
+            if not finite:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for s in scenarios:
             if s not in tuple(SCENARIOS):  # a tuple, so unhashable YAML values compare unequal
@@ -282,28 +288,6 @@ def _trial_chunk(points: Sequence[ExperimentConfig]) -> int:
     return max(1, _TRIAL_CHUNK_ENTRIES // entries)
 
 
-def _rates_by_level(levels: list, size: int, evaluate) -> dict:
-    """Each level's rates, or the exception of its own evaluation, ``size`` levels per call.
-
-    A stacked guard raises for its whole chunk, so a chunk that raises is
-    evaluated again level by level, after its handler has exited: a
-    level's exception raised inside it would take the chunk's as its
-    context, whose frames hold the dict that holds the level's exception.
-    """
-    rates = {}
-    for start in range(0, len(levels), size):
-        chunk = levels[start:start + size]
-        try:
-            rates.update(zip(chunk, evaluate(chunk).tolist()))
-            continue
-        except Exception as exc:
-            if len(chunk) == 1:
-                rates[chunk[0]] = exc
-                continue
-        rates.update(_rates_by_level(chunk, 1, evaluate))
-    return rates
-
-
 class _TrialCache:
     """The stages that a chunk of trials' points share, each holding its latest key's value.
 
@@ -345,7 +329,9 @@ class _TrialCache:
     def get(self, stage: str, key, build):
         """The stage's value for ``key``, built unless held; the old value is freed first.
 
-        A build's exception is held like a value and raised to every point asking for its key.
+        A failed build is held as the row status it implies, not as its
+        exception: the reader that built it gets the exception, and every
+        later reader of the key fails at once with that status.
         """
         held = self._held.get(stage)
         if held is None or held[0] != key:
@@ -357,26 +343,27 @@ class _TrialCache:
             try:
                 held = (key, build(), None)
             except Exception as exc:
-                held = (key, None, exc)
-            self._held[stage] = held
-            if stage in _SPENDING_STAGES:
-                self._spend(stage, key)
+                self._hold(stage, (key, None, _status(exc)))
+                raise
+            self._hold(stage, held)
         if held[2] is not None:
-            raise held[2]
+            raise _FailedStage(held[2])
         return held[1]
 
-    def _spend(self, stage: str, key) -> None:
-        """Free what the build of ``stage`` for ``key`` was the last to read."""
-        if stage != "outer":  # the channel or a width-free stage: a read of the drop
+    def _hold(self, stage: str, held: tuple) -> None:
+        """Hold a build's (key, value, status), and free what the build was the last to read."""
+        self._held[stage] = held
+        key = held[0]
+        if stage in ("channel", "width_free"):  # a read of the drop
             self._drop_reads -= 1
             if not self._drop_reads:
                 self._held.pop("drop", None)
-        elif key is not None and key == self._last[key[0]]:
+        elif stage == "outer" and key is not None and key == self._last[key[0]]:
             self._held.pop("width_free", None)
 
 
-# The stages whose builds can spend another: see _TrialCache._spend.
-_SPENDING_STAGES = frozenset(("outer", "channel", "width_free"))
+class _FailedStage(Exception):
+    """A read of a stage whose build failed for an earlier reader; ``args[0]`` is its status."""
 
 
 def _stack_drops(drops: Sequence[MacroState]) -> MacroState:
@@ -402,7 +389,7 @@ def run_trial(
     Every stage comes from ``shared``, the cache of the chunk of trials
     that :func:`run_point` hands to each point of a group and each of the
     chunk's trials: each is built once for the points that agree on it and
-    for all the chunk's trials, and its failure is raised to each of them.
+    for all the chunk's trials, and its failure fails each of them.
     Each trial draws its own substreams (macroscopic state, training
     slots, phases), which are stacked after drawing, so every draw is the
     one the trial makes alone. Before its filters, an outer method builds
@@ -420,10 +407,10 @@ def run_trial(
     receive side), then evaluates the group's levels of the design (SNR
     and noise pairs) stacked on a leading axis in front of the trials, in
     chunks of :func:`_chunk_size`: power normalization, the MMSE combiner
-    and the sum rate. A chunk of levels that raises is evaluated again
-    level by level, so each point reads its own level's rates or failure.
-    The trial returns its own rate of the chunk's. A lone trial makes a
-    one-point, one-trial cache.
+    and the sum rate. A chunk of levels that raises fails the stage, like
+    any stage's failure. The trial returns its own rate of the chunk's. A
+    lone trial makes a one-point, one-trial cache, and raises the
+    exception of the first stage that fails.
     """
     outer_key, rate_key = _stage_keys(cfg)
     stages = _TrialCache([cfg], range(trial, trial + 1)) if shared is None else shared
@@ -483,7 +470,7 @@ def run_trial(
     def receiving(w_i):  # the sum rate's receive side for composite combiners W_o @ w_i
         return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
 
-    def rates():  # each level of the rate key: its trials' rates, or its own evaluation's exception
+    def rates():  # each level of the rate key: its trials' rates
         inners = design()
         f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
         received = None if cfg.inner == "met_mmse" else receiving(inners.w_i)
@@ -498,21 +485,27 @@ def run_trial(
             precoders = LinkFilters(f=gammas[..., None, None] * f, w=None)
             return sum_rate(side, precoders, sigma_n2, cfg.n_s)
 
-        return _rates_by_level(list(stages.levels[rate_key]), _chunk_size(cfg), evaluate)
+        levels, size, rates = list(stages.levels[rate_key]), _chunk_size(cfg), {}
+        for start in range(0, len(levels), size):
+            chunk = levels[start:start + size]
+            rates.update(zip(chunk, evaluate(chunk).tolist()))
+        return rates
 
     # The channel is realized after the first outer filter, so a lone CME width's eigenbasis
     # is freed first.
     outers = stages.get("outer", outer_key, outer_filters)
     channels = stages.get("channel", trials, channel)
     effset, svd = stages.get("effective", outer_key, effective)
-    level_rates = stages.get("rates", rate_key, rates)[_level(cfg)]
-    if isinstance(level_rates, Exception):
-        raise level_rates
-    return level_rates[slot]
+    return stages.get("rates", rate_key, rates)[_level(cfg)][slot]
 
 
 def _status(exc: Exception) -> str:
-    """A failed row's status: ``infeasible`` for a BD design's InfeasibleError, else the error."""
+    """A failed row's status: ``infeasible`` for a BD design's InfeasibleError, else the error.
+
+    A read of a failed stage has the status of the stage's failure.
+    """
+    if isinstance(exc, _FailedStage):
+        return exc.args[0]
     if isinstance(exc, InfeasibleError):
         return "infeasible"
     return f"error:{type(exc).__name__.lower()}"
@@ -521,13 +514,14 @@ def _status(exc: Exception) -> str:
 def _run_chunks(points, order, seed, trials: range, size: int, rates, statuses) -> None:
     """Run the points ``order`` indexes over ``trials``, ``size`` trials per shared cache.
 
-    A point whose trial raises runs no further trials; its status is that
-    trial's. A stacked stage raises for all the trials of its chunk, so a
-    point whose chunk raises runs that chunk's trials again one at a time,
-    through one-trial caches, after the chunk's cache has been freed and
-    the handler has exited. An :class:`InfeasibleError` is final at once:
-    it follows from shapes alone, after every shared stage of the chunk
-    has been built, so the chunk's first trial alone would raise it again.
+    A point whose trial raises runs no further trials; its status is that of
+    its first failing trial run alone. A stacked stage raises for all the
+    trials of its chunk and all the points that read it, so a point whose
+    chunk raises runs that chunk's trials again alone, one
+    :func:`run_trial` call per trial, after the chunk's cache has been
+    freed. An infeasible design is final at once: it follows from shapes
+    alone, after every shared stage of the chunk has been built, so the
+    chunk's first trial alone would raise it again.
     """
     for start in range(trials.start, trials.stop, size):
         chunk = range(start, min(start + size, trials.stop))
@@ -540,14 +534,17 @@ def _run_chunks(points, order, seed, trials: range, size: int, rates, statuses) 
                 for trial in chunk:
                     rates[i, trial] = run_trial(points[i], seed, trial, stages)
             except Exception as exc:  # per-row capture is part of the sweep contract
-                exc.__traceback__ = None  # else a held exc's frames keep its chunk's cache alive
-                if len(chunk) > 1 and not isinstance(exc, InfeasibleError):
-                    failed.append(i)
+                if _status(exc) == "infeasible":
+                    statuses[i] = "infeasible"
                 else:
-                    statuses[i] = _status(exc)
+                    failed.append(i)
         del stages  # the failed chunk's stages are freed before its trials run again
-        if failed:
-            _run_chunks(points, failed, seed, chunk, 1, rates, statuses)
+        for i in failed:
+            try:
+                for trial in chunk:
+                    rates[i, trial] = run_trial(points[i], seed, trial)
+            except Exception as exc:
+                statuses[i] = _status(exc)
 
 
 def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRecord]:
@@ -565,9 +562,10 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     rate stage evaluates at once. The order does not change any result,
     only the heap peak: the drops live until the last method's width-free
     build, and CME's eigenbasis, the largest width-free work, is then held
-    without them. A point whose chunk raises runs that chunk's trials
-    again one at a time, each through its own one-trial cache, so a point
-    fails at its first failing trial, as it would trial by trial; an
+    without them. A failed row has one rule: its status is that of its
+    first failing trial run alone, ``run_trial(point, seed, trial)``. So a
+    point whose chunk raises runs that chunk's trials again alone, after
+    the chunk's cache is freed, up to its first failing trial; an
     infeasible design, whose failure depends on no trial, fails at once.
     A point whose trial raises runs no further trials, so its level drops
     out of its design's later rate stages; the others go on. Its row reads
@@ -575,8 +573,8 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     its first chunk by its rate stage, before the design's own null-space
     SVD, though its outer filter's serving SVD is built first), else
     ``error:<name>``, also when a shared stage fails before the design.
-    A caught exception loses its traceback, whose frames hold the cache
-    that may hold it. The ``ok`` rows' means and standard errors come
+    No stage holds an exception, so none outlives its handler with the
+    cache in its frames. The ``ok`` rows' means and standard errors come
     from one reduction over all of them (:func:`_trial_stats`); a failed
     row's unwritten trials are never read. The records come back in
     argument order; ``[record] = run_point(cfg)`` runs one.

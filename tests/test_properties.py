@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from dsmimo import (
     SCENARIOS,
     ExperimentConfig,
+    FactoredChannel,
+    LinkFilters,
     RankDeficiencyError,
     SolverError,
     run_trial,
     run_point,
     snr_to_power,
+    sum_rate,
 )
 from dsmimo import harness
 from dsmimo.cli import main
@@ -86,6 +89,7 @@ _JUNK = st.one_of(
     st.lists(st.one_of(st.integers(-2, 3), st.text(max_size=2), st.none()), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(-2, 3), max_size=2),
     st.integers(-5, 0),
+    st.just(10**400),  # an int that numpy holds as an object
     st.floats(-10.0, -0.1),
     st.sampled_from([float("inf"), float("-inf"), float("nan")]),
 )
@@ -205,15 +209,18 @@ def _record_of_lone_trials(point):
 def test_a_group_writes_the_records_of_its_points_run_alone():
     """run_point(*group) shares each chunk's stages; every row equals its point's lone trials.
 
-    The group's shapes would stack all of its 1-5 trials in one chunk, so the
-    chunk size is drawn instead (1-3 trials): most groups then run in
-    several chunks, the last one often partial.
+    The group's shapes would stack all of its 1-5 trials in one chunk, and
+    all of a design's 1-4 levels in one chunk of levels, so both chunk sizes
+    are drawn instead (1-3 trials, 1-2 levels): most groups then run in
+    several chunks of trials, the last one often partial, and designs with
+    several levels evaluate them in several chunks.
     """
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(group=_drop_groups(), size=st.integers(1, 3))
-    def check(group, size):
-        with mock.patch.object(harness, "_trial_chunk", lambda points: size):
+    @given(group=_drop_groups(), size=st.integers(1, 3), levels=st.integers(1, 2))
+    def check(group, size, levels):
+        with mock.patch.object(harness, "_trial_chunk", lambda points: size), \
+                mock.patch.object(harness, "_chunk_size", lambda cfg: levels):
             grouped = run_point(*group)
             assert grouped == [run_point(point)[0] for point in group]
         assert grouped == [_record_of_lone_trials(point) for point in group]
@@ -262,5 +269,63 @@ def test_mmse_combining_never_loses_to_mer():
             except (RankDeficiencyError, SolverError):
                 assume(False)  # SPS ran out of paths or R_yy is singular
             assert mmse_rate >= mer_rate - 1e-9 * max(1.0, abs(mer_rate))
+
+    check()
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@st.composite
+def _links(draw):
+    """Channels, precoders, combiners, noise and combiner transforms of a random link.
+
+    U <= 4, N_t and N_r <= 8, N_s <= min(3, N_t, N_r); dense or factored
+    channels; 0-3 stacked levels, each with its own precoders, combiners and
+    noise. A one-stream transform is a complex scalar of magnitude 1e-3 to
+    1e3, a wider one such a scalar times a random matrix plus twice the
+    identity.
+    """
+    n_users, n_t, n_r = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n_s = draw(st.integers(1, min(3, n_t, n_r)))
+    levels = (draw(st.integers(1, 3)),) if draw(st.booleans()) else ()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        channels = _complex(rng, (n_users, n_r, n_t))
+    else:
+        n_paths = draw(st.integers(1, 4))
+        channels = FactoredChannel(rx_gains=_complex(rng, (n_users, n_r, n_paths)),
+                                   a_t=_complex(rng, (n_users, n_t, n_paths)))
+    f = _complex(rng, (*levels, n_users, n_t, n_s))
+    f *= np.sqrt(1.0 / n_users) / np.linalg.norm(f, axis=(-2, -1), keepdims=True)
+    w = _complex(rng, (*levels, n_users, n_r, n_s))
+    sigma_n2 = 10.0 ** rng.uniform(-2.0, 0.0, size=levels)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(*levels, n_users, 1, 1))
+    scale = scale * np.exp(2j * np.pi * rng.uniform(size=scale.shape))
+    transforms = scale
+    if n_s > 1:
+        transforms = scale * (_complex(rng, (*levels, n_users, n_s, n_s)) + 2.0 * np.eye(n_s))
+    return channels, LinkFilters(f=f, w=w), sigma_n2, n_s, transforms
+
+
+def test_rate_is_invariant_under_invertible_combiner_transforms():
+    """sum_rate is unchanged, within 1e-9 relative, when each W_u becomes W_u T_u.
+
+    The rate of user u depends on its combiner only through the column space
+    of W_u, which an invertible T_u keeps, so every level's rate must stay.
+    One-stream combiners take the normalization route of the combiner basis
+    at every scale drawn here.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(link=_links())
+    def check(link):
+        channels, filters, sigma_n2, n_s, transforms = link
+        base = sum_rate(channels, filters, sigma_n2, n_s)
+        moved = LinkFilters(f=filters.f, w=filters.w @ transforms)
+        rate = sum_rate(channels, moved, sigma_n2, n_s)
+        assert np.shape(rate) == np.shape(sigma_n2)
+        np.testing.assert_allclose(rate, base, rtol=1e-9, atol=0.0)
 
     check()

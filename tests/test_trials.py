@@ -219,7 +219,7 @@ def test_a_group_runs_its_trials_in_chunks_of_lone_trials():
 def test_a_failing_trial_of_a_chunk_fails_only_its_row(monkeypatch):
     # MET-MMSE raises in trial 3 of a five-trial chunk at 10 dB: the
     # stacked chunk fails for that design, whose points run the chunk's
-    # trials again one at a time. Only the 10 dB row reads the failure.
+    # trials again alone. Only the 10 dB row reads the failure.
     configs = [
         ExperimentConfig(**{**CHUNKED, "n_trials": 5}, inner=inner, snr_db=[0.0, 10.0, 20.0])
         for inner in ("met_mer", "met_mmse")
@@ -258,17 +258,17 @@ def test_a_failing_trial_of_a_chunk_fails_only_its_row(monkeypatch):
             assert got.status == "error:solvererror" and got.n_trials == 0
         else:
             assert got == want
-    # The chunk's three levels, then each level over the chunk's five
-    # trials; then the failing point alone, trial by trial, up to trial 3.
-    assert stacks == [(3, 5, 4)] + [(1, 5, 4)] * 3 + [(1, 1, 4)] * 4
+    # The chunk's three levels; then each of the design's points alone, trial
+    # by trial: 0 dB and 20 dB all five trials, 10 dB up to trial 3.
+    assert stacks == [(3, 5, 4)] + [(1, 1, 4)] * (5 + 4 + 5)
 
 
 def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
     # MET-MMSE fails on every stack of several trials and on no trial alone:
-    # both points run the chunk's trials again, each through a one-trial
-    # cache, and read as in a clean run. The failed chunk's cache, with the
-    # drops' channels, filters and serving SVD it holds, is gone before
-    # the first of them, without the cyclic GC.
+    # both points run the chunk's trials again alone, each trial through its
+    # own one-trial cache, and read as in a clean run. The failed chunk's
+    # cache, with the drops' channels, filters and serving SVD it holds, is
+    # gone before the first of them, without the cyclic GC.
     points = [
         ExperimentConfig(**{**CHUNKED, "n_trials": 5}, inner="met_mmse", snr_db=snr)
         for snr in (0.0, 10.0)
@@ -283,7 +283,7 @@ def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
         return made
 
     def run_trial(cfg, seed, trial, shared=None):
-        if len(shared.trials) == 1:
+        if shared is None:
             chunk_alive_at_rerun.append(caches[0][1]() is not None)
         return real_trial(cfg, seed, trial, shared)
 
@@ -301,5 +301,7 @@ def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
     finally:
         gc.enable()
     assert records == clean
-    assert [trials for trials, _ in caches] == [range(0, 5)] + [range(t, t + 1) for t in range(5)]
+    assert [trials for trials, _ in caches] == (
+        [range(0, 5)] + [range(t, t + 1) for t in range(5)] * 2
+    )
     assert len(chunk_alive_at_rerun) == 10 and not any(chunk_alive_at_rerun)
