@@ -4,15 +4,11 @@ A run is one sweep: :func:`run_sweep` takes every config of the run,
 expands each over its list-valued axes (scenario, SNR, number of users),
 groups the resulting grid points by drop (the points whose draws agree)
 and maps one worker pool over the groups. A group runs in chunks of
-trials, sized by its shapes, each point's whole pipeline in
-:func:`run_trial` once per trial; a cache per chunk builds the drops,
-each outer method's width-free work (CME's eigenbasis, the manifold
-columns a path selection picks), each outer filter with its effective
-channels and the SVD of their serving channels, and each inner design
-with the rates of all its SNR levels, once for all the points that share
-them and all the chunk's trials, stacked on a leading trial axis (levels
-in front of it). Only the channel and the width-free builds read the
-drops.
+trials, sized by its shapes. :func:`_run_chunk` runs a chunk in nested
+loops that follow the transceiver's layers: the drops, each outer
+method's width-free work, each outer filter with its effective channels,
+each inner design with its SNR levels. Each stage is built once for the
+points under it and all the chunk's trials, stacked on a leading axis.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -25,6 +21,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -253,7 +250,7 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     (U, M_r, M_r) with the absolute values of their condition bound, nor
     the scaled columns (U, M_r, U N_s) and their conjugate that form them,
     nor its per-level receive side, so it does not hold the heap peak to the
-    manifolds' bytes (README: with one trial per cache, the grouped
+    manifolds' bytes (README: with one trial per chunk, the grouped
     ``snr_poor`` peaks rose 32 and 47 %; README also weighs counting the
     trials).
     """
@@ -288,82 +285,8 @@ def _trial_chunk(points: Sequence[ExperimentConfig]) -> int:
     return max(1, _TRIAL_CHUNK_ENTRIES // entries)
 
 
-class _TrialCache:
-    """The stages that a chunk of trials' points share, each holding its latest key's value.
-
-    The six stages are the drop, each outer method's width-free work, the
-    outer filters, the channel, the effective channels with their serving
-    SVD, and a design's rates. Each is built once for all ``trials`` of
-    the chunk, stacked on a leading trial axis. ``points`` are the points
-    that will run, in run order, each outer method's points back to back
-    and equal stage keys together. From them the cache knows ``widest``,
-    each outer method's widest (m_t, m_r), for which its width-free stage
-    is built; ``streams``, each outer key's most streams, to which its
-    serving SVD is kept; ``levels``, each rate key's levels, which its rate
-    stage evaluates at once; and when a stage is spent: a method's
-    width-free stage once its last filter is built, the drops and their
-    partial CSI once the channel and each method's width-free stage, their
-    only readers, are built. So only one chunk's drops are alive at a time.
-    A new outer key frees the stages keyed under the old one before its
-    filters are built.
-    """
-
-    def __init__(self, points: Sequence[ExperimentConfig], trials: range):
-        self.trials = trials
-        self._held: dict[str, tuple] = {}
-        self.levels: dict[tuple, dict[tuple[float, float], None]] = {}  # levels in run order
-        self.streams: dict[tuple | None, int] = {}
-        outer_keys = []
-        for cfg in points:
-            outer_key, rate_key = _stage_keys(cfg)
-            outer_keys.append(outer_key)
-            self.levels.setdefault(rate_key, {})[_level(cfg)] = None
-            self.streams[outer_key] = max(self.streams.get(outer_key, 0), cfg.n_s)
-        self._last = {key[0]: key for key in outer_keys if key}  # each method's last key
-        self.widest: dict[str, tuple[int, int]] = {}
-        for method, m_t, m_r in filter(None, set(outer_keys)):
-            widest_t, widest_r = self.widest.get(method, (0, 0))
-            self.widest[method] = (max(widest_t, m_t), max(widest_r, m_r))
-        self._drop_reads = 1 + len(self.widest)  # the channel and each width-free build
-
-    def get(self, stage: str, key, build):
-        """The stage's value for ``key``, built unless held; the old value is freed first.
-
-        A failed build is held as the row status it implies, not as its
-        exception: the reader that built it gets the exception, and every
-        later reader of the key fails at once with that status.
-        """
-        held = self._held.get(stage)
-        if held is None or held[0] != key:
-            del held  # so that the old value is freed before the new one is built
-            self._held.pop(stage, None)
-            if stage == "outer":  # the stages keyed under the old outer key are stale
-                for stale in ("effective", "rates"):
-                    self._held.pop(stale, None)
-            try:
-                held = (key, build(), None)
-            except Exception as exc:
-                self._hold(stage, (key, None, _status(exc)))
-                raise
-            self._hold(stage, held)
-        if held[2] is not None:
-            raise _FailedStage(held[2])
-        return held[1]
-
-    def _hold(self, stage: str, held: tuple) -> None:
-        """Hold a build's (key, value, status), and free what the build was the last to read."""
-        self._held[stage] = held
-        key = held[0]
-        if stage in ("channel", "width_free"):  # a read of the drop
-            self._drop_reads -= 1
-            if not self._drop_reads:
-                self._held.pop("drop", None)
-        elif stage == "outer" and key is not None and key == self._last[key[0]]:
-            self._held.pop("width_free", None)
-
-
 class _FailedStage(Exception):
-    """A read of a stage whose build failed for an earlier reader; ``args[0]`` is its status."""
+    """A read of a point whose chunk failed it; ``args[0]`` is its status."""
 
 
 def _stack_drops(drops: Sequence[MacroState]) -> MacroState:
@@ -372,56 +295,91 @@ def _stack_drops(drops: Sequence[MacroState]) -> MacroState:
     return MacroState(**{name: np.stack([getattr(d, name) for d in drops]) for name in names})
 
 
-def run_trial(
-    cfg: ExperimentConfig, seed: int, trial: int, shared: _TrialCache | None = None
-) -> float:
-    """Execute one trial of one point: CSI acquisition, both filter layers, rate evaluation.
+class _Chunk:
+    """A chunk of trials of a drop group's points; its first read runs it (:func:`_run_chunk`)."""
+
+    def __init__(self, points: Sequence[ExperimentConfig], trials: range):
+        self.points, self.trials, self.results = points, trials, None
+
+
+def run_trial(cfg: ExperimentConfig, seed: int, trial: int, shared: _Chunk | None = None) -> float:
+    """One trial's sum rate of one point: CSI acquisition, both filter layers, rate evaluation.
 
     The outer filters see only the drop's macroscopic state (via estimated
     covariances or exact path parameters); the rate is then evaluated on a
     fresh phase realization of the same drop, which the inner filters know
-    perfectly through the effective channels. The drop's path manifolds
-    are built once, by ``extract_partial_csi``; CME reads them only to
-    simulate its training slots. Every stage works on all users at once,
-    stacked on a (U, ...) axis, and on all trials of the cache's chunk,
-    stacked in front of it, (T, U, ...).
-
-    Every stage comes from ``shared``, the cache of the chunk of trials
-    that :func:`run_point` hands to each point of a group and each of the
-    chunk's trials: each is built once for the points that agree on it and
-    for all the chunk's trials, and its failure fails each of them.
-    Each trial draws its own substreams (macroscopic state, training
-    slots, phases), which are stacked after drawing, so every draw is the
-    one the trial makes alone. Before its filters, an outer method builds
-    its width-free work once for the group's widest filters: CME the
-    eigenbasis of each side's estimated covariances, PPS/SPS each side's
-    manifold columns in selection order, stacked over trials and users.
-    Each width then makes its own eigenvector product or reads a prefix of
-    the columns, so no filter reads the drop. Each outer filter's effective
-    channels (at one layer, the full channel) are built with one SVD of
-    their serving channels, kept to the most streams of the filter's
-    points. The last stage, the rates, serves every point of a design: it
-    builds the inner design, which reads the SVD's first ``n_s`` triplets
-    (MET-MMSE's precoders are MET-MER's), and its SNR-free rate factors
-    (the composite precoder, its norm and, but for MMSE, the sum rate's
-    receive side), then evaluates the group's levels of the design (SNR
-    and noise pairs) stacked on a leading axis in front of the trials, in
-    chunks of :func:`_chunk_size`: power normalization, the MMSE combiner
-    and the sum rate. A chunk of levels that raises fails the stage, like
-    any stage's failure. The trial returns its own rate of the chunk's. A
-    lone trial makes a one-point, one-trial cache, and raises the
-    exception of the first stage that fails.
+    perfectly through the effective channels. A lone trial runs a chunk of
+    one point and one trial, and raises the exception of its first stage
+    that fails. With ``shared``, the chunk that :func:`run_point` hands to
+    each of its points and trials, the first read runs the whole chunk,
+    and every read returns the trial's rate or raises ``_FailedStage``
+    with its point's status.
     """
-    outer_key, rate_key = _stage_keys(cfg)
-    stages = _TrialCache([cfg], range(trial, trial + 1)) if shared is None else shared
-    trials = stages.trials
-    slot = trials.index(trial)
+    if shared is None:
+        return _run_chunk([cfg], seed, range(trial, trial + 1), strict=True)[cfg][0]
+    if shared.results is None:
+        shared.results = _run_chunk(shared.points, seed, shared.trials)
+    held = shared.results[cfg]
+    if isinstance(held, str):
+        raise _FailedStage(held)
+    return held[shared.trials.index(trial)]
+
+
+def _run_chunk(
+    points: Sequence[ExperimentConfig], seed: int, trials: range, strict: bool = False
+) -> dict[ExperimentConfig, list[float] | str]:
+    """Each point's rates over ``trials``, or its row status, from one pass over the stages.
+
+    The stages follow the transceiver's layers, in nested loops; each is
+    built once for the points under it and for all ``trials``, stacked on a
+    leading trial axis (T, U, ...):
+
+    - the drops and their partial CSI (the path manifolds; CME reads them
+      only to simulate its training slots);
+    - per outer method, CME last: its width-free work for its widest
+      filters, CME's eigenbasis of each side's estimated covariances or
+      PPS/SPS's manifold columns in selection order;
+    - per outer key: its filters (an eigenvector product or a prefix of the
+      columns), then, at the first filter, the channel (at one layer, the
+      dense channel); then the effective channels and one SVD of their
+      serving channels, kept to the key's most streams;
+    - per design: the inner design, which reads the SVD's first ``n_s``
+      triplets (MET-MMSE's precoders are MET-MER's), its SNR-free rate
+      factors (the composite precoder, its norm and, but for MMSE, the sum
+      rate's receive side), then its levels (SNR and noise pairs) stacked
+      in front of the trials, in chunks of :func:`_chunk_size`: power
+      normalization, the MMSE combiner and the sum rate.
+
+    Each trial draws its own substreams (macroscopic state, training slots,
+    phases), stacked after drawing, so every draw is the one the trial
+    makes alone. A value dies with its loop iteration or after its last
+    reader: the drops once the channel and the last width-free work exist,
+    a method's width-free work after its last filter. CME goes last because
+    its eigenbasis, the largest width-free work, then never waits beside
+    the drops. A stage that raises fails the points under it with its
+    status (:func:`_status`), a failed drop or channel every point;
+    ``strict`` raises its exception instead.
+    """
+    cfg = points[0]  # the points agree on their draws
+    results: dict = {}
+    failed = object()
+
+    def attempt(under, build, *args):
+        """``build(*args)``, or ``failed`` once every point ``under`` it has its status."""
+        try:
+            return build(*args)
+        except Exception as exc:  # per-row capture is part of the sweep contract
+            if strict:
+                raise
+            for point in under:
+                results.setdefault(point, _status(exc))
+            return failed
 
     def substreams(purpose):  # each trial's own generator for one purpose
         code = _SCENARIO_CODE[cfg.scenario]
         return [_substream(seed, code, cfg.n_users, t, purpose) for t in trials]
 
-    def draw():  # the drops and their partial CSI
+    def draw():
         drops = [
             draw_macroscopic(cfg.scenario, cfg.n_users, rng, cfg.sigma_c_deg)
             for rng in substreams(_SUBSTREAM_MACRO)
@@ -429,24 +387,20 @@ def run_trial(
         macro = _stack_drops(drops)
         return macro, *extract_partial_csi(macro, ArrayGeometry(cfg.n_t), ArrayGeometry(cfg.n_r))
 
-    def outer_filters():
-        if outer_key is None:  # one layer: the inner stage works on the full channel
-            return None
-        work = stages.get("width_free", cfg.outer, width_free)
-        if cfg.outer == "cme":
-            return cme(work, cfg.m_t, cfg.m_r)
-        return path_outer_filters(work, cfg.m_t, cfg.m_r, cfg.outer)
-
-    def width_free():  # built for the widest filters of the method; the covariances die here
-        m_t, m_r = stages.widest[cfg.outer]
-        _, a_t, a_r, powers = stages.get("drop", trials, draw)
-        if cfg.outer != "cme":
-            return path_columns(a_t, a_r, powers, m_t, m_r, cfg.outer)
+    def width_free(method, m_t, m_r):  # the covariances die here
+        _, a_t, a_r, powers = drop
+        if method != "cme":
+            return path_columns(a_t, a_r, powers, m_t, m_r, method)
         slots = substreams(_SUBSTREAM_SLOTS)
         return cme_basis(estimate_covariances(cfg.n_slots, slots, a_t, a_r), m_t, m_r)
 
+    def outer_filters(work, method, m_t, m_r):
+        if method == "cme":
+            return cme(work, m_t, m_r)
+        return path_outer_filters(work, m_t, m_r, method)
+
     def channel():
-        macro, a_t, a_r, _ = stages.get("drop", trials, draw)
+        macro, a_t, a_r, _ = drop
         shape = macro.magnitudes.shape[1:]
         phases = np.stack([
             rng.uniform(-np.pi, np.pi, size=shape) for rng in substreams(_SUBSTREAM_EVAL)
@@ -454,55 +408,91 @@ def run_trial(
         channels = realize_channel(macro, phases, a_t, a_r)
         # The 1-layer baseline designs on the dense channels; the 2-layer path
         # reads factored ones only through products with filters.
-        return channels if outer_key else np.asarray(channels)
+        return channels if cfg.layers == 2 else np.asarray(channels)
 
-    def effective():  # the effective channels and the SVD of their serving channels
+    def effective(outers, n_s):
         effset = effective_channels(channels, outers)
-        return effset, truncated_svd(effset.serving, stages.streams[outer_key])
+        return effset, truncated_svd(effset.serving, n_s)
 
-    def design():  # MET-MMSE's precoders are MET-MER's, views of the serving SVD
-        if cfg.inner == "met_bd":
-            return met_bd(effset, cfg.n_s, svd)
-        if cfg.inner == "bd_mer":
-            return bd_mer(effset, cfg.n_s, svd)
-        return met_mer(svd, cfg.n_s)
-
-    def receiving(w_i):  # the sum rate's receive side for composite combiners W_o @ w_i
-        return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
-
-    def rates():  # each level of the rate key: its trials' rates
-        inners = design()
+    def rates(design, outers, effset, svd):  # each of the design's levels: its trials' rates
+        first = design[0]
+        if first.inner == "met_bd":
+            inners = met_bd(effset, first.n_s, svd)
+        elif first.inner == "bd_mer":
+            inners = bd_mer(effset, first.n_s, svd)
+        else:  # MET-MMSE's precoders are MET-MER's, views of the serving SVD
+            inners = met_mer(svd, first.n_s)
         f, norm = composite_precoder(None if outers is None else outers.f_o, inners.f_i)
-        received = None if cfg.inner == "met_mmse" else receiving(inners.w_i)
+
+        def receiving(w_i):  # the sum rate's receive side for composite combiners W_o @ w_i
+            return receive_side(channels, w_i if outers is None else outers.w_o @ w_i)
+
+        received = None if first.inner == "met_mmse" else receiving(inners.w_i)
 
         def evaluate(levels):  # one stacked evaluation of a chunk of levels: (S, T) rates
             p_t = np.array([[[snr_to_power(snr_db, sigma_n2)]] for snr_db, sigma_n2 in levels])
             sigma_n2 = np.array([[sigma_n2] for _, sigma_n2 in levels])
-            gammas = normalize_gamma(norm, p_t, cfg.n_users)
+            gammas = normalize_gamma(norm, p_t, first.n_users)
             side = received
             if side is None:  # the MMSE combiner depends on the SNR
-                side = receiving(met_mmse(effset, gammas, sigma_n2, cfg.n_s, f_i=inners.f_i).w_i)
+                w_i = met_mmse(effset, gammas, sigma_n2, first.n_s, f_i=inners.f_i).w_i
+                side = receiving(w_i)
             precoders = LinkFilters(f=gammas[..., None, None] * f, w=None)
-            return sum_rate(side, precoders, sigma_n2, cfg.n_s)
+            return sum_rate(side, precoders, sigma_n2, first.n_s)
 
-        levels, size, rates = list(stages.levels[rate_key]), _chunk_size(cfg), {}
+        levels, size, by_level = list(dict.fromkeys(map(_level, design))), _chunk_size(first), {}
         for start in range(0, len(levels), size):
             chunk = levels[start:start + size]
-            rates.update(zip(chunk, evaluate(chunk).tolist()))
-        return rates
+            by_level.update(zip(chunk, evaluate(chunk).tolist()))
+        return by_level
 
-    # The channel is realized after the first outer filter, so a lone CME width's eigenbasis
-    # is freed first.
-    outers = stages.get("outer", outer_key, outer_filters)
-    channels = stages.get("channel", trials, channel)
-    effset, svd = stages.get("effective", outer_key, effective)
-    return stages.get("rates", rate_key, rates)[_level(cfg)][slot]
+    def runs(group, key):  # the group's runs of equal key
+        return [list(run) for _, run in groupby(group, key)]
+
+    drop, channels = attempt(points, draw), None
+    if drop is failed:
+        return results
+    ordered = sorted(points, key=lambda p: (p.outer == "cme", _stage_keys(p)))
+    methods = runs(ordered, lambda p: p.outer)
+    for method_points in methods:
+        outers = stage = None  # the last method's stages die before this one's work
+        last_method, method = method_points is methods[-1], method_points[0].outer
+        widest = max(p.m_t for p in method_points), max(p.m_r for p in method_points)
+        work = None if cfg.layers == 1 else attempt(method_points, width_free, method, *widest)
+        if last_method and channels is not None:
+            drop = None
+        if work is failed:
+            continue
+        keys = runs(method_points, lambda p: _stage_keys(p)[0])
+        for key_points in keys:
+            outers = stage = None  # the last key's stages die before this key's filters
+            outer_key = _stage_keys(key_points[0])[0]
+            if outer_key is not None:
+                outers = attempt(key_points, outer_filters, work, *outer_key)
+            if key_points is keys[-1]:
+                work = None  # so that a lone CME width's eigenbasis dies before the channel
+            if outers is failed:
+                continue
+            if channels is None:
+                channels = attempt(points, channel)
+                if channels is failed:
+                    return results
+                if last_method:
+                    drop = None
+            stage = attempt(key_points, effective, outers, max(p.n_s for p in key_points))
+            if stage is failed:
+                continue
+            for design in runs(key_points, lambda p: _stage_keys(p)[1]):
+                by_level = attempt(design, rates, design, outers, *stage)
+                if by_level is not failed:
+                    results.update((p, by_level[_level(p)]) for p in design)
+    return results
 
 
 def _status(exc: Exception) -> str:
     """A failed row's status: ``infeasible`` for a BD design's InfeasibleError, else the error.
 
-    A read of a failed stage has the status of the stage's failure.
+    A read of a failed point has its status.
     """
     if isinstance(exc, _FailedStage):
         return exc.args[0]
@@ -511,34 +501,34 @@ def _status(exc: Exception) -> str:
     return f"error:{type(exc).__name__.lower()}"
 
 
-def _run_chunks(points, order, seed, trials: range, size: int, rates, statuses) -> None:
-    """Run the points ``order`` indexes over ``trials``, ``size`` trials per shared cache.
+def _run_chunks(points, seed, trials: range, size: int, rates, statuses) -> None:
+    """Run ``points`` over ``trials``, ``size`` trials per :class:`_Chunk`.
 
     A point whose trial raises runs no further trials; its status is that of
     its first failing trial run alone. A stacked stage raises for all the
-    trials of its chunk and all the points that read it, so a point whose
-    chunk raises runs that chunk's trials again alone, one
-    :func:`run_trial` call per trial, after the chunk's cache has been
-    freed. An infeasible design is final at once: it follows from shapes
-    alone, after every shared stage of the chunk has been built, so the
-    chunk's first trial alone would raise it again.
+    trials of its chunk and all the points under it, so a point whose chunk
+    raises runs that chunk's trials again alone, one :func:`run_trial` call
+    per trial, after the chunk has been freed. An infeasible design is
+    final at once: it follows from shapes alone, after every shared stage
+    of the chunk has been built, so the chunk's first trial alone would
+    raise it again.
     """
     for start in range(trials.start, trials.stop, size):
         chunk = range(start, min(start + size, trials.stop))
-        live = [i for i in order if i not in statuses]
+        live = [i for i in range(len(points)) if i not in statuses]
         if not live:
             return
-        stages, failed = _TrialCache([points[i] for i in live], chunk), []
+        shared, failed = _Chunk([points[i] for i in live], chunk), []
         for i in live:
             try:
                 for trial in chunk:
-                    rates[i, trial] = run_trial(points[i], seed, trial, stages)
+                    rates[i, trial] = run_trial(points[i], seed, trial, shared)
             except Exception as exc:  # per-row capture is part of the sweep contract
                 if _status(exc) == "infeasible":
                     statuses[i] = "infeasible"
                 else:
                     failed.append(i)
-        del stages  # the failed chunk's stages are freed before its trials run again
+        del shared  # the failed chunk is freed before its trials run again
         for i in failed:
             try:
                 for trial in chunk:
@@ -554,30 +544,22 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     scenario, n_users, array sizes, n_slots, sigma_c_deg, layers and
     n_trials); :func:`run_sweep` groups a sweep's points so. They run in
     chunks of trials (:func:`_trial_chunk`, sized by the group's shapes),
-    through one cache per chunk, point by point, sorted so that points
-    with equal stage keys run back to back and CME's points last: each
-    chunk's drops and the stages the points agree on are made once for all
-    of them and all the chunk's trials, stacked, and the cache, made from
-    the chunk's live points, knows each design's live levels, which its
-    rate stage evaluates at once. The order does not change any result,
-    only the heap peak: the drops live until the last method's width-free
-    build, and CME's eigenbasis, the largest width-free work, is then held
-    without them. A failed row has one rule: its status is that of its
-    first failing trial run alone, ``run_trial(point, seed, trial)``. So a
-    point whose chunk raises runs that chunk's trials again alone, after
-    the chunk's cache is freed, up to its first failing trial; an
-    infeasible design, whose failure depends on no trial, fails at once.
-    A point whose trial raises runs no further trials, so its level drops
-    out of its design's later rate stages; the others go on. Its row reads
-    ``infeasible`` for a BD design's :class:`InfeasibleError` (raised in
-    its first chunk by its rate stage, before the design's own null-space
-    SVD, though its outer filter's serving SVD is built first), else
-    ``error:<name>``, also when a shared stage fails before the design.
-    No stage holds an exception, so none outlives its handler with the
-    cache in its frames. The ``ok`` rows' means and standard errors come
-    from one reduction over all of them (:func:`_trial_stats`); a failed
-    row's unwritten trials are never read. The records come back in
-    argument order; ``[record] = run_point(cfg)`` runs one.
+    each chunk's live points through one :func:`_run_chunk`, read once per
+    point and trial by :func:`run_trial`. A failed row has one rule: its
+    status is that of its first failing trial run alone,
+    ``run_trial(point, seed, trial)``. So a point that its chunk fails runs
+    that chunk's trials again alone, after the chunk is freed, up to its
+    first failing trial; an infeasible design, whose failure depends on no
+    trial, fails at once. A point whose trial raises runs no further
+    trials, so its level drops out of its design's later chunks; the others
+    go on. Its row reads ``infeasible`` for a BD design's
+    :class:`InfeasibleError` (raised in its first chunk by its rate stage,
+    before the design's own null-space SVD), else ``error:<name>``, also
+    when a shared stage fails before the design. No chunk holds an
+    exception. The ``ok`` rows' means and standard errors come from one
+    reduction over all of them (:func:`_trial_stats`); a failed row's
+    unwritten trials are never read. The records come back in argument
+    order; ``[record] = run_point(cfg)`` runs one.
     """
     singles = []
     for cfg in points:
@@ -593,13 +575,9 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     [drop_key] = drop_keys
     seed, n_trials = drop_key[0], drop_key[-1]
 
-    keys = [_stage_keys(cfg) for cfg in points]
-    # CME's points last, so its eigenbasis, the largest width-free work, never waits
-    # beside the drop for another method's build.
-    order = sorted(range(len(points)), key=lambda i: (points[i].outer == "cme", keys[i]))
     rates = np.empty((len(points), n_trials))
     statuses: dict[int, str] = {}
-    _run_chunks(points, order, seed, range(n_trials), _trial_chunk(points), rates, statuses)
+    _run_chunks(points, seed, range(n_trials), _trial_chunk(points), rates, statuses)
     ok = [i for i in range(len(points)) if i not in statuses]
     stats = dict(zip(ok, _trial_stats(rates[ok])))
     return [_record(cfg, statuses.get(i, "ok"), *stats.get(i, ())) for i, cfg in enumerate(points)]

@@ -95,20 +95,24 @@ class TestConfigValidation:
     # Each value's outcome in an integer field and in a real one: None accepts it, a str
     # is the ConfigError's message (with the field's name and the value's repr after it).
     TYPED_VALUES = [
-        (5, None, None),
-        (np.int64(5), None, None),
-        (10**400, None, "must be a float or a 64-bit integer, got"),
-        (True, "must be an integer, got", "must be a number, got"),
-        (np.bool_(True), "must be an integer, got", "must be a number, got"),
-        (5.0, "must be an integer, got", None),
-        (np.float32(5.0), "must be an integer, got", None),
-        (np.float64(5.0), "must be an integer, got", None),
-        (Fraction(1, 3), "must be an integer, got", "must be a float or a 64-bit integer, got"),
-        (float("nan"), "must be an integer, got", "must be finite, got"),
-        (float("-inf"), "must be an integer, got", "must be finite, got"),
-        (np.float32("inf"), "must be an integer, got", "must be finite, got"),
-        ("5", "must be an integer, got", "must be a number, got"),
-        (None, "must be an integer, got", "must be a number, got"),
+        pytest.param(5, None, None, id="int"),
+        pytest.param(np.int64(5), None, None, id="np.int64"),
+        pytest.param(10**400, None, "must be a float or a 64-bit integer, got",
+                     id="int-400-digits"),
+        pytest.param(True, "must be an integer, got", "must be a number, got", id="bool"),
+        pytest.param(np.bool_(True), "must be an integer, got", "must be a number, got",
+                     id="np.bool_"),
+        pytest.param(5.0, "must be an integer, got", None, id="float"),
+        pytest.param(np.float32(5.0), "must be an integer, got", None, id="np.float32"),
+        pytest.param(np.float64(5.0), "must be an integer, got", None, id="np.float64"),
+        pytest.param(Fraction(1, 3), "must be an integer, got",
+                     "must be a float or a 64-bit integer, got", id="Fraction"),
+        pytest.param(float("nan"), "must be an integer, got", "must be finite, got", id="nan"),
+        pytest.param(float("-inf"), "must be an integer, got", "must be finite, got", id="-inf"),
+        pytest.param(np.float32("inf"), "must be an integer, got", "must be finite, got",
+                     id="np.float32-inf"),
+        pytest.param("5", "must be an integer, got", "must be a number, got", id="str"),
+        pytest.param(None, "must be an integer, got", "must be a number, got", id="None"),
     ]
 
     @pytest.mark.parametrize("name", ["n_trials", "seed", "n_users", "n_t"])
@@ -120,6 +124,20 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value, _, as_real", TYPED_VALUES)
     def test_real_fields_accept_and_reject_by_type(self, name, value, _, as_real):
         self._check(replace(SMALL, **{name: value}), name, value, as_real)
+
+    def test_every_parametrized_test_id_is_short(self):
+        # pytest builds an ID from each value unless it is named, so an expected message or a
+        # 400-digit int would make IDs hundreds of characters long that renaming a message
+        # would change. Each bracketed ID of the suite stays within 100 characters.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        listing = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+             "tests"],
+            cwd=ROOT, env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        ids = re.findall(r"^tests/\S*?\[(.*)\]$", listing, flags=re.MULTILINE)
+        assert len(ids) > 100
+        assert [i for i in ids if len(i) > 100] == []
 
     @staticmethod
     def _check(cfg, name, value, outcome):
@@ -383,6 +401,25 @@ class TestTrialMemory:
             tracemalloc.stop()
         assert peak <= 1.15 * max(self._heap_peak(point) for point in points)
 
+    def test_a_new_width_frees_the_stages_of_the_last_one(self):
+        # Fair, U = 8, SPS at widths 16 and 32: the 16-wide filters, their
+        # effective channels and serving SVD are freed before the 32-wide
+        # filters are built. Holding them until their names are rebound read
+        # 1.12 times the wide point's lone trial peak; freeing them reads 1.00.
+        cfg = replace(
+            self.CFG, scenario="fair", n_t=64, n_r=64, n_users=8, outer="sps",
+            inner="met_mer", n_trials=2,
+        )
+        points = [replace(cfg, m_t=m, m_r=m) for m in (16, 32)]
+        assert {r.status for r in run_point(*points, seed=1)} == {"ok"}
+        tracemalloc.start()
+        try:
+            run_point(*points, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * max(self._heap_peak(point) for point in points)
+
     def test_one_layer_trial_builds_the_dense_channel_stack(self):
         cfg = replace(self.CFG, outer="none", layers=1, inner="met_mer")
         assert self._heap_peak(cfg) >= self.STACK_BYTES
@@ -511,6 +548,28 @@ class TestDropSharing:
         for record in records:  # all 18 points read trial 1's draw
             assert record.status == "error:floatingpointerror" and record.n_trials == 0
         assert draws == [0, 1] + [0, 1] * 18  # one draw per trial of each cache, up to the failure
+
+    def test_a_failed_channel_is_built_once_per_chunk(self, monkeypatch):
+        # The channel fails for every trial. In the chunk of all three trials it
+        # is built once, at the first outer filter, and fails all 18 points of
+        # the three outer keys; each point run alone then fails at its trial 0.
+        configs = [
+            ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
+            for outer, m in (("cme", 2), ("cme", 4), ("sps", 2))
+            for inner in ("met_mer", "met_mmse")
+        ]
+        trials = []
+
+        def failing_channel(macro, phases, a_t, a_r):
+            trials.append(len(phases))  # the phases are stacked over the chunk's trials
+            raise FloatingPointError("realize_channel failed")
+
+        monkeypatch.setattr(harness, "realize_channel", failing_channel)
+        records = run_sweep(*configs, seed=6)
+        assert len(records) == 18
+        for record in records:
+            assert record.status == "error:floatingpointerror" and record.n_trials == 0
+        assert trials == [3] + [1] * 18
 
     def test_design_failure_marks_only_its_points(self, monkeypatch):
         configs = [
@@ -1140,11 +1199,12 @@ class TestErrorRows:
         assert [r.status for r in records] == ["ok", "error:floatingpointerror"]
         assert failing <= 1.02 * clean
 
-    def test_a_cache_holds_failures_as_statuses_not_exceptions(self, monkeypatch):
+    def test_a_chunk_holds_rates_and_statuses_not_exceptions(self, monkeypatch):
         # The wide CME filter, a stage its six points share, fails; so does
-        # MET-MMSE at 10 dB, which fails its design's stacked levels. Every
-        # entry any cache of the group holds, the chunk's and those of the
-        # points run alone, is a value or a row status, never an exception.
+        # MET-MMSE at 10 dB, which fails its design's stacked levels. What
+        # every chunk of the group holds after its run, the group's and those
+        # of the points run alone, is each point's rates or its row status,
+        # never an exception.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer="cme", inner=inner, **SHARED_DROP)
             for m in (2, 4)
@@ -1152,6 +1212,7 @@ class TestErrorRows:
         ]
         failing_power = snr_to_power(10.0, configs[0].sigma_n2)
         real_cme, real_gamma, real_mmse = harness.cme, harness.normalize_gamma, harness.met_mmse
+        real_chunk = harness._run_chunk
         powers, held = [], []
 
         def cme(work, m_t, m_r):
@@ -1168,18 +1229,13 @@ class TestErrorRows:
                 raise SolverError("received-signal covariance is numerically singular")
             return real_mmse(*args, **kwargs)
 
-        class Recording(dict):
-            def __setitem__(self, stage, entry):
-                held.append(entry)
-                super().__setitem__(stage, entry)
-
-        class RecordingCache(harness._TrialCache):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self._held = Recording()
+        def run_chunk(*args, **kwargs):
+            results = real_chunk(*args, **kwargs)
+            held.append(results)
+            return results
 
         for name, spy in (("cme", cme), ("normalize_gamma", gamma), ("met_mmse", mmse),
-                          ("_TrialCache", RecordingCache)):
+                          ("_run_chunk", run_chunk)):
             monkeypatch.setattr(harness, name, spy)
         records = run_sweep(*configs, seed=6)
         assert [(r.m_t, r.inner, r.snr_db, r.status) for r in records] == [
@@ -1199,9 +1255,12 @@ class TestErrorRows:
                 return leaves(list(value.items()))
             return [value]
 
-        assert {status for _, _, status in held} == {
-            None, "error:floatingpointerror", "error:solvererror"
+        values = [value for results in held for value in results.values()]
+        assert {value for value in values if isinstance(value, str)} == {
+            "error:floatingpointerror", "error:solvererror"
         }
+        rates = [value for value in values if not isinstance(value, str)]
+        assert rates and all(type(rate) is float for value in rates for rate in value)
         assert not any(isinstance(leaf, BaseException) for leaf in leaves(held))
 
 
@@ -1240,7 +1299,7 @@ class TestTrialStatistics:
         points = [replace(SMALL, snr_db=snr, n_trials=7) for snr in (0.0, 10.0, 20.0, 30.0)]
         ran = np.random.default_rng(4).exponential(size=(4, 7))
 
-        def fake_chunks(points, order, seed, trials, size, rates, statuses):
+        def fake_chunks(points, seed, trials, size, rates, statuses):
             rates[:] = ran
             rates[1, 3:] = [np.inf, -np.inf, np.nan, np.inf]
             statuses[1] = "error:solvererror"

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from dsmimo import (
     SCENARIOS,
+    EffectiveChannelSet,
     ExperimentConfig,
     FactoredChannel,
     LinkFilters,
     RankDeficiencyError,
     SolverError,
+    bd_mer,
+    met_bd,
     run_trial,
     run_point,
     snr_to_power,
@@ -327,5 +330,52 @@ def test_rate_is_invariant_under_invertible_combiner_transforms():
         rate = sum_rate(channels, moved, sigma_n2, n_s)
         assert np.shape(rate) == np.shape(sigma_n2)
         np.testing.assert_allclose(rate, base, rtol=1e-9, atol=0.0)
+
+    check()
+
+
+@st.composite
+def _bd_sets(draw, scheme):
+    """A random effective channel set that ``scheme`` can block-diagonalize, and its N_s.
+
+    2 <= U <= 4, N_s <= 2, M_t and M_r <= 8, with U N_s <= M_r (MET-BD) or
+    U N_s <= M_t (BD-MER); with or without a leading axis of 1-3 trials;
+    entries scaled by one factor from 1e-3 to 1e3.
+    """
+    n_users, n_s = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    nulled, other = draw(st.integers(n_users * n_s, 8)), draw(st.integers(n_s, 8))
+    m_r, m_t = (nulled, other) if scheme == "met_bd" else (other, nulled)
+    trials = (draw(st.integers(1, 3)),) if draw(st.booleans()) else ()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    h_eff = scale * _complex(rng, (*trials, n_users, n_users, m_r, m_t))
+    gram = np.broadcast_to(np.eye(m_r, dtype=complex), (*trials, n_users, m_r, m_r))
+    return EffectiveChannelSet(h_eff=h_eff, w_o_gram=gram), n_s
+
+
+@pytest.mark.parametrize("scheme", ["met_bd", "bd_mer"])
+def test_block_diagonalization_leaks_only_rounding(scheme):
+    """||w_u^H h_eff[u, j] f_j|| <= 1e-12 ||w_u|| ||h_eff[u, j]|| ||f_j|| for every j != u.
+
+    MET-BD projects each combiner, BD-MER each precoder, onto the null
+    space of the interference between users (Spencer, Swindlehurst & Haardt,
+    IEEE TSP 2004), so what leaks from user j's precoder into user u's
+    combiner is rounding. Frobenius norms.
+    """
+    design = {"met_bd": met_bd, "bd_mer": bd_mer}[scheme]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn=_bd_sets(scheme))
+    def check(drawn):
+        effset, n_s = drawn
+        filters = design(effset, n_s)
+        w = filters.w_i[..., :, None, :, :]  # [u, j] = w_u
+        f = filters.f_i[..., None, :, :, :]  # [u, j] = f_j
+        leak = np.linalg.norm(w.conj().swapaxes(-1, -2) @ effset.h_eff @ f, axis=(-2, -1))
+        w_norm, h_norm, f_norm = (np.linalg.norm(a, axis=(-2, -1)) for a in (w, effset.h_eff, f))
+        bound = w_norm * h_norm * f_norm
+        others = ~np.eye(effset.n_users, dtype=bool)
+        assert leak.shape == bound.shape
+        assert np.all(leak[..., others] <= 1e-12 * bound[..., others])
 
     check()

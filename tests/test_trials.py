@@ -266,25 +266,25 @@ def test_a_failing_trial_of_a_chunk_fails_only_its_row(monkeypatch):
 def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
     # MET-MMSE fails on every stack of several trials and on no trial alone:
     # both points run the chunk's trials again alone, each trial through its
-    # own one-trial cache, and read as in a clean run. The failed chunk's
-    # cache, with the drops' channels, filters and serving SVD it holds, is
+    # own one-trial chunk, and read as in a clean run. The failed chunk is
     # gone before the first of them, without the cyclic GC.
     points = [
         ExperimentConfig(**{**CHUNKED, "n_trials": 5}, inner="met_mmse", snr_db=snr)
         for snr in (0.0, 10.0)
     ]
     clean = run_point(*points, seed=4)
-    real_cache, real_trial, real_mmse = harness._TrialCache, harness.run_trial, harness.met_mmse
-    caches, chunk_alive_at_rerun = [], []
+    real_chunk, real_trial, real_mmse = harness._run_chunk, harness.run_trial, harness.met_mmse
+    runs, chunks, chunk_alive_at_rerun = [], [], []
 
-    def cache(cache_points, trials):
-        made = real_cache(cache_points, trials)
-        caches.append((trials, weakref.ref(made)))
-        return made
+    def run_chunk(chunk_points, seed, trials, *args, **kwargs):
+        runs.append(trials)
+        return real_chunk(chunk_points, seed, trials, *args, **kwargs)
 
     def run_trial(cfg, seed, trial, shared=None):
         if shared is None:
-            chunk_alive_at_rerun.append(caches[0][1]() is not None)
+            chunk_alive_at_rerun.append(chunks[0]() is not None)
+        elif not chunks:
+            chunks.append(weakref.ref(shared))
         return real_trial(cfg, seed, trial, shared)
 
     def mmse(effset, gammas, *args, **kwargs):
@@ -292,7 +292,7 @@ def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
             raise SolverError("received-signal covariance is numerically singular")
         return real_mmse(effset, gammas, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_TrialCache", cache)
+    monkeypatch.setattr(harness, "_run_chunk", run_chunk)
     monkeypatch.setattr(harness, "run_trial", run_trial)
     monkeypatch.setattr(harness, "met_mmse", mmse)
     gc.disable()
@@ -301,7 +301,5 @@ def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
     finally:
         gc.enable()
     assert records == clean
-    assert [trials for trials, _ in caches] == (
-        [range(0, 5)] + [range(t, t + 1) for t in range(5)] * 2
-    )
+    assert runs == [range(0, 5)] + [range(t, t + 1) for t in range(5)] * 2
     assert len(chunk_alive_at_rerun) == 10 and not any(chunk_alive_at_rerun)
