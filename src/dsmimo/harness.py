@@ -9,6 +9,9 @@ loops that follow the transceiver's layers: the drops, each outer
 method's width-free work, each outer filter with its effective channels,
 each inner design with its SNR levels. Each stage is built once for the
 points under it and all the chunk's trials, stacked on a leading axis.
+A chunk gives all its points' rates or raises; then each of its points
+runs the chunk's trials alone (:func:`run_trial`). BD feasibility follows
+from shapes, so an infeasible point is marked before any chunk.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -36,8 +39,8 @@ from .channel import (
     realize_channel,
 )
 from .inner import (
-    InfeasibleError, bd_mer, composite_precoder, effective_channels, met_bd, met_mer, met_mmse,
-    normalize_gamma, truncated_svd,
+    InfeasibleError, bd_mer, check_feasible, composite_precoder, effective_channels, met_bd,
+    met_mer, met_mmse, normalize_gamma, truncated_svd,
 )
 from .metrics import LinkFilters, receive_side, snr_to_power, sum_rate
 from .outer import cme, cme_basis, path_columns, path_outer_filters
@@ -285,10 +288,6 @@ def _trial_chunk(points: Sequence[ExperimentConfig]) -> int:
     return max(1, _TRIAL_CHUNK_ENTRIES // entries)
 
 
-class _FailedStage(Exception):
-    """A read of a point whose chunk failed it; ``args[0]`` is its status."""
-
-
 def _stack_drops(drops: Sequence[MacroState]) -> MacroState:
     """Drops of equal shape stacked on a leading axis."""
     names = [f.name for f in fields(MacroState)]
@@ -312,23 +311,20 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int, shared: _Chunk | Non
     one point and one trial, and raises the exception of its first stage
     that fails. With ``shared``, the chunk that :func:`run_point` hands to
     each of its points and trials, the first read runs the whole chunk,
-    and every read returns the trial's rate or raises ``_FailedStage``
-    with its point's status.
+    which either gives every point's rates or raises, and every later read
+    returns the trial's rate.
     """
     if shared is None:
-        return _run_chunk([cfg], seed, range(trial, trial + 1), strict=True)[cfg][0]
+        return _run_chunk([cfg], seed, range(trial, trial + 1))[cfg][0]
     if shared.results is None:
         shared.results = _run_chunk(shared.points, seed, shared.trials)
-    held = shared.results[cfg]
-    if isinstance(held, str):
-        raise _FailedStage(held)
-    return held[shared.trials.index(trial)]
+    return shared.results[cfg][shared.trials.index(trial)]
 
 
 def _run_chunk(
-    points: Sequence[ExperimentConfig], seed: int, trials: range, strict: bool = False
-) -> dict[ExperimentConfig, list[float] | str]:
-    """Each point's rates over ``trials``, or its row status, from one pass over the stages.
+    points: Sequence[ExperimentConfig], seed: int, trials: range
+) -> dict[ExperimentConfig, list[float]]:
+    """Each point's rates over ``trials``, from one pass over the stages.
 
     The stages follow the transceiver's layers, in nested loops; each is
     built once for the points under it and for all ``trials``, stacked on a
@@ -356,24 +352,11 @@ def _run_chunk(
     reader: the drops once the channel and the last width-free work exist,
     a method's width-free work after its last filter. CME goes last because
     its eigenbasis, the largest width-free work, then never waits beside
-    the drops. A stage that raises fails the points under it with its
-    status (:func:`_status`), a failed drop or channel every point;
-    ``strict`` raises its exception instead.
+    the drops. The first stage that raises ends the chunk with its
+    exception, which no stage catches.
     """
     cfg = points[0]  # the points agree on their draws
     results: dict = {}
-    failed = object()
-
-    def attempt(under, build, *args):
-        """``build(*args)``, or ``failed`` once every point ``under`` it has its status."""
-        try:
-            return build(*args)
-        except Exception as exc:  # per-row capture is part of the sweep contract
-            if strict:
-                raise
-            for point in under:
-                results.setdefault(point, _status(exc))
-            return failed
 
     def substreams(purpose):  # each trial's own generator for one purpose
         code = _SCENARIO_CODE[cfg.scenario]
@@ -449,53 +432,41 @@ def _run_chunk(
     def runs(group, key):  # the group's runs of equal key
         return [list(run) for _, run in groupby(group, key)]
 
-    drop, channels = attempt(points, draw), None
-    if drop is failed:
-        return results
+    drop, channels = draw(), None
     ordered = sorted(points, key=lambda p: (p.outer == "cme", _stage_keys(p)))
     methods = runs(ordered, lambda p: p.outer)
     for method_points in methods:
         outers = stage = None  # the last method's stages die before this one's work
         last_method, method = method_points is methods[-1], method_points[0].outer
         widest = max(p.m_t for p in method_points), max(p.m_r for p in method_points)
-        work = None if cfg.layers == 1 else attempt(method_points, width_free, method, *widest)
+        work = None if cfg.layers == 1 else width_free(method, *widest)
         if last_method and channels is not None:
             drop = None
-        if work is failed:
-            continue
         keys = runs(method_points, lambda p: _stage_keys(p)[0])
         for key_points in keys:
             outers = stage = None  # the last key's stages die before this key's filters
             outer_key = _stage_keys(key_points[0])[0]
             if outer_key is not None:
-                outers = attempt(key_points, outer_filters, work, *outer_key)
+                outers = outer_filters(work, *outer_key)
             if key_points is keys[-1]:
                 work = None  # so that a lone CME width's eigenbasis dies before the channel
-            if outers is failed:
-                continue
             if channels is None:
-                channels = attempt(points, channel)
-                if channels is failed:
-                    return results
+                channels = channel()
                 if last_method:
                     drop = None
-            stage = attempt(key_points, effective, outers, max(p.n_s for p in key_points))
-            if stage is failed:
-                continue
+            stage = effective(outers, max(p.n_s for p in key_points))
             for design in runs(key_points, lambda p: _stage_keys(p)[1]):
-                by_level = attempt(design, rates, design, outers, *stage)
-                if by_level is not failed:
-                    results.update((p, by_level[_level(p)]) for p in design)
+                by_level = rates(design, outers, *stage)
+                results.update((p, by_level[_level(p)]) for p in design)
     return results
 
 
 def _status(exc: Exception) -> str:
-    """A failed row's status: ``infeasible`` for a BD design's InfeasibleError, else the error.
+    """A failed row's status: ``infeasible`` for :class:`InfeasibleError`, else the error's name.
 
-    A read of a failed point has its status.
+    :func:`run_point` reads it from the feasibility check and from a point's first failing
+    lone trial.
     """
-    if isinstance(exc, _FailedStage):
-        return exc.args[0]
     if isinstance(exc, InfeasibleError):
         return "infeasible"
     return f"error:{type(exc).__name__.lower()}"
@@ -505,35 +476,31 @@ def _run_chunks(points, seed, trials: range, size: int, rates, statuses) -> None
     """Run ``points`` over ``trials``, ``size`` trials per :class:`_Chunk`.
 
     A point whose trial raises runs no further trials; its status is that of
-    its first failing trial run alone. A stacked stage raises for all the
-    trials of its chunk and all the points under it, so a point whose chunk
-    raises runs that chunk's trials again alone, one :func:`run_trial` call
-    per trial, after the chunk has been freed. An infeasible design is
-    final at once: it follows from shapes alone, after every shared stage
-    of the chunk has been built, so the chunk's first trial alone would
-    raise it again.
+    its first failing trial run alone. A chunk gives every live point's
+    rates, or raises: a stacked stage raises for all the trials of its
+    chunk and all the points under it. So when a chunk raises, each of its
+    points runs the chunk's trials again alone, one :func:`run_trial` call
+    per trial, once the exception and the chunk have been freed.
     """
     for start in range(trials.start, trials.stop, size):
         chunk = range(start, min(start + size, trials.stop))
         live = [i for i in range(len(points)) if i not in statuses]
         if not live:
             return
-        shared, failed = _Chunk([points[i] for i in live], chunk), []
+        shared = _Chunk([points[i] for i in live], chunk)
+        try:
+            for i in live:
+                for trial in chunk:
+                    rates[i, trial] = run_trial(points[i], seed, trial, shared)
+            continue
+        except Exception:  # the reruns start once this block has freed its traceback's stages
+            pass
+        del shared
         for i in live:
             try:
                 for trial in chunk:
-                    rates[i, trial] = run_trial(points[i], seed, trial, shared)
-            except Exception as exc:  # per-row capture is part of the sweep contract
-                if _status(exc) == "infeasible":
-                    statuses[i] = "infeasible"
-                else:
-                    failed.append(i)
-        del shared  # the failed chunk is freed before its trials run again
-        for i in failed:
-            try:
-                for trial in chunk:
                     rates[i, trial] = run_trial(points[i], seed, trial)
-            except Exception as exc:
+            except Exception as exc:  # per-row capture is part of the sweep contract
                 statuses[i] = _status(exc)
 
 
@@ -545,21 +512,21 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
     n_trials); :func:`run_sweep` groups a sweep's points so. They run in
     chunks of trials (:func:`_trial_chunk`, sized by the group's shapes),
     each chunk's live points through one :func:`_run_chunk`, read once per
-    point and trial by :func:`run_trial`. A failed row has one rule: its
-    status is that of its first failing trial run alone,
-    ``run_trial(point, seed, trial)``. So a point that its chunk fails runs
-    that chunk's trials again alone, after the chunk is freed, up to its
-    first failing trial; an infeasible design, whose failure depends on no
-    trial, fails at once. A point whose trial raises runs no further
-    trials, so its level drops out of its design's later chunks; the others
-    go on. Its row reads ``infeasible`` for a BD design's
-    :class:`InfeasibleError` (raised in its first chunk by its rate stage,
-    before the design's own null-space SVD), else ``error:<name>``, also
-    when a shared stage fails before the design. No chunk holds an
-    exception. The ``ok`` rows' means and standard errors come from one
-    reduction over all of them (:func:`_trial_stats`); a failed row's
-    unwritten trials are never read. The records come back in argument
-    order; ``[record] = run_point(cfg)`` runs one.
+    point and trial by :func:`run_trial`. A MET-BD or BD-MER point that
+    cannot serve U * N_s streams (:func:`~dsmimo.inner.check_feasible`)
+    reads ``infeasible`` before any chunk, whatever its trials would do,
+    and builds nothing. Any other failed row has one rule: its status is
+    ``error:<name>`` of its first failing trial run alone,
+    ``run_trial(point, seed, trial)``. A chunk either gives every point's
+    rates or raises, so when it raises, each of its points runs that
+    chunk's trials again alone, after the chunk is freed, up to its first
+    failing trial. A point whose trial raises runs no further trials, so
+    its level drops out of its design's later chunks; the others go on.
+    No chunk holds an exception or a status. The ``ok`` rows' means and
+    standard errors come from one reduction over all of them
+    (:func:`_trial_stats`); a failed row's unwritten trials are never read.
+    The records come back in argument order; ``[record] = run_point(cfg)``
+    runs one.
     """
     singles = []
     for cfg in points:
@@ -577,6 +544,11 @@ def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRe
 
     rates = np.empty((len(points), n_trials))
     statuses: dict[int, str] = {}
+    for i, cfg in enumerate(points):
+        try:
+            check_feasible(cfg.inner, cfg.n_users, cfg.n_s, *cfg.effective_dims())
+        except InfeasibleError as exc:
+            statuses[i] = _status(exc)
     _run_chunks(points, seed, range(n_trials), _trial_chunk(points), rates, statuses)
     ok = [i for i in range(len(points)) if i not in statuses]
     stats = dict(zip(ok, _trial_stats(rates[ok])))

@@ -156,6 +156,20 @@ def _other_users(blocks: np.ndarray) -> np.ndarray:
     return others.reshape(*lead, n_users, (n_users - 1) * a, b)
 
 
+def check_feasible(inner: str, n_users: int, n_s: int, m_t: int, m_r: int) -> None:
+    """Raise :class:`InfeasibleError` if ``inner`` cannot serve U * n_s streams in M_t x M_r.
+
+    Block diagonalization nulls the other users' (U - 1) n_s streams on one
+    side, which leaves a user its own n_s only if U * n_s fits that side:
+    M_r for MET-BD's combiners, M_t for BD-MER's precoders. It depends on
+    shapes alone; MET-MER and MET-MMSE serve any U * n_s.
+    """
+    if inner == "met_bd" and n_users * n_s > m_r:
+        raise InfeasibleError(f"BD reception needs U*N_s <= M_r, got {n_users}*{n_s} > {m_r}")
+    if inner == "bd_mer" and n_users * n_s > m_t:
+        raise InfeasibleError(f"BD transmission needs U*N_s <= M_t, got {n_users}*{n_s} > {m_t}")
+
+
 def met_mer(serving: np.ndarray | TruncatedSvd, n_s: int) -> InnerFilters:
     """Maximum eigenmode transmission and reception on serving channels (..., M_r, M_t).
 
@@ -174,16 +188,12 @@ def met_bd(effset: EffectiveChannelSet, n_s: int, svd: TruncatedSvd | None = Non
     Each combiner is the MER filter projected onto the null space of the
     stacked cross-user effective channels (all built from the other users'
     MET precoders), which zeroes multi-user interference when
-    U * n_s <= M_r. ``svd``, the serving channels' SVD of at least n_s
-    triplets, is read instead of decomposing them again. A set with a
-    leading trial axis gives filters (T, U, ...), each trial's ``==`` to its own.
+    U * n_s <= M_r (else :func:`check_feasible` raises). ``svd``, the
+    serving channels' SVD of at least n_s triplets, is read instead of
+    decomposing them again. A set with a leading trial axis gives filters
+    (T, U, ...), each trial's ``==`` to its own.
     """
-    n_users = effset.n_users
-    m_r = effset.h_eff.shape[-2]
-    if n_users * n_s > m_r:
-        raise InfeasibleError(
-            f"BD reception needs U*N_s <= M_r, got {n_users}*{n_s} > {m_r}"
-        )
+    check_feasible("met_bd", effset.n_users, n_s, *effset.h_eff.shape[:-3:-1])  # M_t, M_r
     svd = truncated_svd(effset.serving, n_s) if svd is None else svd.leading(n_s)
     steered = effset.h_eff @ svd.v_s[..., None, :, :, :]  # [u, j] = h_eff[u, j] @ v_j
     interference = _other_users(steered.swapaxes(-1, -2)).swapaxes(-1, -2)  # side by side
@@ -195,15 +205,11 @@ def bd_mer(effset: EffectiveChannelSet, n_s: int, svd: TruncatedSvd | None = Non
 
     The transmit-side dual of :func:`met_bd`: each MET precoder is projected
     onto the null space of the interference its user would cause at the
-    other users' MER combiners. Requires U * n_s <= M_t. ``svd`` and a
-    trial axis are read as in :func:`met_bd`.
+    other users' MER combiners. Requires U * n_s <= M_t
+    (:func:`check_feasible`). ``svd`` and a trial axis are read as in
+    :func:`met_bd`.
     """
-    n_users = effset.n_users
-    m_t = effset.h_eff.shape[-1]
-    if n_users * n_s > m_t:
-        raise InfeasibleError(
-            f"BD transmission needs U*N_s <= M_t, got {n_users}*{n_s} > {m_t}"
-        )
+    check_feasible("bd_mer", effset.n_users, n_s, *effset.h_eff.shape[:-3:-1])  # M_t, M_r
     svd = truncated_svd(effset.serving, n_s) if svd is None else svd.leading(n_s)
     received = _hermitian(svd.u_s)[..., :, None, :, :] @ effset.h_eff  # [j, u] = u_j^H h_eff[j, u]
     interference = _other_users(received.swapaxes(-4, -3))  # [u] = received[j != u, u] stacked
@@ -269,10 +275,7 @@ def met_mmse(
         if not np.all(eigvals[..., 0] * _MMSE_MAX_CONDITION > eigvals[..., -1]):
             raise SolverError("received-signal covariance is numerically singular")
     users = np.arange(n_users)
-    # As many axes as R_yy, so that numpy 1, which reads one axis fewer as a
-    # stack of vectors, solves for the same matrices as numpy 2.
     serving = steered[..., users, users, :, :]
-    serving = np.broadcast_to(serving, r_yy.shape[:-1] + serving.shape[-1:])
     w_i = (gammas / n_s)[..., None, None] * np.linalg.solve(r_yy, serving)
     return InnerFilters(f_i=f_i, w_i=w_i)
 

@@ -18,6 +18,7 @@ import pytest
 
 from dsmimo import (
     ConfigError,
+    EffectiveChannelSet,
     ExperimentConfig,
     InfeasibleError,
     PRESETS,
@@ -849,36 +850,27 @@ class TestDropSharing:
     @pytest.mark.parametrize("name, method", [("path_columns", "sps"), ("cme_basis", "cme")])
     def test_a_width_free_failure_marks_only_its_methods_points(self, monkeypatch, name, method):
         # The method's width-free build fails wherever it covers trial 1:
-        # for the chunk of all three trials, then for trial 1 of each of its
-        # 12 points run alone, after that point's trial 0. Its rows become
-        # error rows with no trial, every other row reads as in a clean
-        # run, and the failed build still spends its read of the drops. So
-        # each cache draws each of its trials once, and in the chunk's cache
-        # the drops are gone by the time CME's filters, which run last, are
-        # built.
+        # for the chunk of all three trials, which then fails all 36 points,
+        # and for trial 1 of each of the method's 12 points run alone, after
+        # that point's trial 0. Its rows become error rows with no trial;
+        # every other point runs its three trials alone and reads as in a
+        # clean run. Each chunk draws each of its trials once. In the clean
+        # chunk the drops are gone by the time CME's filters, which run
+        # last, are built, and the failed chunk's drops are gone before any
+        # point runs alone.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer=outer, inner=inner, **SHARED_DROP)
             for outer in ("cme", "pps", "sps")
             for m in (2, 4)
             for inner in ("met_mer", "met_bd")
         ]
-        clean = run_sweep(*configs, seed=6)
-        assert {r.status for r in clean} == {"ok"}
-        real_build, builds = getattr(harness, name), []
         chunk = self._tracking_chunks(monkeypatch)
-
-        def build_failing_at_trial_1(*args):
-            if name == "cme_basis" or args[-1] == method:
-                builds.append(chunk[0])
-                if 1 in chunk[0]:
-                    raise FloatingPointError(f"{name} failed")
-            return real_build(*args)
-
-        monkeypatch.setattr(harness, name, build_failing_at_trial_1)
-        drops, drop_alive_at_cme = [], []
+        drops, drop_alive_at_cme, drop_alive_alone = [], [], []
         real_csi, real_cme = harness.extract_partial_csi, harness.cme
 
-        def csi(macro, *args):  # the drops of a cache, stacked
+        def csi(macro, *args):  # the drops of a chunk, stacked
+            if drops and chunk[0] != range(0, 3):
+                drop_alive_alone.append(drops[0][1]() is not None)
             drops.append((chunk[0], weakref.ref(macro)))
             return real_csi(macro, *args)
 
@@ -890,19 +882,38 @@ class TestDropSharing:
 
         monkeypatch.setattr(harness, "extract_partial_csi", csi)
         monkeypatch.setattr(harness, "cme", cme)
-        records = run_sweep(*configs, seed=6)
+        clean = run_sweep(*configs, seed=6)
+        assert {r.status for r in clean} == {"ok"}
+        assert len(drop_alive_at_cme) == 2 and not any(drop_alive_at_cme)
+        drops.clear()
+        real_build, builds = getattr(harness, name), []
+
+        def build_failing_at_trial_1(*args):
+            if name == "cme_basis" or args[-1] == method:
+                builds.append(chunk[0])
+                if 1 in chunk[0]:
+                    raise FloatingPointError(f"{name} failed")
+            return real_build(*args)
+
+        monkeypatch.setattr(harness, name, build_failing_at_trial_1)
+        gc.disable()
+        try:
+            records = run_sweep(*configs, seed=6)
+        finally:
+            gc.enable()
         for got, want in zip(records, clean):
             if got.outer == method:
                 assert got.status == "error:floatingpointerror" and got.n_trials == 0
             else:
                 assert got == want
-        # one build per cache, the chunk's and then each trial's of each point alone, and none
-        # after the failure
-        reruns = [range(0, 1), range(1, 2)] * 12
-        assert builds == [range(0, 3)] + reruns
-        assert [trials for trials, _ in drops] == [range(0, 3)] + reruns
-        assert not any(drop_alive_at_cme)
-        assert drop_alive_at_cme or method == "cme"  # CME's own filters fail in the chunk
+        # one build per chunk, the group's and then each trial's of each of the method's points
+        # alone, and none after the failure
+        assert builds == [range(0, 3)] + [range(0, 1), range(1, 2)] * 12
+        alone = [
+            range(t, t + 1) for record in records for t in range(2 if record.outer == method else 3)
+        ]
+        assert [trials for trials, _ in drops] == [range(0, 3)] + alone
+        assert len(drop_alive_alone) == len(alone) and not any(drop_alive_alone)
 
     def test_a_short_selection_order_fails_only_the_wider_widths(self, monkeypatch):
         # Zero angle spread repeats each cluster's steering vector: the
@@ -923,13 +934,13 @@ class TestDropSharing:
 
         def path_columns(*args):
             columns = real_columns(*args)
-            lengths.extend(side.shape[-1] for side in columns)
+            lengths.append([side.shape[-1] for side in columns])
             return columns
 
         monkeypatch.setattr(harness, "path_columns", path_columns)
         records = run_sweep(*configs, seed=2)
         assert records == alone
-        shortest = min(lengths)
+        shortest = min(lengths[0])  # the group's own order; its points alone take narrower ones
         for record in records:
             if record.outer == "sps" and record.m_t > shortest:
                 assert record.status == "error:rankdeficiencyerror" and record.n_trials == 0
@@ -1054,9 +1065,9 @@ class TestFeasibilityHandling:
         assert record.mean_rate is None and record.n_trials == 0
 
     def test_congestion_sweep_marks_only_oversubscribed_rows(self, monkeypatch):
-        # Feasibility is the BD designs' own rule: each infeasible design
-        # runs once, in its chunk of both trials, and raises before its
-        # null-space SVD; its shapes alone decide it, so no trial runs again.
+        # Feasibility follows from shapes alone and is decided before any
+        # stage: an infeasible design is never called, and each feasible one
+        # runs once, in its chunk of both trials.
         configs = [
             replace(SMALL, inner=inner, m_t=4, m_r=4, n_users=[2, 4, 5, 8], n_trials=2)
             for inner in ("met_mer", "met_bd", "bd_mer")
@@ -1072,11 +1083,7 @@ class TestFeasibilityHandling:
 
             def design(effset, n_s, svd=None):
                 designs.setdefault((name, effset.n_users), []).append(trials[-1])
-                try:
-                    return real_design(effset, n_s, svd)
-                except InfeasibleError:
-                    designs[name, effset.n_users].append("infeasible")
-                    raise
+                return real_design(effset, n_s, svd)
 
             monkeypatch.setattr(harness, name, design)
 
@@ -1090,17 +1097,67 @@ class TestFeasibilityHandling:
             infeasible = record.n_users * record.n_streams > 4
             assert (record.status == "infeasible") == infeasible
             assert record.n_trials == (0 if infeasible else 2)
-            calls = designs[record.inner, record.n_users]
-            both = range(0, 2)
-            assert calls == ([both, "infeasible"] if infeasible else [both])
+            calls = designs.get((record.inner, record.n_users))
+            assert calls == (None if infeasible else [range(0, 2)])
 
-    def test_a_shared_stage_failing_first_decides_an_infeasible_row(self, monkeypatch):
+    def test_an_infeasible_row_is_decided_before_any_stage(self, monkeypatch):
+        # The drop fails for every point that draws it, but an infeasible
+        # point reads infeasible: it never reaches a chunk.
         def failing_draw(*args, **kwargs):
             raise FloatingPointError("drop failed")
 
         monkeypatch.setattr(harness, "draw_macroscopic", failing_draw)
-        [record] = run_point(replace(SMALL, inner="met_bd", n_users=4), seed=0)  # 4 > m_r = 2
-        assert record.status == "error:floatingpointerror" and record.n_trials == 0
+        infeasible = replace(SMALL, inner="met_bd", n_users=4)  # 4 > m_r = 2
+        records = run_point(infeasible, replace(infeasible, inner="met_mer"), seed=0)
+        assert [r.status for r in records] == ["infeasible", "error:floatingpointerror"]
+        assert all(r.n_trials == 0 and r.mean_rate is None for r in records)
+
+    def test_an_infeasible_group_builds_no_stage(self, monkeypatch):
+        # One drop group, every point of it infeasible (5 * 1 and 5 * 2 streams > M = 4).
+        configs = [
+            replace(SMALL, inner=inner, m_t=4, m_r=4, n_s=n_s, n_users=5, snr_db=[0.0, 20.0])
+            for inner, n_s in (("met_bd", 1), ("bd_mer", 2))
+        ]
+        calls = []
+
+        def draw(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("an infeasible point drew its drop")
+
+        monkeypatch.setattr(harness, "draw_macroscopic", draw)
+        records = run_sweep(*configs, seed=0)
+        assert len(records) == 4
+        assert all(r.status == "infeasible" and r.n_trials == 0 for r in records)
+        assert calls == []
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("inner", ["met_bd", "bd_mer"])
+    def test_the_boundary_is_one_rule_for_the_harness_and_the_designs(self, inner, layers):
+        # MET-BD serves U * N_s <= M_r and BD-MER U * N_s <= M_t. The other
+        # side is narrower than U * N_s, so only the design's own side
+        # decides: U = M reads ok and U = M + 1 infeasible, in a row and
+        # when the design is called on effective channels of that shape.
+        design = harness.met_bd if inner == "met_bd" else harness.bd_mer
+        wide, narrow = 3, 2
+        m_t, m_r = (narrow, wide) if inner == "met_bd" else (wide, narrow)
+        if layers == 1:
+            dims = dict(layers=1, outer="none", n_t=m_t, n_r=m_r)
+        else:
+            dims = dict(m_t=m_t, m_r=m_r)
+        rng = np.random.default_rng(5)
+        for n_users, status in ((wide, "ok"), (wide + 1, "infeasible")):
+            [record] = run_point(replace(SMALL, **dims, inner=inner, n_users=n_users), seed=0)
+            assert record.status == status
+            shape = (n_users, n_users, m_r, m_t)
+            effset = EffectiveChannelSet(
+                h_eff=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                w_o_gram=np.broadcast_to(np.eye(m_r), (n_users, m_r, m_r)),
+            )
+            if status == "ok":
+                assert design(effset, 1).f_i.shape == (n_users, m_t, 1)
+            else:
+                with pytest.raises(InfeasibleError):
+                    design(effset, 1)
 
     def test_single_layer_uses_array_dimensions_for_feasibility(self):
         cfg = replace(SMALL, layers=1, outer="none", inner="met_bd", n_users=8, n_trials=1)
@@ -1199,12 +1256,12 @@ class TestErrorRows:
         assert [r.status for r in records] == ["ok", "error:floatingpointerror"]
         assert failing <= 1.02 * clean
 
-    def test_a_chunk_holds_rates_and_statuses_not_exceptions(self, monkeypatch):
+    def test_a_chunk_holds_rates_not_exceptions(self, monkeypatch):
         # The wide CME filter, a stage its six points share, fails; so does
-        # MET-MMSE at 10 dB, which fails its design's stacked levels. What
-        # every chunk of the group holds after its run, the group's and those
-        # of the points run alone, is each point's rates or its row status,
-        # never an exception.
+        # MET-MMSE at 10 dB, which fails its design's stacked levels. A chunk
+        # that fails raises and holds nothing; every other chunk, here those
+        # of the points run alone, holds each of its points' rates, never a
+        # status or an exception.
         configs = [
             ExperimentConfig(m_t=m, m_r=m, outer="cme", inner=inner, **SHARED_DROP)
             for m in (2, 4)
@@ -1256,11 +1313,7 @@ class TestErrorRows:
             return [value]
 
         values = [value for results in held for value in results.values()]
-        assert {value for value in values if isinstance(value, str)} == {
-            "error:floatingpointerror", "error:solvererror"
-        }
-        rates = [value for value in values if not isinstance(value, str)]
-        assert rates and all(type(rate) is float for value in rates for rate in value)
+        assert values and all(type(rate) is float for value in values for rate in value)
         assert not any(isinstance(leaf, BaseException) for leaf in leaves(held))
 
 

@@ -147,10 +147,10 @@ def test_level_stacks_check_their_user_count(n_filters, n_channels):
 
 
 @pytest.mark.parametrize("levels", [None, 1, 3])
-def test_mmse_solves_stacks_of_matrices_on_every_numpy(monkeypatch, levels):
-    # numpy 1 reads a right-hand side with one axis fewer than its matrices
-    # as a stack of vectors; numpy 2 reads it as matrices broadcast over the
-    # leading axes. A right-hand side with the matrices' axes is matrices to both.
+def test_mmse_solves_every_level_in_one_stack(monkeypatch, levels):
+    # One solve takes the covariances of every level, (S, U, M_r, M_r), and
+    # the serving columns once, (U, M_r, N_s), which numpy 2 broadcasts as
+    # matrices over the levels.
     _, _, effset, inners, _, norm = _trial(4, 2, 2, "factored")
     gammas, noises = _levels(norm, 4)
     if levels is None:
@@ -166,4 +166,5 @@ def test_mmse_solves_stacks_of_matrices_on_every_numpy(monkeypatch, levels):
     monkeypatch.setattr(np.linalg, "solve", solve)
     w_i = met_mmse(effset, gammas, noises, 2, f_i=inners.f_i).w_i
     [(a, b)] = shapes
-    assert b == a[:-1] + (2,) and w_i.shape == b
+    assert a[:-3] == (() if levels is None else (levels,))
+    assert b == a[-3:-1] + (2,) and w_i.shape == a[:-1] + (2,)

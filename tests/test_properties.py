@@ -1,5 +1,6 @@
 """Property tests over small random configurations."""
 
+import contextlib
 import csv
 import io
 from dataclasses import replace
@@ -196,8 +197,14 @@ def _drop_groups(draw):
 def _record_of_lone_trials(point):
     """A point's record from one-trial ``run_trial`` calls, up to its first failing trial.
 
-    Its mean and standard error are the row's own ``mean()`` and ``std(ddof=1) / sqrt(n)``.
+    A BD design that cannot serve U * N_s streams on its side (M_r for
+    MET-BD, M_t for BD-MER) reads ``infeasible`` from its shapes alone,
+    before any trial. Otherwise the mean and standard error are the row's
+    own ``mean()`` and ``std(ddof=1) / sqrt(n)``.
     """
+    m_t, m_r = point.effective_dims()
+    if point.n_users * point.n_s > {"met_bd": m_r, "bd_mer": m_t}.get(point.inner, np.inf):
+        return harness._record(point, "infeasible")
     rates = []
     for trial in range(point.n_trials):
         try:
@@ -209,6 +216,42 @@ def _record_of_lone_trials(point):
     return harness._record(point, "ok", float(rates.mean()), stderr)
 
 
+class _Fault(ArithmeticError):
+    """The failure a drawn fault raises."""
+
+
+@st.composite
+def _faults(draw, group):
+    """No fault, or a stage that raises wherever it reads one drawn value of the group's content.
+
+    ``snr_to_power`` raises at one of the group's SNRs, ``effective_channels``
+    at one of its precoder widths (the array's at one layer), so the points
+    that read that value fail at every trial, in the group and alone alike.
+    Returns the name of the patched function and its replacement, or None.
+    """
+    name = draw(st.sampled_from([None, "snr_to_power", "effective_channels"]))
+    if name == "snr_to_power":
+        snr, real_power = draw(st.sampled_from(sorted({p.snr_db for p in group}))), snr_to_power
+
+        def power(snr_db, sigma_n2):
+            if snr_db == snr:
+                raise _Fault(f"no power at {snr} dB")
+            return real_power(snr_db, sigma_n2)
+
+        return name, power
+    if name == "effective_channels":
+        width = draw(st.sampled_from(sorted({p.effective_dims()[0] for p in group})))
+        real_effective = harness.effective_channels
+
+        def effective(channels, outers):
+            if (np.shape(channels) if outers is None else outers.f_o.shape)[-1] == width:
+                raise _Fault(f"no effective channels at M_t = {width}")
+            return real_effective(channels, outers)
+
+        return name, effective
+    return None
+
+
 def test_a_group_writes_the_records_of_its_points_run_alone():
     """run_point(*group) shares each chunk's stages; every row equals its point's lone trials.
 
@@ -216,17 +259,25 @@ def test_a_group_writes_the_records_of_its_points_run_alone():
     all of a design's 1-4 levels in one chunk of levels, so both chunk sizes
     are drawn instead (1-3 trials, 1-2 levels): most groups then run in
     several chunks of trials, the last one often partial, and designs with
-    several levels evaluate them in several chunks.
+    several levels evaluate them in several chunks. A fault keyed on content
+    (:func:`_faults`) fails a chunk for all its points; the points it does
+    not touch must still read as alone, and those it does as their first
+    failing lone trial.
     """
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(group=_drop_groups(), size=st.integers(1, 3), levels=st.integers(1, 2))
-    def check(group, size, levels):
-        with mock.patch.object(harness, "_trial_chunk", lambda points: size), \
-                mock.patch.object(harness, "_chunk_size", lambda cfg: levels):
-            grouped = run_point(*group)
-            assert grouped == [run_point(point)[0] for point in group]
-        assert grouped == [_record_of_lone_trials(point) for point in group]
+    @given(group=_drop_groups(), size=st.integers(1, 3), levels=st.integers(1, 2),
+           data=st.data())
+    def check(group, size, levels, data):
+        fault = data.draw(_faults(group), label="fault")
+        with contextlib.ExitStack() as patches:
+            if fault is not None:
+                patches.enter_context(mock.patch.object(harness, *fault))
+            with mock.patch.object(harness, "_trial_chunk", lambda points: size), \
+                    mock.patch.object(harness, "_chunk_size", lambda cfg: levels):
+                grouped = run_point(*group)
+                assert grouped == [run_point(point)[0] for point in group]
+            assert grouped == [_record_of_lone_trials(point) for point in group]
 
     check()
 
