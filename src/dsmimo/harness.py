@@ -9,9 +9,9 @@ loops that follow the transceiver's layers: the drops, each outer
 method's width-free work, each outer filter with its effective channels,
 each inner design with its SNR levels. Each stage is built once for the
 points under it and all the chunk's trials, stacked on a leading axis.
-A chunk gives all its points' rates or raises; then each of its points
-runs the chunk's trials alone (:func:`run_trial`). BD feasibility follows
-from shapes, so an infeasible point is marked before any chunk.
+A chunk gives all its points' rates or raises; then its reads run each
+point's trials alone (:func:`run_trial`). BD feasibility follows from
+shapes, so an infeasible point is marked before any chunk.
 All randomness is derived from the master seed and the point's channel-
 relevant content, never from its position in the grid or the method under
 test, so different methods, SNRs and layer counts see identical channel
@@ -217,15 +217,15 @@ def _record(cfg: ExperimentConfig, status: str, mean_rate=None, stderr=None) -> 
     )
 
 
-def _drop_key(cfg: ExperimentConfig, seed: int | None) -> tuple:
+def _drop_key(cfg: ExperimentConfig) -> tuple:
     """Everything a point's draws depend on: points with equal keys share every trial's drop.
 
     ``layers`` is part of it so that each group has one layer count, to
     which per-layer timing attributes the stages the group shares.
     """
     return (
-        cfg.seed if seed is None else seed, cfg.scenario, cfg.n_users, cfg.n_t, cfg.n_r,
-        cfg.n_slots, cfg.sigma_c_deg, cfg.layers, cfg.n_trials,
+        cfg.seed, cfg.scenario, cfg.n_users, cfg.n_t, cfg.n_r, cfg.n_slots, cfg.sigma_c_deg,
+        cfg.layers, cfg.n_trials,
     )
 
 
@@ -295,7 +295,7 @@ def _stack_drops(drops: Sequence[MacroState]) -> MacroState:
 
 
 class _Chunk:
-    """A chunk of trials of a drop group's points; its first read runs it (:func:`_run_chunk`)."""
+    """A chunk of trials of a drop group's points; its first read runs it (:func:`run_trial`)."""
 
     def __init__(self, points: Sequence[ExperimentConfig], trials: range):
         self.points, self.trials, self.results = points, trials, None
@@ -311,13 +311,19 @@ def run_trial(cfg: ExperimentConfig, seed: int, trial: int, shared: _Chunk | Non
     one point and one trial, and raises the exception of its first stage
     that fails. With ``shared``, the chunk that :func:`run_point` hands to
     each of its points and trials, the first read runs the whole chunk,
-    which either gives every point's rates or raises, and every later read
-    returns the trial's rate.
+    which either gives every point's rates or raises. A chunk that gave
+    its rates returns the trial's rate to every read. A chunk that raised
+    is marked failed (``results = {}``, holding no stage); once the
+    exception and its stages are freed, each read, the first one included,
+    runs its trial alone.
     """
-    if shared is None:
+    if shared is not None and shared.results is None:
+        try:
+            shared.results = _run_chunk(shared.points, seed, shared.trials)
+        except Exception:  # the lone runs start once this block has freed its traceback's stages
+            shared.results = {}
+    if shared is None or not shared.results:
         return _run_chunk([cfg], seed, range(trial, trial + 1))[cfg][0]
-    if shared.results is None:
-        shared.results = _run_chunk(shared.points, seed, shared.trials)
     return shared.results[cfg][shared.trials.index(trial)]
 
 
@@ -461,26 +467,15 @@ def _run_chunk(
     return results
 
 
-def _status(exc: Exception) -> str:
-    """A failed row's status: ``infeasible`` for :class:`InfeasibleError`, else the error's name.
-
-    :func:`run_point` reads it from the feasibility check and from a point's first failing
-    lone trial.
-    """
-    if isinstance(exc, InfeasibleError):
-        return "infeasible"
-    return f"error:{type(exc).__name__.lower()}"
-
-
 def _run_chunks(points, seed, trials: range, size: int, rates, statuses) -> None:
     """Run ``points`` over ``trials``, ``size`` trials per :class:`_Chunk`.
 
-    A point whose trial raises runs no further trials; its status is that of
-    its first failing trial run alone. A chunk gives every live point's
-    rates, or raises: a stacked stage raises for all the trials of its
-    chunk and all the points under it. So when a chunk raises, each of its
-    points runs the chunk's trials again alone, one :func:`run_trial` call
-    per trial, once the exception and the chunk have been freed.
+    Each live point reads its trials from the chunk through
+    :func:`run_trial`, so a chunk that raises runs each of its points'
+    trials alone (one stacked stage raises for all the trials of its chunk
+    and all the points under it). A point whose trial raises runs no
+    further trials; its status is ``error:<name>`` of that trial's
+    exception, the first that the point's trials raise alone.
     """
     for start in range(trials.start, trials.stop, size):
         chunk = range(start, min(start + size, trials.stop))
@@ -488,68 +483,60 @@ def _run_chunks(points, seed, trials: range, size: int, rates, statuses) -> None
         if not live:
             return
         shared = _Chunk([points[i] for i in live], chunk)
-        try:
-            for i in live:
-                for trial in chunk:
-                    rates[i, trial] = run_trial(points[i], seed, trial, shared)
-            continue
-        except Exception:  # the reruns start once this block has freed its traceback's stages
-            pass
-        del shared
         for i in live:
             try:
                 for trial in chunk:
-                    rates[i, trial] = run_trial(points[i], seed, trial)
+                    rates[i, trial] = run_trial(points[i], seed, trial, shared)
             except Exception as exc:  # per-row capture is part of the sweep contract
-                statuses[i] = _status(exc)
+                statuses[i] = f"error:{type(exc).__name__.lower()}"
 
 
 def run_point(*points: ExperimentConfig, seed: int | None = None) -> list[RateRecord]:
     """Run all trials of grid points that share one drop, and aggregate each one's rates.
 
+    ``seed``, if given, replaces each point's seed before it is validated.
     The points must agree on every field their draws depend on (seed,
     scenario, n_users, array sizes, n_slots, sigma_c_deg, layers and
-    n_trials); :func:`run_sweep` groups a sweep's points so. They run in
-    chunks of trials (:func:`_trial_chunk`, sized by the group's shapes),
-    each chunk's live points through one :func:`_run_chunk`, read once per
-    point and trial by :func:`run_trial`. A MET-BD or BD-MER point that
-    cannot serve U * N_s streams (:func:`~dsmimo.inner.check_feasible`)
-    reads ``infeasible`` before any chunk, whatever its trials would do,
-    and builds nothing. Any other failed row has one rule: its status is
-    ``error:<name>`` of its first failing trial run alone,
-    ``run_trial(point, seed, trial)``. A chunk either gives every point's
-    rates or raises, so when it raises, each of its points runs that
-    chunk's trials again alone, after the chunk is freed, up to its first
-    failing trial. A point whose trial raises runs no further trials, so
-    its level drops out of its design's later chunks; the others go on.
-    No chunk holds an exception or a status. The ``ok`` rows' means and
-    standard errors come from one reduction over all of them
-    (:func:`_trial_stats`); a failed row's unwritten trials are never read.
+    n_trials); :func:`run_sweep` groups a sweep's points so. A MET-BD or
+    BD-MER point that cannot serve U * N_s streams
+    (:func:`~dsmimo.inner.check_feasible`) reads ``infeasible`` before any
+    chunk, whatever its trials would do, and builds nothing. The others run
+    in chunks of trials (:func:`_trial_chunk`, sized by their shapes), read
+    once per point and trial by :func:`run_trial`. Any other failed row has
+    one rule: its status is ``error:<name>`` of its first failing trial run
+    alone, ``run_trial(point, seed, trial)``; a chunk that raises runs its
+    reads so (:func:`_run_chunks`). A point whose trial raises runs no
+    further trials, so its level drops out of its design's later chunks;
+    the others go on. No chunk holds an exception or a status. The ``ok``
+    rows' means and standard errors come from one reduction over all of
+    them (:func:`_trial_stats`); a failed row's unwritten trials are never
+    read.
     The records come back in argument order; ``[record] = run_point(cfg)``
     runs one.
     """
     singles = []
     for cfg in points:
+        cfg = cfg if seed is None else replace(cfg, seed=seed)
         cfg.validate()
         grid = cfg.grid()
         if len(grid) != 1:
             raise ConfigError("run_point needs single grid points; use run_sweep for lists")
         singles += grid
     points = singles
-    drop_keys = {_drop_key(cfg, seed) for cfg in points}
-    if len(drop_keys) != 1:
+    if len({_drop_key(cfg) for cfg in points}) != 1:
         raise ConfigError("run_point needs points that share one drop; use run_sweep")
-    [drop_key] = drop_keys
-    seed, n_trials = drop_key[0], drop_key[-1]
+    seed, n_trials = points[0].seed, points[0].n_trials
 
     rates = np.empty((len(points), n_trials))
     statuses: dict[int, str] = {}
     for i, cfg in enumerate(points):
         try:
             check_feasible(cfg.inner, cfg.n_users, cfg.n_s, *cfg.effective_dims())
-        except InfeasibleError as exc:
-            statuses[i] = _status(exc)
-    _run_chunks(points, seed, range(n_trials), _trial_chunk(points), rates, statuses)
+        except InfeasibleError:
+            statuses[i] = "infeasible"
+    feasible = [cfg for i, cfg in enumerate(points) if i not in statuses]
+    if feasible:
+        _run_chunks(points, seed, range(n_trials), _trial_chunk(feasible), rates, statuses)
     ok = [i for i in range(len(points)) if i not in statuses]
     stats = dict(zip(ok, _trial_stats(rates[ok])))
     return [_record(cfg, statuses.get(i, "ok"), *stats.get(i, ())) for i, cfg in enumerate(points)]
@@ -574,23 +561,25 @@ def run_sweep(
 ) -> list[RateRecord]:
     """Run every grid point of every config, in config order, as one sweep.
 
-    All configs are validated before any point runs. The points are
+    ``seed``, if given, replaces each config's seed, and then all configs
+    are validated before any point runs. The points are
     grouped by drop (see :func:`run_point`), and the workers run over the
     groups: no more threads than groups, and none beside the caller's for
     one group. Per-point failures become error rows and never abort the
     sweep. Results are identical for any ``workers`` count because every
     point's substreams are fixed by its content.
     """
+    configs = [cfg if seed is None else replace(cfg, seed=seed) for cfg in configs]
     for cfg in configs:
         cfg.validate()
     points = [point for cfg in configs for point in cfg.grid()]
     by_drop: dict[tuple, list[int]] = {}
     for i, point in enumerate(points):
-        by_drop.setdefault(_drop_key(point, seed), []).append(i)
+        by_drop.setdefault(_drop_key(point), []).append(i)
     groups = list(by_drop.values())
 
     def one(group: list[int]) -> list[RateRecord]:
-        return run_point(*(points[i] for i in group), seed=seed)
+        return run_point(*(points[i] for i in group))
 
     workers = min(workers, len(groups))
     if workers <= 1:

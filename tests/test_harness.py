@@ -291,6 +291,17 @@ class TestMultiConfigSweep:
             run_sweep(*configs, seed=0, workers=2)
         assert calls == []
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True], ids=["negative", "float", "str", "bool"])
+    @pytest.mark.parametrize("runner", [run_sweep, run_point], ids=["run_sweep", "run_point"])
+    def test_a_bad_seed_override_fails_before_any_point_runs(self, monkeypatch, runner, seed):
+        # The override is checked like the seed field it replaces: seed 1.5
+        # would otherwise run the draws of seed 1, and -1 fail every row.
+        calls = []
+        monkeypatch.setattr(harness, "_run_chunk", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="seed"):
+            runner(SMALL, replace(SMALL, snr_db=0.0), seed=seed)
+        assert calls == []
+
 
 class TestTrialMemory:
     # 32 users at 128 x 128 through 8 paths: the dense channel stack is
@@ -456,10 +467,10 @@ class TestDropSharing:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_grouped_sweep_equals_each_point_alone(self, monkeypatch, workers):
-        real_trial = harness.run_trial
+        real_trial, raising = harness.run_trial, replace(self.RAISES_AT_TRIAL_1, seed=6)
 
         def failing_trial(cfg, seed, trial, drop=None):
-            if cfg == self.RAISES_AT_TRIAL_1 and trial == 1:
+            if cfg == raising and trial == 1:  # run_trial reads the points with the seed override
                 raise ArithmeticError("second trial fails")
             return real_trial(cfg, seed, trial, drop)
 
@@ -480,14 +491,14 @@ class TestDropSharing:
 
     @staticmethod
     def _tracking_chunks(monkeypatch):
-        """Wrap run_trial so that ``chunk[0]`` is the trials of the cache it runs in."""
-        real_trial, chunk = harness.run_trial, [None]
+        """Wrap _run_chunk so that ``chunk[0]`` is the trials of the chunk it runs."""
+        real_chunk, chunk = harness._run_chunk, [None]
 
-        def run_trial(cfg, seed, trial, shared=None):
-            chunk[0] = range(trial, trial + 1) if shared is None else shared.trials
-            return real_trial(cfg, seed, trial, shared)
+        def run_chunk(points, seed, trials):
+            chunk[0] = trials
+            return real_chunk(points, seed, trials)
 
-        monkeypatch.setattr(harness, "run_trial", run_trial)
+        monkeypatch.setattr(harness, "_run_chunk", run_chunk)
         return chunk
 
     def test_outer_filter_failure_marks_only_its_points(self, monkeypatch):
@@ -1111,6 +1122,26 @@ class TestFeasibilityHandling:
         records = run_point(infeasible, replace(infeasible, inner="met_mer"), seed=0)
         assert [r.status for r in records] == ["infeasible", "error:floatingpointerror"]
         assert all(r.n_trials == 0 and r.mean_rate is None for r in records)
+
+    def test_an_infeasible_point_does_not_size_the_chunks(self, monkeypatch):
+        # The MET-MER point at m = 1 stacks its three trials in one chunk; the
+        # infeasible MET-BD point at m = 8 (9 > 8 streams), which never enters
+        # a chunk, would size its chunks to one trial.
+        shapes = dict(scenario="poor", n_t=64, n_r=64, n_users=9, n_trials=3, n_slots=20)
+        live = ExperimentConfig(**shapes, m_t=1, m_r=1, outer="cme", inner="met_mer")
+        infeasible = replace(live, m_t=8, m_r=8, inner="met_bd")
+        assert harness._trial_chunk([live]) == 3 and harness._trial_chunk([live, infeasible]) == 1
+        lone = run_point(live, seed=0) + run_point(infeasible, seed=0)
+        assert [r.status for r in lone] == ["ok", "infeasible"]
+        real_chunk, chunks = harness._run_chunk, []
+
+        def run_chunk(points, seed, trials):
+            chunks.append(trials)
+            return real_chunk(points, seed, trials)
+
+        monkeypatch.setattr(harness, "_run_chunk", run_chunk)
+        assert run_point(live, infeasible, seed=0) == lone
+        assert chunks == [range(0, 3)]
 
     def test_an_infeasible_group_builds_no_stage(self, monkeypatch):
         # One drop group, every point of it infeasible (5 * 1 and 5 * 2 streams > M = 4).

@@ -199,8 +199,9 @@ def _record_of_lone_trials(point):
 
     A BD design that cannot serve U * N_s streams on its side (M_r for
     MET-BD, M_t for BD-MER) reads ``infeasible`` from its shapes alone,
-    before any trial. Otherwise the mean and standard error are the row's
-    own ``mean()`` and ``std(ddof=1) / sqrt(n)``.
+    before any trial. A failed trial's row reads ``error:`` and the
+    lowercase name of its exception's type. Otherwise the mean and standard
+    error are the row's own ``mean()`` and ``std(ddof=1) / sqrt(n)``.
     """
     m_t, m_r = point.effective_dims()
     if point.n_users * point.n_s > {"met_bd": m_r, "bd_mer": m_t}.get(point.inner, np.inf):
@@ -210,7 +211,7 @@ def _record_of_lone_trials(point):
         try:
             rates.append(run_trial(point, point.seed, trial))
         except Exception as exc:
-            return harness._record(point, harness._status(exc))
+            return harness._record(point, f"error:{type(exc).__name__.lower()}")
     rates = np.array(rates)
     stderr = float(rates.std(ddof=1) / np.sqrt(rates.size)) if rates.size > 1 else None
     return harness._record(point, "ok", float(rates.mean()), stderr)

@@ -266,26 +266,29 @@ def test_a_failing_trial_of_a_chunk_fails_only_its_row(monkeypatch):
 def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
     # MET-MMSE fails on every stack of several trials and on no trial alone:
     # both points run the chunk's trials again alone, each trial through its
-    # own one-trial chunk, and read as in a clean run. The failed chunk is
-    # gone before the first of them, without the cyclic GC.
+    # own one-trial chunk, and read as in a clean run. The failed chunk's
+    # stages (here its effective channels) are gone before the first of
+    # them, without the cyclic GC.
     points = [
         ExperimentConfig(**{**CHUNKED, "n_trials": 5}, inner="met_mmse", snr_db=snr)
         for snr in (0.0, 10.0)
     ]
     clean = run_point(*points, seed=4)
-    real_chunk, real_trial, real_mmse = harness._run_chunk, harness.run_trial, harness.met_mmse
-    runs, chunks, chunk_alive_at_rerun = [], [], []
+    real_chunk, real_effective = harness._run_chunk, harness.effective_channels
+    real_mmse = harness.met_mmse
+    runs, stages, stage_alive_at_rerun = [], [], []
 
-    def run_chunk(chunk_points, seed, trials, *args, **kwargs):
+    def run_chunk(chunk_points, seed, trials):
+        if len(trials) == 1:
+            stage_alive_at_rerun.append(stages[0]() is not None)
         runs.append(trials)
-        return real_chunk(chunk_points, seed, trials, *args, **kwargs)
+        return real_chunk(chunk_points, seed, trials)
 
-    def run_trial(cfg, seed, trial, shared=None):
-        if shared is None:
-            chunk_alive_at_rerun.append(chunks[0]() is not None)
-        elif not chunks:
-            chunks.append(weakref.ref(shared))
-        return real_trial(cfg, seed, trial, shared)
+    def effective(channels, outers):
+        effset = real_effective(channels, outers)
+        if len(runs) == 1:  # the stacked chunk's
+            stages.append(weakref.ref(effset.h_eff))
+        return effset
 
     def mmse(effset, gammas, *args, **kwargs):
         if np.shape(gammas)[-2] > 1:
@@ -293,7 +296,7 @@ def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
         return real_mmse(effset, gammas, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_run_chunk", run_chunk)
-    monkeypatch.setattr(harness, "run_trial", run_trial)
+    monkeypatch.setattr(harness, "effective_channels", effective)
     monkeypatch.setattr(harness, "met_mmse", mmse)
     gc.disable()
     try:
@@ -302,4 +305,5 @@ def test_a_failing_chunk_is_freed_before_its_trials_run_again(monkeypatch):
         gc.enable()
     assert records == clean
     assert runs == [range(0, 5)] + [range(t, t + 1) for t in range(5)] * 2
-    assert len(chunk_alive_at_rerun) == 10 and not any(chunk_alive_at_rerun)
+    assert len(stages) == 1
+    assert len(stage_alive_at_rerun) == 10 and not any(stage_alive_at_rerun)
